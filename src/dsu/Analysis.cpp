@@ -3,6 +3,7 @@
 #include "bytecode/Verifier.h"
 #include "dsu/Dataflow.h"
 #include "dsu/UpdateBundle.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -147,20 +148,6 @@ std::string joinLines(const std::vector<std::string> &V,
   for (const std::string &S : V)
     Out += Indent + S + "\n";
   return Out;
-}
-
-std::string jsonStringArray(const std::vector<std::string> &V) {
-  std::string Out = "[";
-  for (size_t I = 0; I < V.size(); ++I) {
-    if (I)
-      Out += ",";
-    Out += "\"" + V[I] + "\"";
-  }
-  return Out + "]";
-}
-
-std::string jsonStringArray(const std::set<std::string> &V) {
-  return jsonStringArray(std::vector<std::string>(V.begin(), V.end()));
 }
 
 } // namespace
@@ -433,14 +420,24 @@ std::string AnalysisReport::table() const {
 }
 
 std::string AnalysisReport::json() const {
-  std::string Out = "{";
-  Out += "\"version\":\"" + VersionTag + "\",";
-  Out += "\"num_methods\":" + std::to_string(NumMethods) + ",";
+  std::string Out = "{\"version\":";
+  appendJsonString(Out, VersionTag);
+  // Appends `"Key":[...],` with every element escaped.
+  auto Array = [&Out](const char *Key, const auto &Items) {
+    Out += std::string("\"") + Key + "\":[";
+    const char *Sep = "";
+    for (const std::string &Item : Items) {
+      Out += Sep;
+      appendJsonString(Out, Item);
+      Sep = ",";
+    }
+    Out += "],";
+  };
+  Out += ",\"num_methods\":" + std::to_string(NumMethods) + ",";
   Out += "\"num_edges\":" + std::to_string(NumEdges) + ",";
-  Out += "\"restricted_conservative\":" +
-         jsonStringArray(ConservativeRestricted) + ",";
-  Out += "\"restricted_precise\":" + jsonStringArray(PreciseRestricted) + ",";
-  Out += "\"restricted_cha\":" + jsonStringArray(PreciseRestrictedCha) + ",";
+  Array("restricted_conservative", ConservativeRestricted);
+  Array("restricted_precise", PreciseRestricted);
+  Array("restricted_cha", PreciseRestrictedCha);
   // The same gauge values --metrics-out publishes, under their metric
   // names, so the JSON and the metrics file share one schema.
   Out += "\"gauges\":{";
@@ -456,12 +453,13 @@ std::string AnalysisReport::json() const {
          std::to_string(PreciseRestrictedCha.size()) + ",";
   Out += "\"dsu.analysis.runtime_ms\":" +
          std::to_string(static_cast<int64_t>(RuntimeMs + 0.5)) + "},";
-  Out += "\"pinned_forever\":" + jsonStringArray(PinnedForever) + ",";
-  Out += "\"osr_required\":" + jsonStringArray(OsrRequired) + ",";
-  Out += "\"mapping_issues\":" + jsonStringArray(MappingIssues) + ",";
-  Out += "\"warnings\":" + jsonStringArray(Warnings) + ",";
+  Array("pinned_forever", PinnedForever);
+  Array("osr_required", OsrRequired);
+  Array("mapping_issues", MappingIssues);
+  Array("warnings", Warnings);
   Out += "\"verdict\":\"" + std::string(applicabilityName(Verdict)) + "\",";
-  Out += "\"reason\":\"" + Reason + "\"";
+  Out += "\"reason\":";
+  appendJsonString(Out, Reason);
   return Out + "}";
 }
 

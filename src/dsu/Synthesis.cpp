@@ -2,6 +2,7 @@
 
 #include "dsu/Dataflow.h"
 #include "dsu/Transformers.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -205,16 +206,6 @@ bool needsClassTransformer(const ClassPlan &P) {
   return P.count(FieldAction::Rename, /*Static=*/true) != 0;
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
 } // namespace
 
 SynthesisReport TransformerSynthesis::synthesize(const UpdateSpec &Spec,
@@ -400,20 +391,20 @@ std::string SynthesisReport::json() const {
   OS << "{\n  \"classes\": [";
   bool FirstC = true;
   for (const ClassPlan &P : Classes) {
-    OS << (FirstC ? "" : ",") << "\n    {\"name\": \"" << jsonEscape(P.Name)
-       << "\", \"layout_unchanged\": " << (P.LayoutUnchanged ? "true" : "false")
+    OS << (FirstC ? "" : ",") << "\n    {\"name\": " << jsonString(P.Name)
+       << ", \"layout_unchanged\": " << (P.LayoutUnchanged ? "true" : "false")
        << ", \"faulted\": " << (P.Faulted ? "true" : "false")
        << ", \"fields\": [";
     FirstC = false;
     bool FirstF = true;
     for (const FieldMapping &M : P.Fields) {
-      OS << (FirstF ? "" : ", ") << "{\"field\": \"" << jsonEscape(M.NewField)
-         << "\", \"action\": \"" << fieldActionName(M.Action)
+      OS << (FirstF ? "" : ", ") << "{\"field\": " << jsonString(M.NewField)
+         << ", \"action\": \"" << fieldActionName(M.Action)
          << "\", \"static\": " << (M.IsStatic ? "true" : "false");
       if (!M.OldField.empty())
-        OS << ", \"source\": \"" << jsonEscape(M.OldField) << "\"";
+        OS << ", \"source\": " << jsonString(M.OldField);
       if (!M.Note.empty())
-        OS << ", \"note\": \"" << jsonEscape(M.Note) << "\"";
+        OS << ", \"note\": " << jsonString(M.Note);
       OS << "}";
       FirstF = false;
     }
@@ -422,13 +413,13 @@ std::string SynthesisReport::json() const {
   OS << "\n  ],\n  \"impact_classes\": [";
   bool First = true;
   for (const std::string &C : ImpactClasses) {
-    OS << (First ? "" : ", ") << "\"" << jsonEscape(C) << "\"";
+    OS << (First ? "" : ", ") << jsonString(C);
     First = false;
   }
   OS << "],\n  \"untouched_classes\": [";
   First = true;
   for (const std::string &C : UntouchedClasses) {
-    OS << (First ? "" : ", ") << "\"" << jsonEscape(C) << "\"";
+    OS << (First ? "" : ", ") << jsonString(C);
     First = false;
   }
   OS << "],\n  \"copies\": " << NumCopies << ",\n  \"renames\": " << NumRenames

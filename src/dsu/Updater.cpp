@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <limits>
 #include <unordered_map>
 
@@ -122,27 +121,6 @@ void Updater::schedule(UpdateBundle InBundle, UpdateOptions InOpts) {
     finish(UpdateStatus::RejectedNotVerifiable, Msg);
     return;
   }
-
-  // JVOLVE_LAZY=1 turns every scheduled update lazy — the environment
-  // counterpart of UpdateOptions::LazyTransform (tier1.sh runs the DSU
-  // suite a third time in this mode).
-  if (const char *Lazy = std::getenv("JVOLVE_LAZY"))
-    if (Lazy[0] && Lazy[0] != '0')
-      Opts.LazyTransform = true;
-
-  // JVOLVE_CODEVERSION=1 routes every strictly body-only update through
-  // the per-method code-version manager — the environment counterpart of
-  // UpdateOptions::CodeVersioning (tier1.sh runs the suite in this mode).
-  // Bundles with class-shape changes are unaffected.
-  if (const char *CV = std::getenv("JVOLVE_CODEVERSION"))
-    if (CV[0] && CV[0] != '0')
-      Opts.CodeVersioning = true;
-
-  // A canary revert completes whole or not at all: the reverse update is
-  // always eager, even when the environment forces lazy commits.
-  if (auto *Canary = static_cast<CanaryController *>(TheVM.canary());
-      Canary && Canary->ownsUpdater(this))
-    Opts.LazyTransform = false;
 
   // Stacked-update discipline for an open canary window: a foreign update
   // arriving while the window observes supersedes it (the operator chose

@@ -81,7 +81,7 @@ struct UpdateOptions {
   /// behind a read barrier, and drain the remainder from a background VM
   /// thread. Trades the eager transform pause for a transient per-access
   /// overhead that decays to exactly zero once the barrier retires.
-  /// JVOLVE_LAZY=1 forces this on for every scheduled update.
+  /// The tools' --lazy flag (jvolve-serve, jvolve-chaos) sets it.
   bool LazyTransform = false;
   /// Lazy mode: background transforms per drainer quantum.
   size_t LazyDrainBatch = 32;
@@ -140,8 +140,8 @@ struct UpdateOptions {
   /// atomic active-version switch observed at the existing call-entry and
   /// back-edge poll points, no VM-wide safe point, no DSU collection.
   /// Bundles with class-shape changes ignore this flag and take the full
-  /// stop-the-world pipeline. JVOLVE_CODEVERSION=1 forces this on for
-  /// every scheduled update.
+  /// stop-the-world pipeline. The tools' --codeversion flag (jvolve-serve,
+  /// jvolve-chaos) sets it.
   bool CodeVersioning = false;
 };
 

@@ -9,6 +9,7 @@
 #include "dsu/Upt.h"
 #include "heap/HeapVerifier.h"
 #include "support/Error.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "support/TelemetryStream.h"
 #include "vm/VM.h"
@@ -533,27 +534,6 @@ std::string oracleOf(const std::vector<std::string> &Violations) {
   return Violations.front().substr(0, Colon);
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"': Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\t': Out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 } // namespace
 
 std::string CampaignReport::json() const {
@@ -565,18 +545,17 @@ std::string CampaignReport::json() const {
       << ", \"second_order_capped\": " << SecondOrderCapped
       << ", \"coverage\": " << coverage() << ", \"unreachable_in_mode\": [";
   for (size_t I = 0; I < UnreachableInMode.size(); ++I)
-    Out << (I ? ", " : "") << "\"" << jsonEscape(UnreachableInMode[I])
-        << "\"";
+    Out << (I ? ", " : "") << jsonString(UnreachableInMode[I]);
   Out << "], \"violations\": [";
   for (size_t I = 0; I < Violations.size(); ++I) {
     const CampaignViolation &V = Violations[I];
-    Out << (I ? ", " : "") << "{\"mode\": \"" << jsonEscape(V.Mode)
-        << "\", \"spec\": \"" << jsonEscape(V.Spec.str())
-        << "\", \"status\": \"" << jsonEscape(updateStatusName(V.Status))
-        << "\", \"reproducer\": \"" << jsonEscape(V.Reproducer)
-        << "\", \"violations\": [";
+    Out << (I ? ", " : "") << "{\"mode\": " << jsonString(V.Mode)
+        << ", \"spec\": " << jsonString(V.Spec.str())
+        << ", \"status\": " << jsonString(updateStatusName(V.Status))
+        << ", \"reproducer\": " << jsonString(V.Reproducer)
+        << ", \"violations\": [";
     for (size_t J = 0; J < V.Violations.size(); ++J)
-      Out << (J ? ", " : "") << "\"" << jsonEscape(V.Violations[J]) << "\"";
+      Out << (J ? ", " : "") << jsonString(V.Violations[J]);
     Out << "]}";
   }
   Out << "]}";

@@ -111,7 +111,7 @@ public:
   void arm(Site S, uint64_t Fire = 1, uint64_t Skip = 0);
 
   /// Arms one site from a "site[:fire[:skip]]" spec (the tools' --inject
-  /// syntax, also accepted via the JVOLVE_INJECT environment variable).
+  /// syntax).
   /// \returns false with \p Err set on an unknown site or malformed spec.
   bool armFromSpec(const std::string &Spec, std::string *Err = nullptr);
 

@@ -1,5 +1,7 @@
 #include "support/StringUtils.h"
 
+#include <cstdio>
+
 using namespace jvolve;
 
 std::vector<std::string> jvolve::splitString(const std::string &Text, char Sep,
@@ -33,5 +35,33 @@ std::string jvolve::joinStrings(const std::vector<std::string> &Parts,
       Out += Sep;
     Out += Parts[I];
   }
+  return Out;
+}
+
+void jvolve::appendJsonString(std::string &Out, const std::string &Text) {
+  Out += '"';
+  for (char C : Text) {
+    switch (C) {
+    case '"': Out += "\\\""; break;
+    case '\\': Out += "\\\\"; break;
+    case '\n': Out += "\\n"; break;
+    case '\r': Out += "\\r"; break;
+    case '\t': Out += "\\t"; break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", static_cast<unsigned>(C));
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  Out += '"';
+}
+
+std::string jvolve::jsonString(const std::string &Text) {
+  std::string Out;
+  appendJsonString(Out, Text);
   return Out;
 }

@@ -1,8 +1,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small string helpers shared by the bytecode layer, the UPT, and the
-/// transformer runtime (e.g. the e-mail address split in Figure 3).
+/// Small string helpers shared by the bytecode layer, the UPT, the
+/// transformer runtime (e.g. the e-mail address split in Figure 3), and
+/// every JSON report writer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,13 @@ bool startsWith(const std::string &Text, const std::string &Prefix);
 /// Joins \p Parts with \p Sep between consecutive elements.
 std::string joinStrings(const std::vector<std::string> &Parts,
                         const std::string &Sep);
+
+/// Appends \p Text to \p Out as a quoted JSON string literal, escaping
+/// quotes, backslashes and control characters.
+void appendJsonString(std::string &Out, const std::string &Text);
+
+/// \returns \p Text as a quoted JSON string literal.
+std::string jsonString(const std::string &Text);
 
 } // namespace jvolve
 

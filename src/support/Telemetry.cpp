@@ -1,6 +1,7 @@
 #include "support/Telemetry.h"
 
 #include "support/Stats.h"
+#include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "support/TelemetryStream.h"
 
@@ -94,28 +95,6 @@ void TelHistogram::samplesSince(uint64_t &Seen,
 //===----------------------------------------------------------------------===//
 // TraceEvent JSONL
 //===----------------------------------------------------------------------===//
-
-static void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"': Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\r': Out += "\\r"; break;
-    case '\t': Out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
 
 std::string TraceEvent::jsonLine() const {
   std::string Out = "{\"name\":";

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 using namespace jvolve;
 
@@ -318,11 +317,8 @@ void TelemetryStreamer::writerLoop() {
   // single-core host a tight period taxes the workload measurably — and
   // nothing needs millisecond drain latency: durability points
   // (closeSession, flushAll, atexit) drain synchronously regardless.
-  // JVOLVE_TELEMETRY_PERIOD_MS overrides the floor.
-  int MinPeriodMs = 20;
-  if (const char *P = std::getenv("JVOLVE_TELEMETRY_PERIOD_MS"))
-    MinPeriodMs = std::max(std::atoi(P), 1);
-  const int MaxPeriodMs = std::max(MinPeriodMs, 100);
+  constexpr int MinPeriodMs = 20;
+  constexpr int MaxPeriodMs = 100;
   int PeriodMs = MinPeriodMs;
   std::unique_lock<std::mutex> L(Mu);
   while (!StopRequested) {

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <limits>
 
 using namespace jvolve;
@@ -83,16 +82,6 @@ static void preregisterStandardMetrics() {
 
 VM::VM(Config C) : Cfg(C) {
   preregisterStandardMetrics();
-  // JVOLVE_INJECT=<site>[:fire[:skip]][,<spec>...] arms fault sites on
-  // every VM the process builds — the environment-level counterpart of the
-  // tools' --inject flag (tier1.sh uses it for the sanitizer fault pass).
-  if (const char *Specs = std::getenv("JVOLVE_INJECT")) {
-    std::vector<std::string> Errs;
-    Faults.armFromSpecList(Specs, &Errs);
-    for (const std::string &Err : Errs)
-      std::fprintf(stderr, "jvolve: ignoring JVOLVE_INJECT entry: %s\n",
-                   Err.c_str());
-  }
   TheHeap = std::make_unique<Heap>(Cfg.HeapSpaceBytes);
   Gc = std::make_unique<Collector>(*TheHeap, Registry);
   Gc->setFaultInjector(&Faults);

@@ -52,9 +52,6 @@ int64_t probeTotal(VM &TheVM) {
 } // namespace
 
 TEST(ActiveMethod, WithoutMappingTimesOut) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinnerVersion(1));
   TheVM.spawnThread("Spinner", "run", "()V", {}, "spin", true);
@@ -70,9 +67,6 @@ TEST(ActiveMethod, WithoutMappingTimesOut) {
 }
 
 TEST(ActiveMethod, IdentityMappingReplacesRunningMethod) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinnerVersion(1));
   TheVM.spawnThread("Spinner", "run", "()V", {}, "spin", true);
@@ -101,9 +95,6 @@ TEST(ActiveMethod, IdentityMappingReplacesRunningMethod) {
 }
 
 TEST(ActiveMethod, ExplicitPcMapForRestructuredBody) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   // New body inserts an extra instruction before the loop counter update,
   // shifting pcs; the explicit map targets the shifted yield points.
   ClassSet V1 = spinnerVersion(1);
@@ -148,9 +139,6 @@ TEST(ActiveMethod, ExplicitPcMapForRestructuredBody) {
 }
 
 TEST(ActiveMethod, FrameTransformerRebuildsLocals) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   // v2 keeps a per-iteration counter in a *new* local slot; the frame
   // transformer seeds it from virtual state.
   ClassSet V1;
@@ -232,9 +220,6 @@ TEST(ActiveMethod, FrameTransformerRebuildsLocals) {
 }
 
 TEST(ActiveMethod, UnmappedParkPcStaysRestricted) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinnerVersion(1));
   TheVM.spawnThread("Spinner", "run", "()V", {}, "spin", true);
@@ -256,7 +241,7 @@ TEST(ActiveMethod, UnmappedParkPcStaysRestricted) {
   EXPECT_EQ(R.Status, UpdateStatus::TimedOut);
 }
 
-TEST(ActiveMethod, Jetty513BecomesSupportedWithMappings) {
+TEST_EAGER_AND_LAZY(ActiveMethod, Jetty513BecomesSupportedWithMappings) {
   AppModel App = makeJettyApp();
   ASSERT_EQ(App.release(3).Name, "5.1.3");
 
@@ -289,7 +274,7 @@ TEST(ActiveMethod, Jetty513BecomesSupportedWithMappings) {
   }
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_GE(R.ActiveFramesRemapped, 2); // both pool threads' run frames
 
@@ -300,7 +285,7 @@ TEST(ActiveMethod, Jetty513BecomesSupportedWithMappings) {
     EXPECT_NE(T->State, ThreadState::Trapped) << T->TrapMessage;
 }
 
-TEST(ActiveMethod, Jes13BecomesSupportedWithMappings) {
+TEST_EAGER_AND_LAZY(ActiveMethod, Jes13BecomesSupportedWithMappings) {
   AppModel App = makeEmailApp();
   ASSERT_EQ(App.release(4).Name, "1.3");
 
@@ -322,7 +307,7 @@ TEST(ActiveMethod, Jes13BecomesSupportedWithMappings) {
       App.version(4).find("SMTPSender")->findMethod("run")->Code.size()));
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_GE(R.ActiveFramesRemapped, 2);
 

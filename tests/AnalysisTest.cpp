@@ -10,6 +10,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "apps/CrossFtpApp.h"
 #include "apps/EmailApp.h"
 #include "apps/JettyApp.h"
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 using namespace jvolve;
+using namespace jvolve::test;
 
 namespace {
 
@@ -259,6 +262,29 @@ TEST(Analysis, ChangedReturningMethodIsApplicable) {
   EXPECT_EQ(R.Verdict, Applicability::Applicable);
 }
 
+TEST(Analysis, JsonEscapesEveryString) {
+  ClassSet Old = loopBase(), New = loopBase();
+  appendNop(New, "Server", "loop");
+  UpdateSpec Spec = Upt::computeSpec(Old, New);
+  AnalysisOptions Opts;
+  Opts.EntryPoints = {"Server.loop()V"};
+  AnalysisReport R = UpdateAnalysis(Old, New).analyze(Spec, {}, Opts);
+  // jvolve-analyze tags a file-mode report with both input paths.
+  R.VersionTag = R"(p\q/"v1".mvm -> p\q/"v2".mvm)";
+  R.Reason += " \"quoted\"";
+  R.Warnings.push_back("C:\\tmp\tindented");
+
+  std::string Json = R.json();
+  EXPECT_NE(Json.find(R"("version":"p\\q/\"v1\".mvm -> p\\q/\"v2\".mvm",)"),
+            std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find(R"( \"quoted\""})"), std::string::npos) << Json;
+  EXPECT_NE(Json.find(R"("C:\\tmp\tindented")"), std::string::npos) << Json;
+  EXPECT_NE(Json.find(R"("pinned_forever":["Server.loop()V"])"),
+            std::string::npos)
+      << Json;
+}
+
 //===----------------------------------------------------------------------===//
 // Restricted safe-point sets
 //===----------------------------------------------------------------------===//
@@ -481,7 +507,7 @@ TEST(AnalysisGate, RefusesPredictedImpossibleBeforeAnyPauseAttempt) {
       << R.Message;
 }
 
-TEST(AnalysisGate, AllowsPredictedApplicableUpdateThrough) {
+TEST_EAGER_AND_LAZY(AnalysisGate, AllowsPredictedApplicableUpdateThrough) {
   AppModel App = makeJettyApp();
   VM::Config Cfg;
   Cfg.HeapSpaceBytes = 16u << 20;
@@ -491,7 +517,7 @@ TEST(AnalysisGate, AllowsPredictedApplicableUpdateThrough) {
   TheVM.run(5'000);
 
   UpdateBundle B = Upt::prepare(App.version(0), App.version(1), "g511");
-  UpdateOptions Opts;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.AnalyzeFirst = true;
   Updater U(TheVM);
   UpdateResult R = U.applyNow(std::move(B), Opts);
@@ -501,7 +527,8 @@ TEST(AnalysisGate, AllowsPredictedApplicableUpdateThrough) {
   EXPECT_EQ(R.Analysis.Verdict, Applicability::Applicable);
 }
 
-TEST(AnalysisGate, MappingsFlipThePredictionAndTheUpdateApplies) {
+TEST_EAGER_AND_LAZY(AnalysisGate,
+                    MappingsFlipThePredictionAndTheUpdateApplies) {
   // The jvolve-serve retry path, in miniature: the 5.1.3 update is refused
   // by analysis, then re-prepared with the operator's pc maps — the
   // analyzer statically accepts them and the update goes through live.
@@ -523,7 +550,7 @@ TEST(AnalysisGate, MappingsFlipThePredictionAndTheUpdateApplies) {
   Run.PcMap = {{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 7}, {5, 8}};
   B.addActiveMapping(std::move(Run));
 
-  UpdateOptions Opts;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.AnalyzeFirst = true;
   Updater U(TheVM);
   UpdateResult R = U.applyNow(std::move(B), Opts);

@@ -115,7 +115,7 @@ TEST(Apps, CrossFtpServesSessions) {
   EXPECT_EQ(Rs[0].Value, 203);
 }
 
-TEST(Apps, JettyFirstUpdateAppliesUnderLoad) {
+TEST_EAGER_AND_LAZY(Apps, JettyFirstUpdateAppliesUnderLoad) {
   AppModel App = makeJettyApp();
   VM TheVM(appConfig());
   TheVM.loadProgram(App.version(0));
@@ -127,8 +127,8 @@ TEST(Apps, JettyFirstUpdateAppliesUnderLoad) {
   Driver.runWithLoad(5'000);
 
   Updater U(TheVM);
-  UpdateResult R =
-      U.applyNow(Upt::prepare(App.version(0), App.version(1), "v510"));
+  UpdateResult R = U.applyNow(
+      Upt::prepare(App.version(0), App.version(1), "v510"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
 
   // The server keeps serving after the update.
@@ -289,7 +289,7 @@ TEST(Apps, Email13DegradesToBodySubsetWithDeferredRemainder) {
     EXPECT_NE(T->State, ThreadState::Trapped) << T->TrapMessage;
 }
 
-TEST(Apps, Email132UsesOsrAndFigure3Transformer) {
+TEST_EAGER_AND_LAZY(Apps, Email132UsesOsrAndFigure3Transformer) {
   AppModel App = makeEmailApp();
   size_t V132 = 6; // base=1.2.1, 1=1.2.2, ..., 5=1.3.1, 6=1.3.2
   ASSERT_EQ(App.release(V132).Name, "1.3.2");
@@ -305,7 +305,7 @@ TEST(Apps, Email132UsesOsrAndFigure3Transformer) {
       Upt::prepare(App.version(V132 - 1), App.version(V132), "v131");
   registerEmailTransformers(B, App, V132);
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_GE(R.OsrReplacements, 2); // Pop3Processor.run and SMTPSender.run
   EXPECT_GE(R.ObjectsTransformed, 1u);
@@ -339,7 +339,7 @@ TEST(Apps, Email13TimesOut) {
   EXPECT_EQ(R.Status, UpdateStatus::TimedOut);
 }
 
-TEST(Apps, CrossFtp108BusyVsIdle) {
+TEST_EAGER_AND_LAZY(Apps, CrossFtp108BusyVsIdle) {
   AppModel App = makeCrossFtpApp();
   ASSERT_TRUE(App.release(3).OnlyWhenIdle);
 
@@ -354,7 +354,7 @@ TEST(Apps, CrossFtp108BusyVsIdle) {
     TheVM.run(2'000);
 
     Updater U(TheVM);
-    UpdateOptions Opts;
+    UpdateOptions Opts = modeOptions(Lazy);
     Opts.TimeoutTicks = 30'000;
     UpdateResult R = U.applyNow(
         Upt::prepare(App.version(2), App.version(3), "v107"), Opts);
@@ -370,7 +370,8 @@ TEST(Apps, CrossFtp108BusyVsIdle) {
 
     Updater U(TheVM);
     UpdateResult R =
-        U.applyNow(Upt::prepare(App.version(2), App.version(3), "v107"));
+        U.applyNow(Upt::prepare(App.version(2), App.version(3), "v107"),
+                   modeOptions(Lazy));
     EXPECT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
 
     // New sessions run the new handler.
@@ -439,20 +440,14 @@ TEST_P(AppsUpdateMode, All22ReleasesMatchTableVerdictAndCertify) {
   EXPECT_EQ(Supported, 20);
 }
 
-INSTANTIATE_TEST_SUITE_P(EagerAndLazy, AppsUpdateMode,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool> &Info) {
-                           return Info.param ? std::string("Lazy")
-                                             : std::string("Eager");
-                         });
+INSTANTIATE_EAGER_AND_LAZY(AppsUpdateMode);
 
 //===--- Post-commit canary reverts on the modeled applications -------------===//
 
 namespace {
 
 UpdateOptions appCanaryOpts(bool Lazy) {
-  UpdateOptions Opts;
-  Opts.LazyTransform = Lazy;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.CanaryWindow.WindowTicks = 100'000'000;
   Opts.CanaryWindow.CheckIntervalTicks = 1'000;
   return Opts;

@@ -110,9 +110,9 @@ ClassSet canaryV2(int64_t GradeConst = 5) {
   return Set;
 }
 
-UpdateOptions canaryOpts(uint64_t WindowTicks = 100'000'000,
+UpdateOptions canaryOpts(bool Lazy, uint64_t WindowTicks = 100'000'000,
                          uint64_t CheckIntervalTicks = 1'000) {
-  UpdateOptions Opts;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.CanaryWindow.WindowTicks = WindowTicks;
   Opts.CanaryWindow.CheckIntervalTicks = CheckIntervalTicks;
   return Opts;
@@ -312,13 +312,13 @@ TEST(CanaryHealth, LatencyComparedToPreUpdateBaseline) {
 // End-to-end reverts.
 //===----------------------------------------------------------------------===//
 
-TEST(Canary, ExplicitRevertRestoresRemovedState) {
+TEST_EAGER_AND_LAZY(Canary, ExplicitRevertRestoresRemovedState) {
   VM TheVM(smallConfig());
   bootV1(TheVM);
 
   Updater U(TheVM);
   UpdateResult Fwd =
-      U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"), canaryOpts());
+      U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"), canaryOpts(Lazy));
   ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
   EXPECT_TRUE(Fwd.CanaryArmed);
   ASSERT_NE(controller(TheVM), nullptr);
@@ -331,13 +331,13 @@ TEST(Canary, ExplicitRevertRestoresRemovedState) {
   EXPECT_NE(Rev.Message.find("operator says no"), std::string::npos);
 }
 
-TEST(Canary, InjectedHealthBreachAutoReverts) {
+TEST_EAGER_AND_LAZY(Canary, InjectedHealthBreachAutoReverts) {
   VM TheVM(smallConfig());
   bootV1(TheVM);
 
   Updater U(TheVM);
   UpdateResult Fwd = U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"),
-                                canaryOpts(100'000'000, 500));
+                                canaryOpts(Lazy, 100'000'000, 500));
   ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
   ASSERT_TRUE(Fwd.CanaryArmed);
 
@@ -355,13 +355,13 @@ TEST(Canary, InjectedHealthBreachAutoReverts) {
   EXPECT_GE(Rep.ChecksRun, 1u);
 }
 
-TEST(Canary, HealthyWindowRetiresAndRevertIsThenRefused) {
+TEST_EAGER_AND_LAZY(Canary, HealthyWindowRetiresAndRevertIsThenRefused) {
   VM TheVM(smallConfig());
   bootV1(TheVM);
 
   Updater U(TheVM);
   UpdateResult Fwd = U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"),
-                                canaryOpts(3'000, 500));
+                                canaryOpts(Lazy, 3'000, 500));
   ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
   ASSERT_TRUE(Fwd.CanaryArmed);
 
@@ -381,11 +381,9 @@ TEST(Canary, LazyForwardCommitStillRevertsWhole) {
   VM TheVM(smallConfig());
   bootV1(TheVM);
 
-  UpdateOptions Opts = canaryOpts();
-  Opts.LazyTransform = true;
   Updater U(TheVM);
-  UpdateResult Fwd =
-      U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"), Opts);
+  UpdateResult Fwd = U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"),
+                                canaryOpts(/*Lazy=*/true));
   ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
   ASSERT_TRUE(Fwd.CanaryArmed);
 
@@ -395,7 +393,7 @@ TEST(Canary, LazyForwardCommitStillRevertsWhole) {
   expectFullyReverted(TheVM, Rev);
 }
 
-TEST(Canary, CustomInverseTransformerIsTrusted) {
+TEST_EAGER_AND_LAZY(Canary, CustomInverseTransformerIsTrusted) {
   VM TheVM(smallConfig());
   bootV1(TheVM);
 
@@ -408,7 +406,7 @@ TEST(Canary, CustomInverseTransformerIsTrusted) {
     Ctx.setInt(To, "secret", 77);
   };
   Updater U(TheVM);
-  UpdateResult Fwd = U.applyNow(std::move(B), canaryOpts());
+  UpdateResult Fwd = U.applyNow(std::move(B), canaryOpts(Lazy));
   ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
 
   UpdateResult Rev = U.revert("use the inverse");
@@ -424,13 +422,18 @@ TEST(Canary, CustomInverseTransformerIsTrusted) {
 // Stacked updates during the window.
 //===----------------------------------------------------------------------===//
 
-TEST(Canary, StackedUpdateSettlesObservingWindow) {
+namespace {
+
+/// Applies v1 -> v2 with a canary window, then stacks the body-only
+/// v2 -> v2' update committed with \p StackedOpts while the window still
+/// observes.
+void stackOnObservingWindow(bool Lazy, const UpdateOptions &StackedOpts) {
   VM TheVM(smallConfig());
   bootV1(TheVM);
 
   Updater U1(TheVM);
-  UpdateResult Fwd =
-      U1.applyNow(Upt::prepare(canaryV1(), canaryV2(5), "v1"), canaryOpts());
+  UpdateResult Fwd = U1.applyNow(Upt::prepare(canaryV1(), canaryV2(5), "v1"),
+                                 canaryOpts(Lazy));
   ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
   ASSERT_TRUE(controller(TheVM)->windowOpen());
 
@@ -439,20 +442,33 @@ TEST(Canary, StackedUpdateSettlesObservingWindow) {
   // new update proceeds normally.
   Updater U2(TheVM);
   UpdateResult Next =
-      U2.applyNow(Upt::prepare(canaryV2(5), canaryV2(6), "v2"));
+      U2.applyNow(Upt::prepare(canaryV2(5), canaryV2(6), "v2"), StackedOpts);
   ASSERT_EQ(Next.Status, UpdateStatus::Applied) << Next.Message;
+  EXPECT_EQ(Next.CodeVersioned, StackedOpts.CodeVersioning);
   EXPECT_EQ(controller(TheVM)->state(), CanaryState::Retired);
   EXPECT_EQ(TheVM.callStatic("Probe", "grade", "()I").IntVal, 6);
   expectHeapClean(TheVM, "after stacked update");
 }
 
-TEST(Canary, StackedUpdateDuringRevertIsRefused) {
+} // namespace
+
+TEST_EAGER_AND_LAZY(Canary, StackedUpdateSettlesObservingWindow) {
+  stackOnObservingWindow(Lazy, modeOptions(Lazy));
+}
+
+TEST(Canary, StackedVersionedUpdateSettlesObservingWindow) {
+  UpdateOptions Versioned;
+  Versioned.CodeVersioning = true;
+  stackOnObservingWindow(/*Lazy=*/false, Versioned);
+}
+
+TEST_EAGER_AND_LAZY(Canary, StackedUpdateDuringRevertIsRefused) {
   VM TheVM(smallConfig());
   bootV1(TheVM);
 
   Updater U1(TheVM);
-  UpdateResult Fwd =
-      U1.applyNow(Upt::prepare(canaryV1(), canaryV2(5), "v1"), canaryOpts());
+  UpdateResult Fwd = U1.applyNow(Upt::prepare(canaryV1(), canaryV2(5), "v1"),
+                                 canaryOpts(Lazy));
   ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
 
   // Open the revert but do not drive it to completion yet.
@@ -463,7 +479,7 @@ TEST(Canary, StackedUpdateDuringRevertIsRefused) {
   // While the old version is on its way back, new updates are refused —
   // they would race the reverse transformation.
   Updater U2(TheVM);
-  U2.schedule(Upt::prepare(canaryV2(5), canaryV2(6), "v2"));
+  U2.schedule(Upt::prepare(canaryV2(5), canaryV2(6), "v2"), modeOptions(Lazy));
   EXPECT_EQ(U2.result().Status, UpdateStatus::RejectedCanaryBusy);
 
   // The revert itself still completes.
@@ -482,7 +498,7 @@ TEST(Canary, StackedUpdateDuringRevertIsRefused) {
 /// A recording pass with only the health breach armed captures, via
 /// probesAtFirstFire(), how many times each nested site was probed before
 /// the breach fired; every later probe index lands inside the revert.
-TEST(Canary, FaultDuringRevertResolvesToDefinedTerminalState) {
+TEST_EAGER_AND_LAZY(Canary, FaultDuringRevertResolvesToDefinedTerminalState) {
   using Site = FaultInjector::Site;
 
   FaultInjector::SiteCounts Lo{}, Hi{};
@@ -491,7 +507,7 @@ TEST(Canary, FaultDuringRevertResolvesToDefinedTerminalState) {
     bootV1(Rec);
     Updater U(Rec);
     UpdateResult Fwd = U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"),
-                                  canaryOpts(100'000'000, 500));
+                                  canaryOpts(Lazy, 100'000'000, 500));
     ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
     Rec.faults().arm(Site::CanaryHealthBreach, 1);
     CanaryController *Ctl = controller(Rec);
@@ -516,7 +532,7 @@ TEST(Canary, FaultDuringRevertResolvesToDefinedTerminalState) {
       bootV1(TheVM);
       Updater U(TheVM);
       UpdateResult Fwd = U.applyNow(Upt::prepare(canaryV1(), canaryV2(), "v1"),
-                                    canaryOpts(100'000'000, 500));
+                                    canaryOpts(Lazy, 100'000'000, 500));
       ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
 
       TheVM.faults().arm(Site::CanaryHealthBreach, 1);

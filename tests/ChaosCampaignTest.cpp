@@ -25,9 +25,10 @@ using Site = FaultInjector::Site;
 
 /// Small, fast workload shared by every test here; campaigns re-run it
 /// dozens of times, so keep the intervals tight.
-ScenarioSpec smallSpec(const std::string &Stream) {
+ScenarioSpec smallSpec(const std::string &Stream, bool Lazy = false) {
   ScenarioSpec Spec;
   Spec.Stream = Stream;
+  Spec.Lazy = Lazy;
   Spec.WarmTicks = 300;
   Spec.SettleTicks = 300;
   Spec.Requests = 1;
@@ -79,9 +80,9 @@ TEST(ChaosCampaign, SpecListCollectsEveryBadEntryAndArmsTheValid) {
 // Scenario driver.
 //===----------------------------------------------------------------------===//
 
-TEST(ChaosCampaign, CleanScenarioSatisfiesEveryOracle) {
+TEST_EAGER_AND_LAZY(ChaosCampaign, CleanScenarioSatisfiesEveryOracle) {
   auto Oracles = standardOracles();
-  ScenarioResult Res = runScenario(smallSpec("email"), Oracles);
+  ScenarioResult Res = runScenario(smallSpec("email", Lazy), Oracles);
   EXPECT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
   EXPECT_FALSE(Res.AnyFired);
   EXPECT_TRUE(Res.ok()) << Res.Violations.front();
@@ -91,9 +92,9 @@ TEST(ChaosCampaign, CleanScenarioSatisfiesEveryOracle) {
   EXPECT_EQ(sum(Res.Fires), 0u);
 }
 
-TEST(ChaosCampaign, ScenarioProbesAreBitIdenticalAcrossRuns) {
+TEST_EAGER_AND_LAZY(ChaosCampaign, ScenarioProbesAreBitIdenticalAcrossRuns) {
   auto Oracles = standardOracles();
-  ScenarioSpec Spec = smallSpec("jetty");
+  ScenarioSpec Spec = smallSpec("jetty", Lazy);
   ScenarioResult A = runScenario(Spec, Oracles);
   ScenarioResult B = runScenario(Spec, Oracles);
   // Fresh VMs under virtual time with fixed seeds: the recording pass and
@@ -104,9 +105,9 @@ TEST(ChaosCampaign, ScenarioProbesAreBitIdenticalAcrossRuns) {
   EXPECT_EQ(A.Violations, B.Violations);
 }
 
-TEST(ChaosCampaign, AimedFaultFiresAtItsExactProbeIndex) {
+TEST_EAGER_AND_LAZY(ChaosCampaign, AimedFaultFiresAtItsExactProbeIndex) {
   auto Oracles = standardOracles();
-  ScenarioSpec Clean = smallSpec("email");
+  ScenarioSpec Clean = smallSpec("email", Lazy);
   ScenarioResult Ref = runScenario(Clean, Oracles);
   ASSERT_TRUE(Ref.ok());
   uint64_t Points = Ref.Probes[static_cast<size_t>(Site::ClassLoad)];
@@ -131,8 +132,12 @@ TEST(ChaosCampaign, AimedFaultFiresAtItsExactProbeIndex) {
 // Campaigns.
 //===----------------------------------------------------------------------===//
 
-CampaignOptions miniOptions() {
+/// One stream, committing in the given mode (plus the eager codeversion
+/// combo every campaign enumerates).
+CampaignOptions miniOptions(bool Lazy) {
   CampaignOptions Opts;
+  Opts.Eager = !Lazy;
+  Opts.Lazy = Lazy;
   Opts.Streams = {"jetty"};
   Opts.WarmTicks = 300;
   Opts.SettleTicks = 300;
@@ -140,9 +145,9 @@ CampaignOptions miniOptions() {
   return Opts;
 }
 
-TEST(ChaosCampaign, MiniFirstOrderCampaignReachesFullCoverage) {
+TEST_EAGER_AND_LAZY(ChaosCampaign, MiniFirstOrderCampaignReachesFullCoverage) {
   auto Oracles = standardOracles();
-  CampaignReport Rep = runCampaign(miniOptions(), Oracles);
+  CampaignReport Rep = runCampaign(miniOptions(Lazy), Oracles);
   EXPECT_TRUE(Rep.Violations.empty())
       << Rep.Violations.front().Violations.front();
   EXPECT_GT(Rep.ProbePoints, 0u);
@@ -154,13 +159,13 @@ TEST(ChaosCampaign, MiniFirstOrderCampaignReachesFullCoverage) {
   EXPECT_FALSE(Rep.UnreachableInMode.empty());
 }
 
-TEST(ChaosCampaign, BudgetTruncatesToAStablePrefix) {
+TEST_EAGER_AND_LAZY(ChaosCampaign, BudgetTruncatesToAStablePrefix) {
   auto Oracles = standardOracles();
-  CampaignOptions Opts = miniOptions();
+  CampaignOptions Opts = miniOptions(Lazy);
   Opts.Budget = 3;
   CampaignReport A = runCampaign(Opts, Oracles);
   EXPECT_GT(A.SkippedByBudget, 0u);
-  // + one recording pass per mode combo (eager + the codeversion combo).
+  // + one recording pass per mode combo (the mode + the codeversion combo).
   EXPECT_LE(A.Executions, Opts.Budget + 2);
   EXPECT_GT(A.Enumerated, A.ProbePoints);
   EXPECT_TRUE(A.Violations.empty());
@@ -171,9 +176,9 @@ TEST(ChaosCampaign, BudgetTruncatesToAStablePrefix) {
   EXPECT_EQ(A.json(), B.json());
 }
 
-TEST(ChaosCampaign, ReportJsonCarriesTheCoverageContract) {
+TEST_EAGER_AND_LAZY(ChaosCampaign, ReportJsonCarriesTheCoverageContract) {
   auto Oracles = standardOracles();
-  CampaignOptions Opts = miniOptions();
+  CampaignOptions Opts = miniOptions(Lazy);
   Opts.Budget = 1;
   CampaignReport Rep = runCampaign(Opts, Oracles);
   std::string Json = Rep.json();

@@ -313,10 +313,6 @@ TEST(CodeVersion, DegradeRungLandsThroughVersionChains) {
 //===--- EcUpdater parity across the release streams ------------------------===//
 
 TEST(CodeVersion, StreamParityBodyOnlyReleasesCertifyThroughManager) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "parity needs a safe-point pipeline twin, but "
-                    "JVOLVE_CODEVERSION=1 forces every body-only bundle "
-                    "through the version chains";
   AppModel Apps[] = {makeJettyApp(), makeEmailApp(), makeCrossFtpApp()};
   int Total = 0, EcOk = 0, BodyOnly = 0;
   for (const AppModel &App : Apps) {

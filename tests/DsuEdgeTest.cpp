@@ -67,28 +67,30 @@ int64_t chainSum(VM &TheVM) {
 
 } // namespace
 
-TEST(DsuEdge, DeepGraphFullyTransformed) {
+TEST_EAGER_AND_LAZY(DsuEdge, DeepGraphFullyTransformed) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(chainVersion(false));
   buildChain(TheVM, 500);
   ASSERT_EQ(chainSum(TheVM), 499 * 500 / 2);
 
   Updater U(TheVM);
-  UpdateResult R =
-      U.applyNow(Upt::prepare(chainVersion(false), chainVersion(true), "v1"));
+  UpdateResult R = U.applyNow(
+      Upt::prepare(chainVersion(false), chainVersion(true), "v1"),
+      modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_EQ(R.ObjectsTransformed, 500u);
   EXPECT_EQ(chainSum(TheVM), 499 * 500 / 2);
 }
 
-TEST(DsuEdge, OldCopiesReclaimedByNextCollection) {
+TEST_EAGER_AND_LAZY(DsuEdge, OldCopiesReclaimedByNextCollection) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(chainVersion(false));
   buildChain(TheVM, 100);
 
   Updater U(TheVM);
-  UpdateResult R =
-      U.applyNow(Upt::prepare(chainVersion(false), chainVersion(true), "v1"));
+  UpdateResult R = U.applyNow(
+      Upt::prepare(chainVersion(false), chainVersion(true), "v1"),
+      modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied);
 
   // Right after the update, both new versions and old duplicates occupy
@@ -102,7 +104,7 @@ TEST(DsuEdge, OldCopiesReclaimedByNextCollection) {
   EXPECT_EQ(chainSum(TheVM), 99 * 100 / 2);
 }
 
-TEST(DsuEdge, PinnedHostRootsSurviveUpdates) {
+TEST_EAGER_AND_LAZY(DsuEdge, PinnedHostRootsSurviveUpdates) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(chainVersion(false));
   ClassId LinkId = TheVM.registry().idOf("Link");
@@ -115,7 +117,8 @@ TEST(DsuEdge, PinnedHostRootsSurviveUpdates) {
 
   Updater U(TheVM);
   ASSERT_EQ(U.applyNow(Upt::prepare(chainVersion(false), chainVersion(true),
-                                    "v1"))
+                                    "v1"),
+                       modeOptions(Lazy))
                 .Status,
             UpdateStatus::Applied);
 
@@ -129,7 +132,7 @@ TEST(DsuEdge, PinnedHostRootsSurviveUpdates) {
   TheVM.pinnedRoots().clear();
 }
 
-TEST(DsuEdge, ObsoleteStaticsDroppedAfterUpdate) {
+TEST_EAGER_AND_LAZY(DsuEdge, ObsoleteStaticsDroppedAfterUpdate) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(chainVersion(false));
   buildChain(TheVM, 10);
@@ -141,25 +144,29 @@ TEST(DsuEdge, ObsoleteStaticsDroppedAfterUpdate) {
   V2.find("H")->Fields.push_back({"pad", "I", false, false,
                                   Access::Public});
   Updater U(TheVM);
-  ASSERT_EQ(U.applyNow(Upt::prepare(chainVersion(false), V2, "v1")).Status,
-            UpdateStatus::Applied);
+  ASSERT_EQ(
+      U.applyNow(Upt::prepare(chainVersion(false), V2, "v1"), modeOptions(Lazy))
+          .Status,
+      UpdateStatus::Applied);
 
   RtClass &Old = TheVM.registry().cls(OldH);
   EXPECT_TRUE(Old.Obsolete);
   for (const Slot &S : Old.Statics)
-    if (S.IsRef)
+    if (S.IsRef) {
       EXPECT_EQ(S.RefVal, nullptr);
+    }
   // The new H carried the head over (default class transformer).
   EXPECT_EQ(chainSum(TheVM), 45);
 }
 
-TEST(DsuEdge, ProgramAccessorReflectsCurrentVersion) {
+TEST_EAGER_AND_LAZY(DsuEdge, ProgramAccessorReflectsCurrentVersion) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(chainVersion(false));
   EXPECT_EQ(TheVM.program().find("Link")->Fields.size(), 2u);
   Updater U(TheVM);
   ASSERT_EQ(U.applyNow(Upt::prepare(chainVersion(false), chainVersion(true),
-                                    "v1"))
+                                    "v1"),
+                       modeOptions(Lazy))
                 .Status,
             UpdateStatus::Applied);
   EXPECT_EQ(TheVM.program().find("Link")->Fields.size(), 3u);
@@ -169,9 +176,6 @@ TEST(DsuEdge, ProgramAccessorReflectsCurrentVersion) {
 }
 
 TEST(DsuEdge, SchedulingSecondUpdateWhilePendingAborts) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(chainVersion(false));
   // A spinning thread keeps the first update pending.
@@ -238,7 +242,7 @@ TEST(DsuEdge, MethodDeletionRestrictsOnStackFrames) {
   EXPECT_EQ(R.Status, UpdateStatus::TimedOut);
 }
 
-TEST(DsuEdge, IndirectionModeComputesIdenticalResults) {
+TEST_EAGER_AND_LAZY(DsuEdge, IndirectionModeComputesIdenticalResults) {
   // The ablation mode must be semantically transparent.
   for (bool Indirection : {false, true}) {
     VM::Config C = smallConfig();
@@ -249,15 +253,15 @@ TEST(DsuEdge, IndirectionModeComputesIdenticalResults) {
     EXPECT_EQ(chainSum(TheVM), 49 * 50 / 2);
     Updater U(TheVM);
     ASSERT_EQ(
-        U.applyNow(Upt::prepare(chainVersion(false), chainVersion(true),
-                                "v1"))
+        U.applyNow(Upt::prepare(chainVersion(false), chainVersion(true), "v1"),
+                   modeOptions(Lazy))
             .Status,
         UpdateStatus::Applied);
     EXPECT_EQ(chainSum(TheVM), 49 * 50 / 2);
   }
 }
 
-TEST(DsuEdge, UpdateDuringHeavyAllocationPressure) {
+TEST_EAGER_AND_LAZY(DsuEdge, UpdateDuringHeavyAllocationPressure) {
   // The DSU collection itself must cope with a heap that is mostly full
   // of garbage when the update is requested.
   VM::Config C = smallConfig();
@@ -271,14 +275,16 @@ TEST(DsuEdge, UpdateDuringHeavyAllocationPressure) {
     ASSERT_NE(TheVM.allocateObject(LinkId), nullptr);
 
   Updater U(TheVM);
-  UpdateResult R =
-      U.applyNow(Upt::prepare(chainVersion(false), chainVersion(true), "v1"));
+  UpdateResult R = U.applyNow(
+      Upt::prepare(chainVersion(false), chainVersion(true), "v1"),
+      modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_EQ(R.ObjectsTransformed, 200u);
   EXPECT_EQ(chainSum(TheVM), 199 * 200 / 2);
 }
 
-TEST(DsuEdge, RepeatedUpdatesToSameClassKeepDistinctOldVersions) {
+TEST_EAGER_AND_LAZY(DsuEdge,
+                    RepeatedUpdatesToSameClassKeepDistinctOldVersions) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(chainVersion(false));
   buildChain(TheVM, 5);
@@ -289,9 +295,11 @@ TEST(DsuEdge, RepeatedUpdatesToSameClassKeepDistinctOldVersions) {
                                      Access::Public});
 
   Updater U(TheVM);
-  ASSERT_EQ(U.applyNow(Upt::prepare(chainVersion(false), V2, "v1")).Status,
-            UpdateStatus::Applied);
-  ASSERT_EQ(U.applyNow(Upt::prepare(V2, V3, "v2")).Status,
+  ASSERT_EQ(
+      U.applyNow(Upt::prepare(chainVersion(false), V2, "v1"), modeOptions(Lazy))
+          .Status,
+      UpdateStatus::Applied);
+  ASSERT_EQ(U.applyNow(Upt::prepare(V2, V3, "v2"), modeOptions(Lazy)).Status,
             UpdateStatus::Applied);
 
   ClassRegistry &Reg = TheVM.registry();

@@ -20,7 +20,6 @@
 #include "support/Telemetry.h"
 #include "support/TelemetryStream.h"
 
-#include <cstdlib>
 #include <gtest/gtest.h>
 
 using namespace jvolve;
@@ -30,14 +29,12 @@ using Site = FaultInjector::Site;
 
 namespace {
 
-/// The transformer-failure tests assert the eager transactional contract:
-/// transformers run *before* commit, so a fault rolls the whole update
-/// back. Under JVOLVE_LAZY=1 transformers run after commit, where a fault
-/// degrades the update instead (LazyTransformTest covers that policy).
-bool lazyModeForced() { return std::getenv("JVOLVE_LAZY") != nullptr; }
-
-/// True when \p S fires inside the transformer phase — post-commit in lazy
-/// mode, so rollback assertions do not apply there.
+/// True when \p S fires inside the transformer phase. The transformer-
+/// failure tests assert the eager transactional contract: transformers run
+/// *before* commit, so a fault rolls the whole update back. A lazy update
+/// runs them after commit, where a fault degrades the update instead
+/// (LazyDrainFaultDegradesInsteadOfRollingBack and LazyTransformTest cover
+/// that policy).
 bool isTransformerSite(Site S) {
   return S == Site::TransformerNthObject || S == Site::TransformerCycle ||
          S == Site::LazyDrainTransformer;
@@ -225,14 +222,15 @@ void expectRolledBackCleanly(VM &TheVM, const UpdateResult &R,
 
 //===--- Site: class-load --------------------------------------------------===//
 
-TEST(DsuRollback, ClassLoadFailureRollsBack) {
+TEST_EAGER_AND_LAZY(DsuRollback, ClassLoadFailureRollsBack) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(ptVersion(false));
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
 
   TheVM.faults().arm(Site::ClassLoad);
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
+  UpdateResult R = U.applyNow(
+      Upt::prepare(ptVersion(false), ptVersion(true), "v1"), modeOptions(Lazy));
   EXPECT_EQ(R.Status, UpdateStatus::RolledBack);
   EXPECT_NE(R.Message.find("class-load"), std::string::npos) << R.Message;
   expectRolledBackCleanly(TheVM, R, "after class-load rollback");
@@ -240,7 +238,8 @@ TEST(DsuRollback, ClassLoadFailureRollsBack) {
 
   // With the fault disarmed the very same update applies cleanly.
   TheVM.faults().reset();
-  UpdateResult R2 = U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
+  UpdateResult R2 = U.applyNow(
+      Upt::prepare(ptVersion(false), ptVersion(true), "v1"), modeOptions(Lazy));
   ASSERT_EQ(R2.Status, UpdateStatus::Applied) << R2.Message;
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 900);
 }
@@ -248,9 +247,6 @@ TEST(DsuRollback, ClassLoadFailureRollsBack) {
 //===--- Site: transformer-nth-object --------------------------------------===//
 
 TEST(DsuRollback, TransformerFaultOnNthObjectRollsBack) {
-  if (lazyModeForced())
-    GTEST_SKIP() << "transformer faults degrade instead of rolling back "
-                    "under JVOLVE_LAZY=1";
   VM TheVM(smallConfig());
   TheVM.loadProgram(arrVersion(false));
   TheVM.callStatic("ArrSetup", "init", "()V");
@@ -276,9 +272,6 @@ TEST(DsuRollback, TransformerFaultOnNthObjectRollsBack) {
 }
 
 TEST(DsuRollback, ThrowingCustomTransformerRollsBack) {
-  if (lazyModeForced())
-    GTEST_SKIP() << "transformer faults degrade instead of rolling back "
-                    "under JVOLVE_LAZY=1";
   VM TheVM(smallConfig());
   TheVM.loadProgram(ptVersion(false));
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
@@ -297,9 +290,6 @@ TEST(DsuRollback, ThrowingCustomTransformerRollsBack) {
 //===--- Site: transformer-cycle -------------------------------------------===//
 
 TEST(DsuRollback, InjectedTransformerCycleRollsBack) {
-  if (lazyModeForced())
-    GTEST_SKIP() << "transformer faults degrade instead of rolling back "
-                    "under JVOLVE_LAZY=1";
   VM TheVM(smallConfig());
   TheVM.loadProgram(ptVersion(false));
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
@@ -314,9 +304,6 @@ TEST(DsuRollback, InjectedTransformerCycleRollsBack) {
 }
 
 TEST(DsuRollback, RealTransformerCycleRollsBack) {
-  if (lazyModeForced())
-    GTEST_SKIP() << "transformer faults degrade instead of rolling back "
-                    "under JVOLVE_LAZY=1";
   VM TheVM(smallConfig());
   TheVM.loadProgram(ptVersion(false));
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
@@ -425,9 +412,6 @@ TEST(DsuRollback, RealToSpaceExhaustionRollsBack) {
 //===--- Site: safe-point-starvation ---------------------------------------===//
 
 TEST(DsuRollback, TransientStarvationResolvesWithRetry) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   ClassSet V1 = serverVersion(1);
   ClassSet V2 = serverVersion(1000);
   VM TheVM(smallConfig());
@@ -455,9 +439,6 @@ TEST(DsuRollback, TransientStarvationResolvesWithRetry) {
 }
 
 TEST(DsuRollback, PersistentStarvationTimesOutAfterRetries) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   ClassSet V1 = serverVersion(1);
   ClassSet V2 = serverVersion(1000);
   VM TheVM(smallConfig());
@@ -485,9 +466,6 @@ TEST(DsuRollback, PersistentStarvationTimesOutAfterRetries) {
 }
 
 TEST(DsuRollback, BackoffExtendsDeadlineUntilStarvationClears) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   ClassSet V1 = serverVersion(1);
   ClassSet V2 = serverVersion(1000);
   VM TheVM(smallConfig());
@@ -513,13 +491,14 @@ TEST(DsuRollback, BackoffExtendsDeadlineUntilStarvationClears) {
 
 //===--- Certification -----------------------------------------------------===//
 
-TEST(DsuRollback, AppliedUpdateIsCertified) {
+TEST_EAGER_AND_LAZY(DsuRollback, AppliedUpdateIsCertified) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(ptVersion(false));
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
+  UpdateResult R = U.applyNow(
+      Upt::prepare(ptVersion(false), ptVersion(true), "v1"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_TRUE(R.Certified);
   EXPECT_TRUE(R.CertificationProblems.empty());
@@ -528,13 +507,13 @@ TEST(DsuRollback, AppliedUpdateIsCertified) {
   EXPECT_EQ(R.Trace.events().back().Kind, UpdateEventKind::Applied);
 }
 
-TEST(DsuRollback, CertificationCanBeSkipped) {
+TEST_EAGER_AND_LAZY(DsuRollback, CertificationCanBeSkipped) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(ptVersion(false));
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
 
   Updater U(TheVM);
-  UpdateOptions Opts;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.CertifyAfterUpdate = false;
   UpdateResult R =
       U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"), Opts);
@@ -546,12 +525,12 @@ TEST(DsuRollback, CertificationCanBeSkipped) {
 
 //===--- Acceptance sweep ---------------------------------------------------===//
 
-TEST(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {
+TEST_EAGER_AND_LAZY(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {
   for (size_t S = 0; S < FaultInjector::NumSites; ++S) {
     for (uint64_t Skip : {uint64_t(0), uint64_t(2)}) {
       Site Where = static_cast<Site>(S);
-      if (lazyModeForced() && isTransformerSite(Where))
-        continue; // post-commit under JVOLVE_LAZY=1: degrades, no rollback
+      if (Lazy && isTransformerSite(Where))
+        continue; // post-commit in lazy mode: degrades, no rollback
       SCOPED_TRACE(std::string("site=") + FaultInjector::siteName(Where) +
                    " skip=" + std::to_string(Skip));
 
@@ -561,7 +540,7 @@ TEST(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {
       TheVM.faults().arm(Where, /*Fire=*/1, Skip);
 
       Updater U(TheVM);
-      UpdateOptions Opts;
+      UpdateOptions Opts = modeOptions(Lazy);
       Opts.TimeoutTicks = 20'000;
       UpdateResult R =
           U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"), Opts);
@@ -601,9 +580,6 @@ TEST(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {
 /// change the rollback's outcome, and the streaming ledger must still
 /// balance once the durability flush runs: attempted == streamed + dropped.
 TEST(DsuRollback, WriterStallDuringRollbackKeepsLedgerBalanced) {
-  if (lazyModeForced())
-    GTEST_SKIP() << "the trigger (transformer fault) degrades instead of "
-                    "rolling back under JVOLVE_LAZY=1";
   Telemetry::global().setEnabled(true);
   TelemetrySessionConfig Cfg;
   Cfg.Name = "rollback-stall";
@@ -651,9 +627,6 @@ TEST(DsuRollback, WriterStallDuringRollbackKeepsLedgerBalanced) {
 /// terminal status with the old version serving — never process death or
 /// a stuck transaction.
 TEST(DsuRollback, NestedFaultDuringRollbackStillTerminates) {
-  if (lazyModeForced())
-    GTEST_SKIP() << "the trigger (transformer fault) degrades instead of "
-                    "rolling back under JVOLVE_LAZY=1";
   // Recording pass for each candidate nested site: how many probes land
   // after the trigger fires (i.e. inside rollback + certification).
   VM Rec(smallConfig());

@@ -119,20 +119,21 @@ ClassSet pointV2() {
 
 } // namespace
 
-TEST(Dsu, FieldAdditionWithDefaultTransformer) {
+TEST_EAGER_AND_LAZY(Dsu, FieldAdditionWithDefaultTransformer) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(pointV1());
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(pointV1(), pointV2(), "v1"));
+  UpdateResult R =
+      U.applyNow(Upt::prepare(pointV1(), pointV2(), "v1"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied);
   EXPECT_EQ(R.ObjectsTransformed, 1u);
   // Default transformer: x copied, y defaults to 0.
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 900);
 }
 
-TEST(Dsu, FieldAdditionWithCustomTransformer) {
+TEST_EAGER_AND_LAZY(Dsu, FieldAdditionWithCustomTransformer) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(pointV1());
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
@@ -144,12 +145,12 @@ TEST(Dsu, FieldAdditionWithCustomTransformer) {
     Ctx.setInt(To, "y", X * 2);
   };
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied);
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 918);
 }
 
-TEST(Dsu, ManyInstancesAllTransformed) {
+TEST_EAGER_AND_LAZY(Dsu, ManyInstancesAllTransformed) {
   // An array of Points behind a static; every element must be transformed
   // and aliasing must be preserved.
   ClassSet V1 = pointV1();
@@ -268,7 +269,7 @@ TEST(Dsu, ManyInstancesAllTransformed) {
     Ctx.setInt(To, "y", 1);
   };
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied);
   EXPECT_EQ(R.ObjectsTransformed, 50u);
   // sum(i*10 + 1) for i in 0..49 = 12250 + 50
@@ -381,7 +382,7 @@ ClassSet userV2() {
 
 } // namespace
 
-TEST(Dsu, Figure3UserTransformer) {
+TEST_EAGER_AND_LAZY(Dsu, Figure3UserTransformer) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(userV1());
   TheVM.callStatic("Setup", "init", "()V");
@@ -409,7 +410,7 @@ TEST(Dsu, Figure3UserTransformer) {
   };
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 1);
   // The username String was carried over unchanged through the update.
@@ -454,9 +455,6 @@ ClassSet serverVersion(int64_t HandleValue, bool HandleSleeps) {
 } // namespace
 
 TEST(Dsu, ReturnBarrierOnChangedMethod) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   ClassSet V1 = serverVersion(1, /*HandleSleeps=*/true);
   ClassSet V2 = serverVersion(1000, /*HandleSleeps=*/true);
@@ -482,9 +480,6 @@ TEST(Dsu, ReturnBarrierOnChangedMethod) {
 }
 
 TEST(Dsu, TimeoutWhenChangedMethodAlwaysOnStack) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   // The update changes loop() itself — an infinite loop that never
   // returns, like Jetty 5.1.3's acceptSocket/PoolThread.run (paper §4.2).
   ClassSet V1 = serverVersion(1, false);
@@ -515,9 +510,6 @@ TEST(Dsu, TimeoutWhenChangedMethodAlwaysOnStack) {
 }
 
 TEST(Dsu, BlacklistForcesRestriction) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   // loop() is unchanged, but the user blacklists it (category (3)); since
   // it never returns, the update must time out.
   ClassSet V1 = serverVersion(1, false);
@@ -604,7 +596,7 @@ ClassSet osrVersion(bool WithExtraField) {
 
 } // namespace
 
-TEST(Dsu, OsrLiftsCategory2Restriction) {
+TEST_EAGER_AND_LAZY(Dsu, OsrLiftsCategory2Restriction) {
   ClassSet V1 = osrVersion(false);
   ClassSet V2 = osrVersion(true);
 
@@ -615,7 +607,7 @@ TEST(Dsu, OsrLiftsCategory2Restriction) {
   TheVM.run(100);
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"));
+  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_GE(R.OsrReplacements, 1);
   EXPECT_EQ(R.ObjectsTransformed, 1u);
@@ -708,7 +700,7 @@ ClassSet hierV2() {
 
 } // namespace
 
-TEST(Dsu, SubclassClosureTransformsDerivedInstances) {
+TEST_EAGER_AND_LAZY(Dsu, SubclassClosureTransformsDerivedInstances) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(hierV1());
   TheVM.callStatic("Setup", "init", "()V");
@@ -719,12 +711,12 @@ TEST(Dsu, SubclassClosureTransformsDerivedInstances) {
   EXPECT_TRUE(B.Spec.isClassUpdated("Base"));
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 340);
 }
 
-TEST(Dsu, StaticsMigratedByDefaultClassTransformer) {
+TEST_EAGER_AND_LAZY(Dsu, StaticsMigratedByDefaultClassTransformer) {
   ClassSet V1;
   {
     ClassBuilder C("Config");
@@ -763,7 +755,7 @@ TEST(Dsu, StaticsMigratedByDefaultClassTransformer) {
   TheVM.callStatic("Setup", "init", "()V");
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"));
+  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 1234);
 }
@@ -865,7 +857,7 @@ TEST(Dsu, EcUpdaterRejectsClassUpdate) {
   EXPECT_FALSE(Why.empty());
 }
 
-TEST(Dsu, ChainedUpdates) {
+TEST_EAGER_AND_LAZY(Dsu, ChainedUpdates) {
   // v1 -> v2 -> v3, each adding a field; version tags keep renamed old
   // classes distinct.
   ClassSet V1 = pointV1();
@@ -879,11 +871,11 @@ TEST(Dsu, ChainedUpdates) {
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(3)});
 
   Updater U(TheVM);
-  ASSERT_EQ(U.applyNow(Upt::prepare(V1, V2, "v1")).Status,
+  ASSERT_EQ(U.applyNow(Upt::prepare(V1, V2, "v1"), modeOptions(Lazy)).Status,
             UpdateStatus::Applied);
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 300);
 
-  UpdateResult R2 = U.applyNow(Upt::prepare(V2, V3, "v2"));
+  UpdateResult R2 = U.applyNow(Upt::prepare(V2, V3, "v2"), modeOptions(Lazy));
   ASSERT_EQ(R2.Status, UpdateStatus::Applied) << R2.Message;
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 300);
 }

@@ -8,6 +8,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "apps/CrossFtpApp.h"
 #include "apps/EmailApp.h"
 #include "apps/Evaluation.h"
@@ -17,9 +19,10 @@
 
 using namespace jvolve;
 
-TEST(Evaluation, JettyPlainApply) {
+TEST_EAGER_AND_LAZY(Evaluation, JettyPlainApply) {
   AppModel App = makeJettyApp();
-  ReleaseOutcome R = evaluateRelease(App, 1); // 5.1.0 -> 5.1.1
+  ReleaseOutcome R =
+      evaluateRelease(App, 1, /*TimeoutTicks=*/120'000, Lazy); // 5.1.1
   EXPECT_EQ(R.Version, "5.1.1");
   EXPECT_EQ(R.Result.Status, UpdateStatus::Applied);
   EXPECT_TRUE(R.supported());
@@ -37,18 +40,19 @@ TEST(Evaluation, JettyImpossibleUpdateTimesOutEvenIdle) {
   EXPECT_FALSE(R.supported());
 }
 
-TEST(Evaluation, EmailOsrApply) {
+TEST_EAGER_AND_LAZY(Evaluation, EmailOsrApply) {
   AppModel App = makeEmailApp();
-  ReleaseOutcome R = evaluateRelease(App, 6); // 1.3.1 -> 1.3.2
+  ReleaseOutcome R =
+      evaluateRelease(App, 6, /*TimeoutTicks=*/120'000, Lazy); // 1.3.2
   EXPECT_EQ(R.Version, "1.3.2");
   EXPECT_EQ(R.Result.Status, UpdateStatus::Applied);
   EXPECT_GE(R.Result.OsrReplacements, 2);
   EXPECT_GE(R.Result.ObjectsTransformed, 1u);
 }
 
-TEST(Evaluation, CrossFtpIdleOnlyApply) {
+TEST_EAGER_AND_LAZY(Evaluation, CrossFtpIdleOnlyApply) {
   AppModel App = makeCrossFtpApp();
-  ReleaseOutcome R = evaluateRelease(App, 3, /*TimeoutTicks=*/60'000);
+  ReleaseOutcome R = evaluateRelease(App, 3, /*TimeoutTicks=*/60'000, Lazy);
   EXPECT_EQ(R.Version, "1.08");
   EXPECT_EQ(R.Result.Status, UpdateStatus::TimedOut); // busy
   EXPECT_TRUE(R.AppliedWhenIdle);                     // idle retry

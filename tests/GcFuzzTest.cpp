@@ -19,7 +19,6 @@
 #include "support/FaultInjector.h"
 #include "support/Rng.h"
 
-#include <cstdlib>
 #include <gtest/gtest.h>
 
 using namespace jvolve;
@@ -84,12 +83,45 @@ void verifyInvariants(VM &TheVM, const char *Where) {
   ASSERT_TRUE(Problems.empty()) << Where << ": " << Problems.front();
 }
 
-class GcFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+/// One fuzz case: the seed, and whether the updates commit lazily.
+struct FuzzCase {
+  uint64_t Seed;
+  bool Lazy;
+};
+
+/// Prints the seed alone, so the eager suite keeps its
+/// Seeds/GcFuzzTest.<Test>/<seed> case names and the lazy one mirrors them
+/// under LazySeeds/.
+void PrintTo(const FuzzCase &C, std::ostream *OS) { *OS << C.Seed; }
+
+std::vector<FuzzCase> fuzzCases(bool Lazy) {
+  std::vector<FuzzCase> Cases;
+  for (uint64_t Seed : {1, 2, 3, 5, 8, 13, 21, 34})
+    Cases.push_back({Seed, Lazy});
+  return Cases;
+}
+
+/// Faults that fire after a lazy commit: the transformer sites, and heap
+/// allocation inside the post-commit transformers. They degrade the update
+/// by design (zeroed shells change the checksum) instead of rolling it
+/// back; DsuRollbackTest covers that policy.
+bool firesAfterLazyCommit(FaultInjector::Site S) {
+  using Site = FaultInjector::Site;
+  return S == Site::TransformerNthObject || S == Site::TransformerCycle ||
+         S == Site::LazyDrainTransformer || S == Site::HeapAllocNth;
+}
+
+class GcFuzzTest : public ::testing::TestWithParam<FuzzCase> {
+protected:
+  uint64_t seed() const { return GetParam().Seed; }
+  /// Default UpdateOptions for this case's mode.
+  UpdateOptions opts() const { return modeOptions(GetParam().Lazy); }
+};
 
 } // namespace
 
 TEST_P(GcFuzzTest, RandomMutationsSurviveCollectionsAndUpdates) {
-  Rng R(GetParam());
+  Rng R(seed());
   VM::Config Cfg = smallConfig();
   Cfg.HeapSpaceBytes = 1u << 20; // small: organic collections under churn
   VM TheVM(Cfg);
@@ -144,8 +176,8 @@ TEST_P(GcFuzzTest, RandomMutationsSurviveCollectionsAndUpdates) {
   // Finale: a dynamic update over whatever graph the fuzz left behind.
   int64_t Before = graphChecksum(TheVM);
   Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.UseOldCopySpace = GetParam() % 2 == 0; // alternate configurations
+  UpdateOptions Opts = opts();
+  Opts.UseOldCopySpace = seed() % 2 == 0; // alternate configurations
   UpdateResult Res = U.applyNow(
       Upt::prepare(graphVersion(false), graphVersion(true), "v1"), Opts);
   ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
@@ -162,7 +194,7 @@ TEST_P(GcFuzzTest, RandomFaultsDuringUpdateNeverCorrupt) {
   // terminal status results, the graph must checksum identically (the v2
   // "tag" field never feeds the checksum), the heap must verify, and once
   // the fault is disarmed the same update must land cleanly.
-  Rng R(GetParam() * 7919 + 17);
+  Rng R(seed() * 7919 + 17);
   VM TheVM(smallConfig());
   TheVM.loadProgram(graphVersion(false));
 
@@ -186,24 +218,18 @@ TEST_P(GcFuzzTest, RandomFaultsDuringUpdateNeverCorrupt) {
   }
   int64_t Before = graphChecksum(TheVM);
 
-  auto Where =
-      static_cast<FaultInjector::Site>(R.nextBelow(FaultInjector::NumSites));
-  if (std::getenv("JVOLVE_LAZY") &&
-      (Where == FaultInjector::Site::TransformerNthObject ||
-       Where == FaultInjector::Site::TransformerCycle ||
-       Where == FaultInjector::Site::LazyDrainTransformer ||
-       Where == FaultInjector::Site::HeapAllocNth))
-    GTEST_SKIP() << "transformer faults (and allocation faults inside the "
-                    "post-commit drain's transformers) fire after the point "
-                    "of no return under JVOLVE_LAZY=1 and degrade the heap "
-                    "by design (zeroed shells change the checksum); "
-                    "DsuRollbackTest covers that policy";
-  TheVM.faults().armRandom(Where, 0.3, GetParam());
+  // A lazy case draws again until the site fires before the commit.
+  FaultInjector::Site Where;
+  do {
+    Where = static_cast<FaultInjector::Site>(
+        R.nextBelow(FaultInjector::NumSites));
+  } while (GetParam().Lazy && firesAfterLazyCommit(Where));
+  TheVM.faults().armRandom(Where, 0.3, seed());
 
   Updater U(TheVM);
-  UpdateOptions Opts;
+  UpdateOptions Opts = opts();
   Opts.TimeoutTicks = 20'000;
-  Opts.UseOldCopySpace = GetParam() % 2 == 0;
+  Opts.UseOldCopySpace = seed() % 2 == 0;
   UpdateResult Res = U.applyNow(
       Upt::prepare(graphVersion(false), graphVersion(true), "v1"), Opts);
   EXPECT_TRUE(Res.Status == UpdateStatus::Applied ||
@@ -231,14 +257,16 @@ TEST_P(GcFuzzTest, RandomFaultsDuringUpdateNeverCorrupt) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcFuzzTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+                         ::testing::ValuesIn(fuzzCases(/*Lazy=*/false)));
+INSTANTIATE_TEST_SUITE_P(LazySeeds, GcFuzzTest,
+                         ::testing::ValuesIn(fuzzCases(/*Lazy=*/true)));
 
 TEST_P(GcFuzzTest, CanaryChurnAndFaultedRevertNeverCorrupt) {
   // Mid-canary: the undo log's retained refs must survive random mutation
   // churn and forced collections like any other root. Mid-revert: a seeded
   // random fault fires inside the reverse update; whether the revert lands
   // or fails, the graph must checksum identically and the heap must verify.
-  Rng R(GetParam() * 104'729 + 5);
+  Rng R(seed() * 104'729 + 5);
   VM TheVM(smallConfig());
   TheVM.loadProgram(graphVersion(false));
 
@@ -262,8 +290,8 @@ TEST_P(GcFuzzTest, CanaryChurnAndFaultedRevertNeverCorrupt) {
   }
 
   Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.UseOldCopySpace = GetParam() % 2 == 0;
+  UpdateOptions Opts = opts();
+  Opts.UseOldCopySpace = seed() % 2 == 0;
   Opts.CanaryWindow.WindowTicks = 1'000'000'000; // only a revert closes it
   Opts.CanaryWindow.CheckIntervalTicks = 2'000;
   UpdateResult Res = U.applyNow(
@@ -308,7 +336,7 @@ TEST_P(GcFuzzTest, CanaryChurnAndFaultedRevertNeverCorrupt) {
 
   auto Where =
       static_cast<FaultInjector::Site>(R.nextBelow(FaultInjector::NumSites));
-  TheVM.faults().armRandom(Where, 0.3, GetParam());
+  TheVM.faults().armRandom(Where, 0.3, seed());
   UpdateResult Rev = U.revert("fuzz revert", /*MaxDriveTicks=*/5'000'000);
   TheVM.faults().reset();
   EXPECT_TRUE(Rev.Status == UpdateStatus::Reverted ||

@@ -187,7 +187,7 @@ TEST(Gc, ThreadStackRootsAreScanned) {
   EXPECT_GT(TheVM.stats().Collections, 0u);
 }
 
-TEST(Gc, OldCopySpaceExhaustionRollsBackAndRetryWorks) {
+TEST_EAGER_AND_LAZY(Gc, OldCopySpaceExhaustionRollsBackAndRetryWorks) {
   // §3.5: the old-copy block is normally reserved at the worst case (the
   // whole live heap) and can never overflow. An explicit undersized cap
   // makes the exhaustion path reachable; the DSU collection must abort
@@ -217,7 +217,7 @@ TEST(Gc, OldCopySpaceExhaustionRollsBackAndRetryWorks) {
 
   // 200 duplicated Nodes need far more than 256 bytes of old-copy space.
   Updater U(TheVM);
-  UpdateOptions Opts;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.UseOldCopySpace = true;
   Opts.OldCopyReserveLimitBytes = 256;
   UpdateResult R =

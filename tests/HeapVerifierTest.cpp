@@ -77,7 +77,7 @@ TEST(HeapVerifier, CleanAfterCollection) {
       << (Problems.empty() ? "" : Problems.front());
 }
 
-TEST(HeapVerifier, CleanAfterDynamicUpdate) {
+TEST_EAGER_AND_LAZY(HeapVerifier, CleanAfterDynamicUpdate) {
   for (bool OldCopySpace : {false, true}) {
     VM TheVM(smallConfig());
     TheVM.loadProgram(pairVersion(false));
@@ -86,7 +86,7 @@ TEST(HeapVerifier, CleanAfterDynamicUpdate) {
     TheVM.registry().cls(TheVM.registry().idOf("H")).Statics[0] =
         Slot::ofRef(B);
 
-    UpdateOptions Opts;
+    UpdateOptions Opts = modeOptions(Lazy);
     Opts.UseOldCopySpace = OldCopySpace;
     Updater U(TheVM);
     ASSERT_EQ(
@@ -239,7 +239,7 @@ TEST(HeapVerifier, ReportsOldCopySpaceHeldWithNoDrainingUpdate) {
   EXPECT_TRUE(verifyHeap(TheVM).empty());
 }
 
-TEST(HeapVerifier, CleanAcrossAppUpdateStream) {
+TEST_EAGER_AND_LAZY(HeapVerifier, CleanAcrossAppUpdateStream) {
   // Property sweep: the heap stays well-formed after every applied update
   // of the CrossFTP stream (smallest of the three apps).
   VM TheVM(smallConfig());
@@ -256,10 +256,10 @@ TEST(HeapVerifier, CleanAcrossAppUpdateStream) {
       Slot::ofRef(A);
 
   Updater U(TheVM);
-  ASSERT_EQ(U.applyNow(Upt::prepare(V1, V2, "s1")).Status,
+  ASSERT_EQ(U.applyNow(Upt::prepare(V1, V2, "s1"), modeOptions(Lazy)).Status,
             UpdateStatus::Applied);
   EXPECT_TRUE(verifyHeap(TheVM).empty());
-  ASSERT_EQ(U.applyNow(Upt::prepare(V2, V3, "s2")).Status,
+  ASSERT_EQ(U.applyNow(Upt::prepare(V2, V3, "s2"), modeOptions(Lazy)).Status,
             UpdateStatus::Applied);
   EXPECT_TRUE(verifyHeap(TheVM).empty());
   TheVM.collectGarbage();

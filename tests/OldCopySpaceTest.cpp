@@ -69,8 +69,8 @@ int64_t checksum(VM &TheVM) {
   return Sum;
 }
 
-UpdateResult applyWithOption(VM &TheVM, bool UseOldCopySpace) {
-  UpdateOptions Opts;
+UpdateResult applyWithOption(VM &TheVM, bool UseOldCopySpace, bool Lazy) {
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.UseOldCopySpace = UseOldCopySpace;
   Updater U(TheVM);
   return U.applyNow(Upt::prepare(recVersion(false), recVersion(true), "v1"),
@@ -79,14 +79,14 @@ UpdateResult applyWithOption(VM &TheVM, bool UseOldCopySpace) {
 
 } // namespace
 
-TEST(OldCopySpace, SemanticsIdenticalToDefault) {
+TEST_EAGER_AND_LAZY(OldCopySpace, SemanticsIdenticalToDefault) {
   int64_t Sums[2];
   for (int Mode = 0; Mode < 2; ++Mode) {
     VM TheVM(smallConfig());
     TheVM.loadProgram(recVersion(false));
     populate(TheVM, 300);
     int64_t Before = checksum(TheVM);
-    UpdateResult R = applyWithOption(TheVM, Mode == 1);
+    UpdateResult R = applyWithOption(TheVM, Mode == 1, Lazy);
     ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
     EXPECT_EQ(R.ObjectsTransformed, 300u);
     Sums[Mode] = checksum(TheVM);
@@ -95,31 +95,31 @@ TEST(OldCopySpace, SemanticsIdenticalToDefault) {
   EXPECT_EQ(Sums[0], Sums[1]);
 }
 
-TEST(OldCopySpace, DuplicatesLandInSeparateBlock) {
+TEST_EAGER_AND_LAZY(OldCopySpace, DuplicatesLandInSeparateBlock) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(recVersion(false));
   populate(TheVM, 200);
-  UpdateResult R = applyWithOption(TheVM, true);
+  UpdateResult R = applyWithOption(TheVM, true, Lazy);
   ASSERT_EQ(R.Status, UpdateStatus::Applied);
   // 200 Rec objects of 32 bytes each were duplicated outside to-space.
   EXPECT_GE(R.Gc.OldCopySpaceBytes, 200u * 32);
 }
 
-TEST(OldCopySpace, BlockReleasedAfterUpdate) {
+TEST_EAGER_AND_LAZY(OldCopySpace, BlockReleasedAfterUpdate) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(recVersion(false));
   populate(TheVM, 100);
-  ASSERT_EQ(applyWithOption(TheVM, true).Status, UpdateStatus::Applied);
+  ASSERT_EQ(applyWithOption(TheVM, true, Lazy).Status, UpdateStatus::Applied);
   EXPECT_FALSE(TheVM.heap().hasOldCopySpace());
 }
 
-TEST(OldCopySpace, ReducesToSpaceOccupancy) {
+TEST_EAGER_AND_LAZY(OldCopySpace, ReducesToSpaceOccupancy) {
   size_t Occupancy[2];
   for (int Mode = 0; Mode < 2; ++Mode) {
     VM TheVM(smallConfig());
     TheVM.loadProgram(recVersion(false));
     populate(TheVM, 500);
-    ASSERT_EQ(applyWithOption(TheVM, Mode == 1).Status,
+    ASSERT_EQ(applyWithOption(TheVM, Mode == 1, Lazy).Status,
               UpdateStatus::Applied);
     Occupancy[Mode] = TheVM.heap().bytesAllocated();
   }
@@ -129,7 +129,7 @@ TEST(OldCopySpace, ReducesToSpaceOccupancy) {
   EXPECT_GE(Occupancy[0] - Occupancy[1], 500u * 32);
 }
 
-TEST(OldCopySpace, ImmediateReclamationMatchesDeferredOne) {
+TEST_EAGER_AND_LAZY(OldCopySpace, ImmediateReclamationMatchesDeferredOne) {
   // Default mode reclaims the duplicates at the *next* collection; the
   // old-copy space already has. After one extra GC both configurations
   // converge to the same live size.
@@ -138,7 +138,7 @@ TEST(OldCopySpace, ImmediateReclamationMatchesDeferredOne) {
     VM TheVM(smallConfig());
     TheVM.loadProgram(recVersion(false));
     populate(TheVM, 400);
-    ASSERT_EQ(applyWithOption(TheVM, Mode == 1).Status,
+    ASSERT_EQ(applyWithOption(TheVM, Mode == 1, Lazy).Status,
               UpdateStatus::Applied);
     TheVM.collectGarbage();
     LiveBytes[Mode] = TheVM.heap().bytesAllocated();
@@ -146,7 +146,7 @@ TEST(OldCopySpace, ImmediateReclamationMatchesDeferredOne) {
   EXPECT_EQ(LiveBytes[0], LiveBytes[1]);
 }
 
-TEST(OldCopySpace, ForceTransformWorksAcrossSpaces) {
+TEST_EAGER_AND_LAZY(OldCopySpace, ForceTransformWorksAcrossSpaces) {
   // ensureTransformed must work when old copies live outside to-space.
   VM TheVM(smallConfig());
   TheVM.loadProgram(recVersion(false));
@@ -162,7 +162,7 @@ TEST(OldCopySpace, ForceTransformWorksAcrossSpaces) {
       Ctx.setInt(To, "extra", Ctx.getInt(Peer, "v"));
     }
   };
-  UpdateOptions Opts;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.UseOldCopySpace = true;
   Updater U(TheVM);
   UpdateResult R = U.applyNow(std::move(B), Opts);

@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 using namespace jvolve;
 using namespace jvolve::test;
 
@@ -221,9 +219,6 @@ bool anyContains(const std::vector<std::string> &Haystack,
 //===--- The report ---------------------------------------------------------===//
 
 TEST(Quiescence, InfiniteLoopDiagnosisNamesMethod) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinProgram(1));
   TheVM.spawnThread("Worker", "spin", "()V", {}, "spinner", true);
@@ -266,9 +261,6 @@ TEST(Quiescence, InfiniteLoopDiagnosisNamesMethod) {
 }
 
 TEST(Quiescence, SameSizeChangeIsReportedRescuable) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinProgram(1));
   TheVM.spawnThread("Worker", "spin", "()V", {}, "spinner", true);
@@ -289,9 +281,6 @@ TEST(Quiescence, SameSizeChangeIsReportedRescuable) {
 }
 
 TEST(Quiescence, ReportShowsBlockedRecvState) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(recvProgram(7));
   TheVM.spawnThread("Srv", "run", "(I)V", {Slot::ofInt(9)}, "srv", true);
@@ -320,9 +309,6 @@ TEST(Quiescence, ReportShowsBlockedRecvState) {
 //===--- The ladder ---------------------------------------------------------===//
 
 TEST(Quiescence, RetryRungExtendsDeadlineUntilMethodReturns) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(busyProgram(3'000, 1));
   TheVM.spawnThread("Busy", "work", "()V", {}, "worker", true);
@@ -342,9 +328,6 @@ TEST(Quiescence, RetryRungExtendsDeadlineUntilMethodReturns) {
 }
 
 TEST(Quiescence, RescueRungRemapsSameSizeBody) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinProgram(1));
   TheVM.spawnThread("Worker", "spin", "()V", {}, "spinner", true);
@@ -370,9 +353,6 @@ TEST(Quiescence, RescueRungRemapsSameSizeBody) {
 }
 
 TEST(Quiescence, RescueRungForceYieldsSleepingThread) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(sleeperProgram(false));
   TheVM.spawnThread("Sleeper", "run", "()V", {}, "sleeper", true);
@@ -394,14 +374,14 @@ TEST(Quiescence, RescueRungForceYieldsSleepingThread) {
   EXPECT_GE(staticIntOf(TheVM, "Sleeper", 0), 1); // nap completed early
 }
 
-TEST(Quiescence, DegradeRungAppliesBodySubsetAndResumes) {
+TEST_EAGER_AND_LAZY(Quiescence, DegradeRungAppliesBodySubsetAndResumes) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(degradeProgram(1, false));
   TheVM.spawnThread("Spin", "spin", "()V", {}, "spinner", true);
   TheVM.run(500);
 
   Updater U(TheVM);
-  UpdateOptions Opts;
+  UpdateOptions Opts = modeOptions(Lazy);
   Opts.TimeoutTicks = 5'000;
   Opts.AllowDegraded = true;
   UpdateResult R = U.applyNow(
@@ -425,7 +405,7 @@ TEST(Quiescence, DegradeRungAppliesBodySubsetAndResumes) {
   // Quiesce the spinner, then resume the deferred remainder.
   TheVM.callStatic("Ctl", "halt", "()V");
   TheVM.run(50'000);
-  UpdateResult R2 = U.resumeDeferred(UpdateOptions());
+  UpdateResult R2 = U.resumeDeferred(modeOptions(Lazy));
   ASSERT_EQ(R2.Status, UpdateStatus::Applied) << R2.Message;
   EXPECT_FALSE(U.hasDeferred());
   EXPECT_NE(Reg.cls(Reg.idOf("D")).findInstanceField("y"), nullptr);
@@ -473,9 +453,6 @@ TEST(Quiescence, DegradeFallsThroughToAbortWithoutBodySubset) {
 //===--- Fault sites --------------------------------------------------------===//
 
 TEST(QuiescenceFault, ForcedExpiryAbortsWithReport) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinProgram(1));
   TheVM.spawnThread("Worker", "spin", "()V", {}, "spinner", true);
@@ -495,9 +472,6 @@ TEST(QuiescenceFault, ForcedExpiryAbortsWithReport) {
 }
 
 TEST(QuiescenceFault, ForcedExpirySurvivedByRescue) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(spinProgram(1));
   TheVM.spawnThread("Worker", "spin", "()V", {}, "spinner", true);
@@ -544,25 +518,32 @@ TEST(QuiescenceFault, NetSlowClientStretchesArrivals) {
   EXPECT_EQ(Ready, Now + 10);
 }
 
-TEST(QuiescenceFault, EnvSpecArmsEveryNewVm) {
-  const char *Prev = std::getenv("JVOLVE_INJECT");
-  std::string Saved = Prev ? Prev : "";
-  setenv("JVOLVE_INJECT", "net-slow-client:2:1", 1);
-  {
-    VM TheVM(smallConfig());
-    EXPECT_TRUE(TheVM.faults().armed(Site::NetSlowClient));
-    EXPECT_FALSE(TheVM.faults().armed(Site::ClassLoad));
-  }
-  // Unknown entries are ignored with a warning, not fatal.
-  setenv("JVOLVE_INJECT", "bogus-site:1,net-slow-client", 1);
-  {
-    VM TheVM(smallConfig());
-    EXPECT_TRUE(TheVM.faults().armed(Site::NetSlowClient));
-  }
-  if (Prev)
-    setenv("JVOLVE_INJECT", Saved.c_str(), 1);
-  else
-    unsetenv("JVOLVE_INJECT");
+TEST(QuiescenceFault, SpecListArmsExpiryAndSlowClientTogether) {
+  // Both escalation sites armed at once through the --inject spec-list
+  // syntax: the third connection trickles in slowly and the watchdog
+  // expires on its fourth probe, yet the rescue rung still lands the
+  // update.
+  VM TheVM(smallConfig());
+  std::vector<std::string> Errs;
+  ASSERT_TRUE(TheVM.faults().armFromSpecList(
+      "quiescence-watchdog-expiry:1:3,net-slow-client:1:2", &Errs))
+      << Errs.front();
+  TheVM.loadProgram(spinProgram(1));
+  TheVM.spawnThread("Worker", "spin", "()V", {}, "spinner", true);
+  for (int I = 0; I < 3; ++I)
+    TheVM.injectConnection(9, {1, 2}, /*InterArrival=*/10);
+  EXPECT_EQ(TheVM.faults().fireCount(Site::NetSlowClient), 1u);
+  TheVM.run(500);
+
+  Updater U(TheVM);
+  UpdateOptions Opts;
+  Opts.EnableRescue = true;
+  UpdateResult R =
+      U.applyNow(Upt::prepare(spinProgram(1), spinProgram(5), "v1"), Opts);
+  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Rescue);
+  EXPECT_TRUE(R.Quiescence.Forced);
+  EXPECT_EQ(TheVM.faults().fireCount(Site::QuiescenceWatchdogExpiry), 1u);
 }
 
 TEST(QuiescenceFault, ArmFromSpecRejectsUnknownSiteAndBadCounts) {
@@ -588,7 +569,7 @@ TEST(QuiescenceFault, ArmFromSpecRejectsUnknownSiteAndBadCounts) {
 
 //===--- Telemetry ----------------------------------------------------------===//
 
-TEST(QuiescenceTelemetry, RetryHistogramSkipsRollbackAborts) {
+TEST_EAGER_AND_LAZY(QuiescenceTelemetry, RetryHistogramSkipsRollbackAborts) {
   bool Was = Telemetry::isEnabled();
   Telemetry &Tel = Telemetry::global();
   Tel.setEnabled(true);
@@ -602,7 +583,8 @@ TEST(QuiescenceTelemetry, RetryHistogramSkipsRollbackAborts) {
     TheVM.faults().arm(Site::ClassLoad);
     Updater U(TheVM);
     UpdateResult R =
-        U.applyNow(Upt::prepare(fieldProgram(false), fieldProgram(true), "v1"));
+        U.applyNow(Upt::prepare(fieldProgram(false), fieldProgram(true), "v1"),
+                   modeOptions(Lazy));
     ASSERT_EQ(R.Status, UpdateStatus::RolledBack) << R.Message;
     EXPECT_EQ(Tel.histogram(metrics::DsuUpdateRetries).count(), Before);
   }
@@ -612,7 +594,8 @@ TEST(QuiescenceTelemetry, RetryHistogramSkipsRollbackAborts) {
     TheVM.loadProgram(fieldProgram(false));
     Updater U(TheVM);
     UpdateResult R =
-        U.applyNow(Upt::prepare(fieldProgram(false), fieldProgram(true), "v1"));
+        U.applyNow(Upt::prepare(fieldProgram(false), fieldProgram(true), "v1"),
+                   modeOptions(Lazy));
     ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
     EXPECT_EQ(Tel.histogram(metrics::DsuUpdateRetries).count(), Before + 1);
   }
@@ -621,9 +604,6 @@ TEST(QuiescenceTelemetry, RetryHistogramSkipsRollbackAborts) {
 }
 
 TEST(QuiescenceTelemetry, EscalationCountersAdvance) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   bool Was = Telemetry::isEnabled();
   Telemetry &Tel = Telemetry::global();
   Tel.setEnabled(true);

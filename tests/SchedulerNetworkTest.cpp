@@ -349,9 +349,6 @@ ClassSet echoProgram(int64_t K) {
 } // namespace
 
 TEST(Scheduler, BlockedRecvThreadRescuedMidUpdate) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(echoProgram(7));
   TheVM.spawnThread("Echo", "run", "(I)V", {Slot::ofInt(9)}, "echo");

@@ -23,8 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 using namespace jvolve;
 using namespace jvolve::test;
 
@@ -355,7 +353,7 @@ TEST(Synthesis, DefaultOnlyPlansInstallNoTransformer) {
   EXPECT_TRUE(B.ClassTransformers.empty());
 }
 
-TEST(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
+TEST_EAGER_AND_LAZY(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
   ClassSet Old = renameVersion(false), New = renameVersion(true);
   {
     UpdateBundle B = Upt::prepare(Old, New, "test");
@@ -377,7 +375,7 @@ TEST(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
     TheVM.loadProgram(renameVersion(false));
     TheVM.callStatic("Setup", "init", "()V");
     Updater U(TheVM);
-    UpdateResult Res = U.applyNow(std::move(B));
+    UpdateResult Res = U.applyNow(std::move(B), modeOptions(Lazy));
     ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
     EXPECT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 1234);
   }
@@ -387,7 +385,7 @@ TEST(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
 // End-to-end behavior
 //===--------------------------------------------------------------------===//
 
-TEST(Synthesis, SynthesizedRenameCarriesHeapStateAcrossUpdate) {
+TEST_EAGER_AND_LAZY(Synthesis, SynthesizedRenameCarriesHeapStateAcrossUpdate) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(renameVersion(false));
   TheVM.callStatic("Setup", "init", "()V");
@@ -403,7 +401,7 @@ TEST(Synthesis, SynthesizedRenameCarriesHeapStateAcrossUpdate) {
   TransformerSynthesis::installTransformers(B, R);
 
   Updater U(TheVM);
-  UpdateResult Res = U.applyNow(std::move(B));
+  UpdateResult Res = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
   // a's value rode the rename into b; the default would have zeroed it.
   EXPECT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 5);
@@ -411,9 +409,6 @@ TEST(Synthesis, SynthesizedRenameCarriesHeapStateAcrossUpdate) {
 }
 
 TEST(Synthesis, FaultedMappingRollsBackEagerUpdate) {
-  if (std::getenv("JVOLVE_LAZY"))
-    GTEST_SKIP() << "post-commit transformer failures degrade instead of "
-                    "rolling back under JVOLVE_LAZY=1";
   VM TheVM(smallConfig());
   TheVM.loadProgram(renameVersion(false));
   TheVM.callStatic("Setup", "init", "()V");

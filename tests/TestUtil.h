@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared helpers for the test suite: small program factories and VM
-/// construction shortcuts.
+/// Shared helpers for the test suite: small program factories, VM
+/// construction shortcuts, and the eager/lazy update-mode pattern.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,21 +11,12 @@
 
 #include "bytecode/Builder.h"
 #include "bytecode/Builtins.h"
+#include "dsu/Updater.h"
 #include "vm/VM.h"
 
-#include <cstdlib>
+#include <gtest/gtest.h>
 
 namespace jvolve::test {
-
-/// True when JVOLVE_CODEVERSION=1 reroutes every strictly body-only
-/// bundle through the per-method CodeVersionManager. Tests that assert
-/// safe-point pipeline mechanics (barriers, OSR, quiescence, starvation,
-/// pending updates) on body-only bundles skip themselves under it — the
-/// fast path commits such bundles instantly, which is the feature.
-inline bool codeVersionModeForced() {
-  const char *V = std::getenv("JVOLVE_CODEVERSION");
-  return V && *V && *V != '0';
-}
 
 /// A VM with a small heap suitable for unit tests.
 inline VM::Config smallConfig() {
@@ -51,6 +42,45 @@ inline int64_t runIntMain(const ClassSet &Program) {
   TheVM.loadProgram(Program);
   return TheVM.callStatic("Main", "run", "()I").IntVal;
 }
+
+//===--- Eager and lazy update modes ----------------------------------------===//
+//
+// An update transforms the objects of changed classes either inside the
+// pause (eager, paper §3.4) or after commit, on first touch and from a
+// background drainer (lazy, dsu/LazyTransform.h). The two are separate
+// mechanisms, so the update-path tests run in both, each case named by
+// its mode; tests of the eager rollback contract stay eager. The mode is
+// a bool, true meaning lazy.
+
+/// Default UpdateOptions for the mode: UpdateOptions::LazyTransform = Lazy.
+inline UpdateOptions modeOptions(bool Lazy) {
+  UpdateOptions Opts;
+  Opts.LazyTransform = Lazy;
+  return Opts;
+}
+
+/// Case names for a ::testing::TestWithParam<bool> suite over both modes.
+inline std::string modeName(const ::testing::TestParamInfo<bool> &Info) {
+  return Info.param ? "Lazy" : "Eager";
+}
+
+/// Instantiates the TestWithParam<bool> suite \p Fixture over both modes,
+/// as EagerAndLazy/<Fixture>.<Test>/Eager and .../Lazy.
+#define INSTANTIATE_EAGER_AND_LAZY(Fixture)                                    \
+  INSTANTIATE_TEST_SUITE_P(EagerAndLazy, Fixture, ::testing::Bool(),           \
+                           ::jvolve::test::modeName)
+
+/// Defines Suite.Name, which commits its updates eagerly, and
+/// Suite.NameLazy, which runs the same body with lazy transformation. The
+/// body sees the mode as `bool Lazy` and passes it on, usually through
+/// modeOptions(Lazy). Unlike a parameterized suite, this keeps the eager
+/// case's plain Suite.Name, so an existing test gains its lazy twin
+/// without being renamed.
+#define TEST_EAGER_AND_LAZY(Suite, Name)                                       \
+  static void Suite##_##Name##_Body(bool Lazy);                                \
+  TEST(Suite, Name) { Suite##_##Name##_Body(false); }                          \
+  TEST(Suite, Name##Lazy) { Suite##_##Name##_Body(true); }                     \
+  static void Suite##_##Name##_Body(bool Lazy)
 
 } // namespace jvolve::test
 

@@ -14,7 +14,6 @@
 #include "dsu/Upt.h"
 #include "runtime/ObjectModel.h"
 
-#include <cstdlib>
 #include <gtest/gtest.h>
 
 using namespace jvolve;
@@ -69,7 +68,7 @@ ClassSet nodeVersion(bool WithCache) {
 
 } // namespace
 
-TEST(Transformer, ForceTransformMakesReferencedStateReadable) {
+TEST_EAGER_AND_LAZY(Transformer, ForceTransformMakesReferencedStateReadable) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(nodeVersion(false));
   TheVM.callStatic("Setup", "init", "()V");
@@ -91,7 +90,7 @@ TEST(Transformer, ForceTransformMakesReferencedStateReadable) {
   };
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(std::move(B));
+  UpdateResult R = U.applyNow(std::move(B), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_EQ(R.ObjectsTransformed, 2u);
   // head.v = 1, head.next.v = 2 -> head.cached = 2.
@@ -99,9 +98,6 @@ TEST(Transformer, ForceTransformMakesReferencedStateReadable) {
 }
 
 TEST(Transformer, CycleInForceTransformAborts) {
-  if (std::getenv("JVOLVE_LAZY"))
-    GTEST_SKIP() << "cycle detection fires post-commit under JVOLVE_LAZY=1 "
-                    "and degrades instead of rolling back";
   // Two nodes pointing at each other, each transformer forcing the other
   // before initializing itself: an ill-defined transformer set, detected
   // by the cycle check (paper §3.4 aborts the update; MiniVM rolls the
@@ -143,7 +139,7 @@ TEST(Transformer, CycleInForceTransformAborts) {
   EXPECT_EQ(getRefAt(B, Next->Offset), A);
 }
 
-TEST(Transformer, DefaultSkipsRetypedFields) {
+TEST_EAGER_AND_LAZY(Transformer, DefaultSkipsRetypedFields) {
   // When a field's type changes, the default transformer leaves the new
   // field at its default value ("the default transformer would have:
   // to.forwardAddresses = null", Fig. 3).
@@ -180,7 +176,7 @@ TEST(Transformer, DefaultSkipsRetypedFields) {
   Reg.cls(Reg.idOf("H")).Statics[0] = Slot::ofRef(Obj);
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"));
+  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
 
   Ref New = Reg.cls(Reg.idOf("H")).Statics[0].RefVal;
@@ -189,7 +185,7 @@ TEST(Transformer, DefaultSkipsRetypedFields) {
   EXPECT_EQ(Ctx.getRef(New, "becomesRef"), nullptr);
 }
 
-TEST(Transformer, StaticsAccessorsReachOldAndNewNamespaces) {
+TEST_EAGER_AND_LAZY(Transformer, StaticsAccessorsReachOldAndNewNamespaces) {
   // A custom class transformer reads the renamed old class's statics and
   // writes the new ones (jvolveClass semantics).
   ClassSet V1;
@@ -222,7 +218,8 @@ TEST(Transformer, StaticsAccessorsReachOldAndNewNamespaces) {
                      Ctx.getStaticInt("v1_Cfg", "level") * 10);
   };
   Updater U(TheVM);
-  ASSERT_EQ(U.applyNow(std::move(B)).Status, UpdateStatus::Applied);
+  ASSERT_EQ(U.applyNow(std::move(B), modeOptions(Lazy)).Status,
+            UpdateStatus::Applied);
   TransformCtx Ctx(TheVM, nullptr);
   EXPECT_EQ(Ctx.getStaticInt("Cfg", "level"), 70);
 }

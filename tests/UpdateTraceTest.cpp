@@ -50,9 +50,6 @@ ClassSet traceVersion(int64_t HandleValue, bool ExtraField) {
 } // namespace
 
 TEST(UpdateTrace, ImmediateApplicationNarrative) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(traceVersion(1, false));
   Updater U(TheVM);
@@ -73,9 +70,6 @@ TEST(UpdateTrace, ImmediateApplicationNarrative) {
 }
 
 TEST(UpdateTrace, BarrierCycleRecorded) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   ClassSet V1 = traceVersion(1, false);
   ClassSet V2 = traceVersion(1000, false);
@@ -99,7 +93,7 @@ TEST(UpdateTrace, BarrierCycleRecorded) {
   EXPECT_TRUE(Named);
 }
 
-TEST(UpdateTrace, GcAndTransformPhasesRecorded) {
+TEST_EAGER_AND_LAZY(UpdateTrace, GcAndTransformPhasesRecorded) {
   VM TheVM(smallConfig());
   ClassSet V1 = traceVersion(1, false);
   ClassSet V2 = traceVersion(1, true); // class update (field change)
@@ -109,13 +103,14 @@ TEST(UpdateTrace, GcAndTransformPhasesRecorded) {
       TheVM.allocateObject(TheVM.registry().idOf("Svc")));
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"));
+  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied);
   EXPECT_EQ(R.Trace.count(UpdateEventKind::GcCompleted), 1);
   EXPECT_EQ(R.Trace.count(UpdateEventKind::Transformed), 1);
-  if (R.LazyInstalled) {
-    // Lazy mode (e.g. JVOLVE_LAZY=1): the transform phase records only
-    // the deferral; the shell count rides on the LazyCommitted event.
+  ASSERT_EQ(R.LazyInstalled, Lazy);
+  if (Lazy) {
+    // The transform phase records only the deferral; the shell count
+    // rides on the LazyCommitted event.
     EXPECT_EQ(R.Trace.count(UpdateEventKind::LazyCommitted), 1);
     for (const UpdateEvent &E : R.Trace.events()) {
       if (E.Kind == UpdateEventKind::LazyCommitted) {
@@ -133,9 +128,6 @@ TEST(UpdateTrace, GcAndTransformPhasesRecorded) {
 }
 
 TEST(UpdateTrace, TimeoutNarrative) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   ClassSet V1 = traceVersion(1, false);
   ClassSet V2 = traceVersion(1, false);
@@ -208,9 +200,6 @@ TEST(UpdateTrace, EveryEventKindNamedAndRoundTripsThroughSink) {
 }
 
 TEST(UpdateTrace, RendersReadableLog) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   VM TheVM(smallConfig());
   TheVM.loadProgram(traceVersion(1, false));
   Updater U(TheVM);

@@ -73,7 +73,7 @@ TEST(VmBehavior, StringLiteralsInterned) {
   EXPECT_EQ(TheVM.strings().size(), Before + 1);
 }
 
-TEST(VmBehavior, MultipleFramesOnOneStackAllOsr) {
+TEST_EAGER_AND_LAZY(VmBehavior, MultipleFramesOnOneStackAllOsr) {
   // run() -> helper(), both category (2) (reading Data fields), parked
   // inside helper(): both frames must be on-stack replaced — the paper's
   // extension of Jikes RVM OSR to "multiple stack frames on the same
@@ -135,8 +135,8 @@ TEST(VmBehavior, MultipleFramesOnOneStackAllOsr) {
   ASSERT_EQ(T->Frames.size(), 2u); // run + helper
 
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(Version(false), Version(true),
-                                           "v1"));
+  UpdateResult R = U.applyNow(
+      Upt::prepare(Version(false), Version(true), "v1"), modeOptions(Lazy));
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_EQ(R.OsrReplacements, 2);
 
@@ -155,9 +155,6 @@ TEST(VmBehavior, MultipleFramesOnOneStackAllOsr) {
 }
 
 TEST(VmBehavior, UpdateWhileThreadBlockedInAccept) {
-  if (codeVersionModeForced())
-    GTEST_SKIP() << "body-only bundle commits through the version chains under "
-                    "JVOLVE_CODEVERSION=1 -- no safe-point protocol to assert";
   // Blocked threads are at safe points by construction; an update applies
   // without waking them, and they resume against the new world.
   auto Version = [](int64_t Bonus) {

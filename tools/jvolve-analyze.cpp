@@ -34,6 +34,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ToolFlags.h"
 #include "apps/CrossFtpApp.h"
 #include "apps/EmailApp.h"
 #include "apps/Evaluation.h"
@@ -194,7 +195,7 @@ static int analyzeApp(const AppModel &App, const std::string &AppKey,
 static std::string withVersion(std::string Obj, const std::string &Tag) {
   size_t Brace = Obj.find('{');
   if (Brace != std::string::npos)
-    Obj.insert(Brace + 1, "\n  \"version\": \"" + Tag + "\",");
+    Obj.insert(Brace + 1, "\n  \"version\": " + jsonString(Tag) + ",");
   return Obj;
 }
 
@@ -292,11 +293,11 @@ static int impactApp(const AppModel &App, bool Check, bool Json, bool First) {
     if (Json) {
       if (!First || V > 1)
         std::printf(",\n");
-      std::printf("{\"version\": \"%s\", \"status\": \"%s\", "
+      std::printf("{\"version\": %s, \"status\": \"%s\", "
                   "\"full_transformed\": %llu, \"bounded_transformed\": %llu, "
                   "\"bulk_settled\": %llu, \"census_classes\": %zu, "
                   "\"match\": %s}",
-                  Tag.c_str(), updateStatusName(OF.Result.Status),
+                  jsonString(Tag).c_str(), updateStatusName(OF.Result.Status),
                   static_cast<unsigned long long>(OF.LazyTransformed),
                   static_cast<unsigned long long>(OB.LazyTransformed),
                   static_cast<unsigned long long>(OB.BulkSettled),
@@ -367,18 +368,6 @@ static int runAppMode(const std::string &Which, Mode M, bool Check, bool Json,
   return 0;
 }
 
-static int writeMetrics(const char *Path) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "jvolve-analyze: cannot write metrics to '%s'\n",
-                 Path);
-    return 2;
-  }
-  std::fprintf(F, "%s\n", Telemetry::global().snapshot().json().c_str());
-  std::fclose(F);
-  return 0;
-}
-
 int main(int argc, char **argv) {
   std::string App;
   Mode M = Mode::Analyze;
@@ -418,7 +407,7 @@ int main(int argc, char **argv) {
     int RC = runAppMode(App, M, Check, Json, Totals);
     if (MetricsOut && RC != 2) {
       Totals.publish();
-      if (int MRC = writeMetrics(MetricsOut))
+      if (int MRC = writeMetricsSnapshot("jvolve-analyze", MetricsOut))
         return MRC;
     }
     return RC;
@@ -445,7 +434,7 @@ int main(int argc, char **argv) {
     recordSynthesisMetrics(Rep);
     std::printf("%s\n", Json ? Rep.json().c_str() : Rep.table().c_str());
     if (MetricsOut)
-      if (int MRC = writeMetrics(MetricsOut))
+      if (int MRC = writeMetricsSnapshot("jvolve-analyze", MetricsOut))
         return MRC;
     return 0;
   }
@@ -460,7 +449,7 @@ int main(int argc, char **argv) {
   std::printf("%s\n", Json ? Rep.json().c_str() : Rep.table().c_str());
   if (MetricsOut) {
     Totals.publish();
-    if (int MRC = writeMetrics(MetricsOut))
+    if (int MRC = writeMetricsSnapshot("jvolve-analyze", MetricsOut))
       return MRC;
   }
   return Rep.Verdict == Applicability::Impossible ? 1 : 0;

@@ -42,8 +42,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ToolFlags.h"
 #include "support/ChaosCampaign.h"
-#include "support/FaultInjector.h"
 #include "support/Telemetry.h"
 #include "support/TelemetryStream.h"
 
@@ -58,12 +58,6 @@ using namespace jvolve;
 namespace {
 
 void usage() {
-  std::string Sites;
-  for (const std::string &Name : FaultInjector::allSiteNames()) {
-    if (!Sites.empty())
-      Sites += ", ";
-    Sites += Name;
-  }
   std::fprintf(
       stderr,
       "usage: jvolve-chaos [--first-order] [--second-order]\n"
@@ -79,7 +73,7 @@ void usage() {
       "[--requests <N>]\n"
       "                    [--inject <site>[:fire[:skip]][,<spec>...]]\n"
       "  fault sites: %s\n",
-      Sites.c_str());
+      injectSiteList().c_str());
 }
 
 std::vector<std::string> splitList(const std::string &S) {
@@ -212,15 +206,8 @@ int main(int argc, char **argv) {
       ReproSpec.Stream = NeedValue();
     } else if (Flag == "--inject") {
       ReproInject = NeedValue();
-      // Validate on a scratch injector; report every bad entry.
-      FaultInjector Probe;
-      std::vector<std::string> Errs;
-      if (!Probe.armFromSpecList(ReproInject, &Errs)) {
-        for (const std::string &E : Errs)
-          std::fprintf(stderr, "jvolve-chaos: bad --inject entry: %s\n",
-                       E.c_str());
+      if (!validateInjectSpecs("jvolve-chaos", ReproInject))
         return 2;
-      }
     } else if (Flag == "--help" || Flag == "-h") {
       usage();
       return 0;
@@ -253,8 +240,6 @@ int main(int argc, char **argv) {
   if (Repro) {
     // Re-parse the validated list into the spec's fault vector.
     for (const std::string &One : splitList(ReproInject)) {
-      FaultInjector Probe;
-      Probe.armFromSpecList(One);
       ChaosFault F;
       FaultInjector::siteByName(One.substr(0, One.find(':')), F.Where);
       F.Fire = 1;
@@ -309,16 +294,9 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (MetricsOut) {
-    std::FILE *F = std::fopen(MetricsOut, "w");
-    if (!F) {
-      std::fprintf(stderr, "jvolve-chaos: cannot write metrics to '%s'\n",
-                   MetricsOut);
-      return 2;
-    }
-    std::fprintf(F, "%s\n", Telemetry::global().snapshot().json().c_str());
-    std::fclose(F);
-  }
+  if (MetricsOut)
+    if (int RC = writeMetricsSnapshot("jvolve-chaos", MetricsOut))
+      return RC;
 
   Telemetry::global().streamer().closeSession(Session);
   if (Check && (!Rep.Violations.empty() || Rep.Covered < Rep.ProbePoints))

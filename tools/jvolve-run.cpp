@@ -20,8 +20,8 @@
 /// 5000-tick windows) and dumps the per-window rate/percentile table at
 /// exit — the offline twin of `jvolve-serve --stats`. --inject arms one
 /// or more FaultInjector sites (comma-separated site[:fire[:skip]] specs,
-/// the same syntax JVOLVE_INJECT accepts); every malformed entry in the
-/// list is reported before the tool exits. --codeversion installs the
+/// the syntax of FaultInjector::armFromSpecList); every malformed entry in
+/// the list is reported before the tool exits. --codeversion installs the
 /// per-method CodeVersionManager (dsu/CodeVersion.h) on the VM and prints
 /// its active-version table at exit — the tool never applies updates, so
 /// the table shows the v0 baseline unless the program's own machinery
@@ -33,7 +33,7 @@
 #include "bytecode/Verifier.h"
 #include "dsu/CodeVersion.h"
 #include "heap/HeapVerifier.h"
-#include "support/FaultInjector.h"
+#include "ToolFlags.h"
 #include "support/Telemetry.h"
 #include "support/TelemetryStream.h"
 #include "vm/VM.h"
@@ -92,16 +92,8 @@ int main(int argc, char **argv) {
         return 2;
       }
       InjectSpecs = argv[2];
-      // Validate the whole list up front on a scratch injector (the VM is
-      // constructed later); report every bad entry, not just the first.
-      FaultInjector Probe;
-      std::vector<std::string> Errs;
-      if (!Probe.armFromSpecList(InjectSpecs, &Errs)) {
-        for (const std::string &E : Errs)
-          std::fprintf(stderr, "jvolve-run: bad --inject entry: %s\n",
-                       E.c_str());
+      if (!validateInjectSpecs("jvolve-run", InjectSpecs))
         return 2;
-      }
       --argc;
       ++argv;
     } else if (Flag == "--trace-out") {

@@ -57,9 +57,9 @@
 /// against it, as with any other failed update.
 ///
 /// --inject arms one or more of the FaultInjector's named sites
-/// (comma-separated site[:fire[:skip]] specs, the same syntax
-/// JVOLVE_INJECT accepts) so failure paths can be watched live: rollback
-/// during install, or (with canary-health-breach under --canary) an
+/// (comma-separated site[:fire[:skip]] specs, the syntax of
+/// FaultInjector::armFromSpecList) so failure paths can be watched live:
+/// rollback during install, or (with canary-health-breach under --canary) an
 /// automatic post-commit revert — and, with two specs, a nested fault
 /// inside the recovery path the first one triggers. Every malformed
 /// entry in the list is reported before the tool exits. The usage text
@@ -88,6 +88,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ToolFlags.h"
 #include "apps/CrossFtpApp.h"
 #include "apps/EmailApp.h"
 #include "apps/JettyApp.h"
@@ -97,7 +98,6 @@
 #include "dsu/LazyTransform.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
-#include "support/FaultInjector.h"
 #include "support/Telemetry.h"
 #include "support/TelemetryStream.h"
 
@@ -139,17 +139,6 @@ void addOperatorMappings(UpdateBundle &B, const AppModel &App,
         {"RequestHandler", "handle", "(I)V"},
         New.find("RequestHandler")->findMethod("handle")->Code.size()));
   }
-}
-
-/// Comma-separated list of every valid --inject site name.
-std::string injectSiteList() {
-  std::string Out;
-  for (const std::string &Name : FaultInjector::allSiteNames()) {
-    if (!Out.empty())
-      Out += ", ";
-    Out += Name;
-  }
-  return Out;
 }
 
 /// The in-band stats request: a probe connection is injected through the
@@ -256,14 +245,7 @@ int main(int argc, char **argv) {
       }
     } else if (std::strcmp(argv[I], "--inject") == 0 && I + 1 < argc) {
       InjectSpecs = argv[++I];
-      // Validate the whole list up front on a scratch injector (the VM is
-      // constructed later); report every bad entry, not just the first.
-      FaultInjector Probe;
-      std::vector<std::string> Errs;
-      if (!Probe.armFromSpecList(InjectSpecs, &Errs)) {
-        for (const std::string &E : Errs)
-          std::fprintf(stderr, "jvolve-serve: bad --inject entry: %s\n",
-                       E.c_str());
+      if (!validateInjectSpecs("jvolve-serve", InjectSpecs)) {
         std::fprintf(stderr, "  valid sites: %s\n", injectSiteList().c_str());
         return 2;
       }
@@ -464,16 +446,9 @@ int main(int argc, char **argv) {
   }
 
   Telemetry::global().closeTrace(); // flush any buffered JSONL events
-  if (MetricsOut) {
-    std::FILE *F = std::fopen(MetricsOut, "w");
-    if (!F) {
-      std::fprintf(stderr, "jvolve-serve: cannot write metrics to '%s'\n",
-                   MetricsOut);
-      return 2;
-    }
-    std::fprintf(F, "%s\n", Telemetry::global().snapshot().json().c_str());
-    std::fclose(F);
-  }
+  if (MetricsOut)
+    if (int RC = writeMetricsSnapshot("jvolve-serve", MetricsOut))
+      return RC;
   std::printf("final version: %s\n", App.versionName(Version).c_str());
   for (const std::string &F : TheVM.lazyFailureLog())
     std::printf("degraded lazy transform: %s\n", F.c_str());
