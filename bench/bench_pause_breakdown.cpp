@@ -12,10 +12,11 @@
 /// every row is cross-checked against the UpdateResult fields the updater
 /// measures with its own per-phase timers, so the two observability paths
 /// must agree. For every applied update of all three application streams,
-/// prints the phase breakdown (classload / GC / transformers / total)
-/// plus the time-to-safe-point in virtual ticks, and checks the paper's
-/// ordering: install overheads are small, GC+transform dominate whenever
-/// objects are transformed.
+/// prints the phase breakdown (classload / GC / transformers / heap
+/// certification / other, which sum to the total) plus the
+/// time-to-safe-point in virtual ticks, and checks the paper's ordering:
+/// install overheads are small, GC+transform dominate whenever objects are
+/// transformed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +45,8 @@ struct PhaseTimings {
   double ClassLoadMs = 0;
   double GcMs = 0;
   double TransformMs = 0;
+  double CertifyMs = 0;
+  double OtherMs = 0; ///< the total minus the phases above
   double TotalMs = 0;
 };
 
@@ -57,7 +60,9 @@ PhaseTimings readPhaseTimings() {
   T.ClassLoadMs = Sum("classload");
   T.GcMs = Sum("gc");
   T.TransformMs = Sum("transform");
+  T.CertifyMs = Sum("certify");
   T.TotalMs = Sum("total");
+  T.OtherMs = T.TotalMs - T.ClassLoadMs - T.GcMs - T.TransformMs - T.CertifyMs;
   return T;
 }
 
@@ -113,7 +118,8 @@ int main() {
               "against UpdateResult)\n\n");
   TablePrinter TP;
   TP.setHeader({"Update", "classload(ms)", "GC(ms)", "transform(ms)",
-                "total(ms)", "objects", "ticks-to-safe-point", "sources"});
+                "certify(ms)", "other(ms)", "total(ms)", "objects",
+                "ticks-to-safe-point", "sources"});
 
   AppModel Apps[] = {makeJettyApp(), makeEmailApp(), makeCrossFtpApp()};
   double MaxClassLoad = 0;
@@ -123,12 +129,15 @@ int main() {
     bool Agrees = agree(T.ClassLoadMs, U.ClassLoadMs) &&
                   agree(T.GcMs, U.GcMs) &&
                   agree(T.TransformMs, U.TransformMs) &&
+                  agree(T.CertifyMs, U.CertifyMs) &&
                   agree(T.TotalMs, U.TotalPauseMs);
     ++Rows;
     Agreements += Agrees;
     TP.addRow({Name, TablePrinter::fmt(T.ClassLoadMs, 3),
                TablePrinter::fmt(T.GcMs, 3),
                TablePrinter::fmt(T.TransformMs, 3),
+               TablePrinter::fmt(T.CertifyMs, 3),
+               TablePrinter::fmt(T.OtherMs, 3),
                TablePrinter::fmt(T.TotalMs, 3),
                std::to_string(U.ObjectsTransformed),
                std::to_string(U.TicksToSafePoint),
@@ -155,13 +164,11 @@ int main() {
   std::printf("Shape: max classloading time %.3f ms (paper: usually "
               "< 20 ms)\n",
               MaxClassLoad);
-  std::printf("Shape: on the populated heap, GC + transformers are "
-              "%.0fx the classloading cost: %s (paper: 'disruption time "
-              "is primarily due to the GC and object transformers')\n",
-              (PopulatedT.GcMs + PopulatedT.TransformMs) /
-                  std::max(PopulatedT.ClassLoadMs, 1e-6),
-              PopulatedT.GcMs + PopulatedT.TransformMs > PopulatedT.ClassLoadMs
-                  ? "yes"
-                  : "no");
+  double GcTransformShare = (PopulatedT.GcMs + PopulatedT.TransformMs) /
+                            std::max(PopulatedT.TotalMs, 1e-6);
+  std::printf("Shape: on the populated heap, GC + transformers are %.0f%% "
+              "of the total pause: %s (paper: 'disruption time is "
+              "primarily due to the GC and object transformers')\n",
+              100 * GcTransformShare, GcTransformShare > 0.5 ? "yes" : "no");
   return Agreements == Rows ? 0 : 1;
 }

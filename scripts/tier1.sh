@@ -12,9 +12,10 @@
 # (bench_telemetry --check + a coarse metrics-diff backstop), the canary
 # pause and revert-convergence gates (an injected health breach must
 # auto-revert and leave zero residual), the chaos-report summary of the
-# first-order fault sweep, then the update-transaction (rollback),
-# quiescence-escalation, and GC-fuzz suites, eager and lazy, under a
-# sanitizer build.
+# first-order fault sweep, the perfbench helper unit tests, then the
+# update-transaction (rollback), quiescence-escalation, GC-fuzz, heap
+# verifier, transformer, lazy-transform and old-copy-space suites, eager
+# and lazy, under a sanitizer build.
 #
 #   scripts/tier1.sh [sanitizer]
 #
@@ -195,10 +196,16 @@ scripts/metrics-diff.py "$CHAOS_JSON" "$CHAOS_JSON" \
   > /dev/null
 rm -f "$CHAOS_JSON" "$CHAOS_REPORT"
 
+# The end-to-end benchmark's helpers (tail selection, quiet stretch, span
+# self time, result-line JSON, metric names matching BENCHMARK.json).
+python3 -m unittest discover -s perfbench/tests
+
 if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake -B "build-$SAN" -S . -DJVOLVE_SANITIZE="$SAN"
   cmake --build "build-$SAN" -j "$JOBS" \
-    --target dsu_rollback_test quiescence_test gc_fuzz_test
+    --target dsu_rollback_test quiescence_test gc_fuzz_test \
+    heap_verifier_test transformer_test lazy_transform_test \
+    old_copy_space_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz'
+    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace'
 fi

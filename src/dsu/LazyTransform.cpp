@@ -17,12 +17,10 @@ std::string LazyTransformError::str() const {
 
 LazyTransformEngine::LazyTransformEngine(VM &TheVM, UpdateBundle Bundle,
                                          std::vector<UpdateLogEntry> Log,
-                                         std::unordered_map<Ref, size_t> Index,
                                          bool OwnsOldCopySpace,
                                          size_t DrainBatch, bool ImpactBounded)
     : TheVM(TheVM), Bundle(std::move(Bundle)), UpdateLog(std::move(Log)),
-      NewToLogIndex(std::move(Index)),
-      Runner(TheVM, this->Bundle, UpdateLog, NewToLogIndex),
+      Runner(TheVM, this->Bundle, UpdateLog),
       OwnsOldCopySpace(OwnsOldCopySpace),
       DrainBatch(std::max<size_t>(DrainBatch, 1)),
       ImpactBounded(ImpactBounded) {
@@ -94,10 +92,10 @@ size_t LazyTransformEngine::pendingCount() const {
 bool LazyTransformEngine::isPendingShell(Ref Obj) const {
   if (Retired)
     return false;
-  auto It = NewToLogIndex.find(Obj);
-  if (It == NewToLogIndex.end())
+  size_t Index = Runner.entryOf(Obj);
+  if (Index == TransformerRunner::NoEntry)
     return false;
-  UpdateLogEntry::State St = UpdateLog[It->second].St;
+  UpdateLogEntry::State St = UpdateLog[Index].St;
   return St == UpdateLogEntry::State::Pending ||
          St == UpdateLogEntry::State::InProgress;
 }
@@ -113,15 +111,15 @@ bool LazyTransformEngine::onBarrierHit(Ref Obj, std::string *Err) {
   if (Telemetry::isEnabled())
     Telemetry::global().counter(metrics::DsuLazyBarrierHits).inc();
 
-  auto It = NewToLogIndex.find(Obj);
-  if (It == NewToLogIndex.end()) {
+  size_t Index = Runner.entryOf(Obj);
+  if (Index == TransformerRunner::NoEntry) {
     // Not one of ours (cannot happen through the normal lifecycle: only
     // the DSU collection sets FlagLazyPending). Clear the flag so the
     // object reads as a plain initialized instance.
     header(Obj)->Flags &= ~(FlagUninitialized | FlagLazyPending);
     return true;
   }
-  return transformIndex(It->second, /*OnDemand=*/true, Err);
+  return transformIndex(Index, /*OnDemand=*/true, Err);
 }
 
 size_t LazyTransformEngine::drainSome(size_t BudgetTicks) {
@@ -283,15 +281,14 @@ void LazyTransformEngine::visitRoots(
 void LazyTransformEngine::onHeapMoved() {
   if (Retired)
     return;
-  // Entry addresses changed; rebuild the shell -> entry index from the
-  // unsettled entries (settled entries' refs are stale but never used).
-  NewToLogIndex.clear();
-  for (size_t I = 0; I < UpdateLog.size(); ++I) {
-    const UpdateLogEntry &E = UpdateLog[I];
-    if (E.St == UpdateLogEntry::State::Pending ||
-        E.St == UpdateLogEntry::State::InProgress)
-      NewToLogIndex.emplace(E.NewObj, I);
-  }
+  // Unsettled entries were roots, so the collection rewrote their refs and
+  // each moved shell carried its header index along. Settled entries were
+  // not: drop their stale refs so a later object at a reused address can
+  // never match them in entryOf().
+  for (UpdateLogEntry &E : UpdateLog)
+    if (E.St == UpdateLogEntry::State::Done ||
+        E.St == UpdateLogEntry::State::Failed)
+      E.NewObj = E.OldCopy = nullptr;
   // The collection just migrated every live old copy into to-space (they
   // are roots), so the dedicated block holds only dead bytes now.
   if (OwnsOldCopySpace && TheVM.heap().hasOldCopySpace()) {

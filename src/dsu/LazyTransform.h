@@ -46,7 +46,6 @@
 #include "vm/VM.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace jvolve {
@@ -62,9 +61,10 @@ struct LazyTransformError {
   std::string str() const;
 };
 
-/// The engine. Owns the DSU collection's update log, the shell -> entry
-/// index, and a copy of the update bundle (so transformer bodies stay
-/// callable for the engine's whole lifetime); the VM owns the engine
+/// The engine. Owns the DSU collection's update log and a copy of the
+/// update bundle (so transformer bodies stay callable for the engine's
+/// whole lifetime); each shell finds its log entry through the index in
+/// its own header (TransformerRunner::entryOf). The VM owns the engine
 /// through the VmLazyEngine interface from commit until the next update
 /// replaces it.
 class LazyTransformEngine : public VmLazyEngine {
@@ -79,10 +79,8 @@ public:
   /// are pure bitwise copies, so the drain loop and the read barrier skip
   /// them entirely.
   LazyTransformEngine(VM &TheVM, UpdateBundle Bundle,
-                      std::vector<UpdateLogEntry> Log,
-                      std::unordered_map<Ref, size_t> Index,
-                      bool OwnsOldCopySpace, size_t DrainBatch,
-                      bool ImpactBounded = false);
+                      std::vector<UpdateLogEntry> Log, bool OwnsOldCopySpace,
+                      size_t DrainBatch, bool ImpactBounded = false);
 
   /// Sets the LazyBarriers bit on every compiled method (registry and
   /// active frames) and on future compilations, and publishes the initial
@@ -140,8 +138,7 @@ private:
   VM &TheVM;
   UpdateBundle Bundle;
   std::vector<UpdateLogEntry> UpdateLog;
-  std::unordered_map<Ref, size_t> NewToLogIndex;
-  /// Constructed after the containers above — it holds references to them.
+  /// Constructed after the members above — it holds references to them.
   TransformerRunner Runner;
 
   bool OwnsOldCopySpace;

@@ -5,68 +5,81 @@
 #include "support/Stopwatch.h"
 
 #include <cassert>
+#include <cstring>
 
 using namespace jvolve;
 
-const RtField *TransformCtx::fieldOf(Ref Obj,
-                                     const std::string &Field) const {
+const RtField *TransformCtx::fieldOf(Ref Obj, std::string_view Field) const {
   assert(Obj && "field access on null in transformer");
   const RtClass &C = TheVM.registry().cls(classOf(Obj));
+  // Transformer bodies mostly walk the fields in declaration order, reading
+  // the old object and then writing the new one, so the field found last
+  // or the one after it usually matches before any scan. Field names are
+  // unique per class (the verifier rejects shadowing), so a match is the
+  // field findInstanceField would return.
+  const std::vector<RtField> &Fields = C.InstanceFields;
+  for (size_t I = LastField; I < Fields.size() && I <= LastField + 1; ++I)
+    if (Fields[I].Name == Field) {
+      LastField = I;
+      return &Fields[I];
+    }
   const RtField *F = C.findInstanceField(Field);
   if (!F)
     throw UpdateError("transform", "class " + C.Name + " has no field '" +
-                                       Field + "'");
+                                       std::string(Field) + "'");
+  LastField = static_cast<size_t>(F - Fields.data());
   return F;
 }
 
-int64_t TransformCtx::getInt(Ref Obj, const std::string &Field) const {
+int64_t TransformCtx::getInt(Ref Obj, std::string_view Field) const {
   return getIntAt(Obj, fieldOf(Obj, Field)->Offset);
 }
 
-Ref TransformCtx::getRef(Ref Obj, const std::string &Field) const {
+Ref TransformCtx::getRef(Ref Obj, std::string_view Field) const {
   return getRefAt(Obj, fieldOf(Obj, Field)->Offset);
 }
 
-void TransformCtx::setInt(Ref Obj, const std::string &Field, int64_t Value) {
+void TransformCtx::setInt(Ref Obj, std::string_view Field, int64_t Value) {
   setIntAt(Obj, fieldOf(Obj, Field)->Offset, Value);
 }
 
-void TransformCtx::setRef(Ref Obj, const std::string &Field, Ref Value) {
+void TransformCtx::setRef(Ref Obj, std::string_view Field, Ref Value) {
   setRefAt(Obj, fieldOf(Obj, Field)->Offset, Value);
 }
 
-static Slot *staticSlot(VM &TheVM, const std::string &Cls,
-                        const std::string &Field) {
-  ClassId Id = TheVM.registry().idOf(Cls);
+static Slot *staticSlot(VM &TheVM, std::string_view Cls,
+                        std::string_view Field) {
+  std::string ClsName(Cls);
+  ClassId Id = TheVM.registry().idOf(ClsName);
   if (Id == InvalidClassId)
-    throw UpdateError("transform", "unknown class '" + Cls + "'");
+    throw UpdateError("transform", "unknown class '" + ClsName + "'");
   ClassId Declaring = InvalidClassId;
   RtField *F = TheVM.registry().resolveStaticField(Id, Field, &Declaring);
   if (!F)
-    throw UpdateError("transform", "class " + Cls + " has no static '" +
-                                       Field + "'");
+    throw UpdateError("transform", "class " + ClsName + " has no static '" +
+                                       std::string(Field) + "'");
   return &TheVM.registry().cls(Declaring).Statics[F->Offset];
 }
 
-int64_t TransformCtx::getStaticInt(const std::string &Cls,
-                                   const std::string &Field) const {
+int64_t TransformCtx::getStaticInt(std::string_view Cls,
+                                   std::string_view Field) const {
   return staticSlot(TheVM, Cls, Field)->IntVal;
 }
 
-Ref TransformCtx::getStaticRef(const std::string &Cls,
-                               const std::string &Field) const {
+Ref TransformCtx::getStaticRef(std::string_view Cls,
+                               std::string_view Field) const {
   return staticSlot(TheVM, Cls, Field)->RefVal;
 }
 
-void TransformCtx::setStaticInt(const std::string &Cls,
-                                const std::string &Field, int64_t Value) {
+void TransformCtx::setStaticInt(std::string_view Cls, std::string_view Field,
+                                int64_t Value) {
   Slot *S = staticSlot(TheVM, Cls, Field);
   S->IntVal = Value;
   S->IsRef = false;
 }
 
-void TransformCtx::setStaticRef(const std::string &Cls,
-                                const std::string &Field, Ref Value) {
+void TransformCtx::setStaticRef(std::string_view Cls, std::string_view Field,
+                                Ref Value) {
   Slot *S = staticSlot(TheVM, Cls, Field);
   S->RefVal = Value;
   S->IsRef = true;
@@ -122,27 +135,30 @@ void TransformCtx::ensureTransformed(Ref Obj) {
     Runner->ensureTransformed(Obj);
 }
 
-TransformerRunner::TransformerRunner(
-    VM &TheVM, const UpdateBundle &Bundle,
-    std::vector<UpdateLogEntry> &UpdateLog,
-    std::unordered_map<Ref, size_t> &NewToLogIndex)
-    : TheVM(TheVM), Bundle(Bundle), UpdateLog(UpdateLog),
-      NewToLogIndex(NewToLogIndex) {}
+/// Calls \p Copy(new offset, old offset) for every instance field of \p New
+/// that \p Old has with the same name and type — the default transform.
+template <typename CopyFn>
+static void forEachKeptField(const RtClass &New, const RtClass &Old,
+                             CopyFn Copy) {
+  for (const RtField &NF : New.InstanceFields) {
+    const RtField *OF = Old.findInstanceField(NF.Name);
+    if (OF && OF->Ty == NF.Ty) // new or retyped fields keep their default
+      Copy(NF.Offset, OF->Offset);
+  }
+}
+
+/// One 8-byte slot, int or ref alike.
+static void copySlot(Ref To, uint32_t ToOffset, Ref From, uint32_t FromOffset) {
+  std::memcpy(To + ToOffset, From + FromOffset, SlotBytes);
+}
 
 void TransformerRunner::applyDefaultObjectTransform(VM &TheVM, Ref To,
                                                     Ref From) {
   ClassRegistry &Reg = TheVM.registry();
-  const RtClass &NewCls = Reg.cls(classOf(To));
-  const RtClass &OldCls = Reg.cls(classOf(From));
-  for (const RtField &NF : NewCls.InstanceFields) {
-    const RtField *OF = OldCls.findInstanceField(NF.Name);
-    if (!OF || OF->Ty != NF.Ty)
-      continue; // new or retyped: keep the default value
-    if (NF.IsRef)
-      setRefAt(To, NF.Offset, getRefAt(From, OF->Offset));
-    else
-      setIntAt(To, NF.Offset, getIntAt(From, OF->Offset));
-  }
+  forEachKeptField(Reg.cls(classOf(To)), Reg.cls(classOf(From)),
+                   [To, From](uint32_t NewOffset, uint32_t OldOffset) {
+                     copySlot(To, NewOffset, From, OldOffset);
+                   });
 }
 
 void TransformerRunner::applyDefaultClassTransform(
@@ -162,6 +178,27 @@ void TransformerRunner::applyDefaultClassTransform(
   }
 }
 
+const TransformerRunner::TransformPlan &
+TransformerRunner::planFor(ClassId NewClass, ClassId OldClass) {
+  if (NewClass >= Plans.size())
+    Plans.resize(NewClass + 1);
+  TransformPlan &P = Plans[NewClass];
+  if (P.OldClass == OldClass)
+    return P;
+  ClassRegistry &Reg = TheVM.registry();
+  const RtClass &New = Reg.cls(NewClass);
+  P.OldClass = OldClass;
+  auto It = Bundle.ObjectTransformers.find(New.Name);
+  P.User = It != Bundle.ObjectTransformers.end() ? &It->second : nullptr;
+  P.Copies.clear();
+  if (!P.User)
+    forEachKeptField(New, Reg.cls(OldClass),
+                     [&P](uint32_t NewOffset, uint32_t OldOffset) {
+                       P.Copies.emplace_back(NewOffset, OldOffset);
+                     });
+  return P;
+}
+
 void TransformerRunner::transformEntry(size_t Index) {
   UpdateLogEntry &E = UpdateLog[Index];
   if (E.St == UpdateLogEntry::State::InProgress ||
@@ -177,28 +214,38 @@ void TransformerRunner::transformEntry(size_t Index) {
     return;
   E.St = UpdateLogEntry::State::InProgress;
 
-  const std::string &ClassName = TheVM.registry().cls(classOf(E.NewObj)).Name;
   if (TheVM.faults().probe(FaultInjector::Site::TransformerNthObject))
-    throw UpdateError("transform", "injected transformer fault on object #" +
-                                       std::to_string(Index) + " (class " +
-                                       ClassName + ")");
-  TransformCtx Ctx(TheVM, this);
-  auto It = Bundle.ObjectTransformers.find(ClassName);
-  if (It != Bundle.ObjectTransformers.end())
-    It->second(Ctx, E.NewObj, E.OldCopy);
-  else
-    applyDefaultObjectTransform(TheVM, E.NewObj, E.OldCopy);
+    throw UpdateError("transform",
+                      "injected transformer fault on object #" +
+                          std::to_string(Index) + " (class " +
+                          TheVM.registry().cls(classOf(E.NewObj)).Name + ")");
+  const TransformPlan &P = planFor(classOf(E.NewObj), classOf(E.OldCopy));
+  if (const ObjectTransformer *User = P.User) {
+    // The body may force other entries, which can grow Plans; P is not
+    // touched again.
+    TransformCtx Ctx(TheVM, this);
+    (*User)(Ctx, E.NewObj, E.OldCopy);
+  } else {
+    for (const auto &[NewOffset, OldOffset] : P.Copies)
+      copySlot(E.NewObj, NewOffset, E.OldCopy, OldOffset);
+  }
 
   header(E.NewObj)->Flags &= ~(FlagUninitialized | FlagLazyPending);
   E.St = UpdateLogEntry::State::Done;
   ++NumTransformed;
 }
 
+size_t TransformerRunner::entryOf(Ref Obj) const {
+  size_t Index = logIndex(Obj);
+  return Index < UpdateLog.size() && UpdateLog[Index].NewObj == Obj ? Index
+                                                                    : NoEntry;
+}
+
 void TransformerRunner::ensureTransformed(Ref NewObj) {
-  auto It = NewToLogIndex.find(NewObj);
-  if (It == NewToLogIndex.end())
-    return; // not a pending new-version object
-  transformEntry(It->second);
+  size_t Index = entryOf(NewObj);
+  if (Index == NoEntry)
+    return; // not a new-version object of this update
+  transformEntry(Index);
 }
 
 double TransformerRunner::runClassTransformers() {

@@ -13,7 +13,10 @@
 /// TransformerRunner executes, after a DSU collection, first every class
 /// transformer and then every object transformer over the update log,
 /// falling back to the UPT-generated default (copy members with matching
-/// name and type; default-initialize the rest).
+/// name and type; default-initialize the rest). It resolves each new
+/// class once per update to a plan — the registered transformer, or the
+/// default's list of slots to copy — so the per-object work does no name
+/// lookups.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +27,10 @@
 #include "heap/Collector.h"
 #include "vm/VM.h"
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace jvolve {
@@ -37,18 +42,17 @@ public:
       : TheVM(TheVM), Runner(Runner) {}
 
   //===--- Instance fields (by name; access modifiers are bypassed) -------===//
-  int64_t getInt(Ref Obj, const std::string &Field) const;
-  Ref getRef(Ref Obj, const std::string &Field) const;
-  void setInt(Ref Obj, const std::string &Field, int64_t Value);
-  void setRef(Ref Obj, const std::string &Field, Ref Value);
+  int64_t getInt(Ref Obj, std::string_view Field) const;
+  Ref getRef(Ref Obj, std::string_view Field) const;
+  void setInt(Ref Obj, std::string_view Field, int64_t Value);
+  void setRef(Ref Obj, std::string_view Field, Ref Value);
 
   //===--- Statics (works on renamed obsolete classes too) ----------------===//
-  int64_t getStaticInt(const std::string &Cls, const std::string &Field) const;
-  Ref getStaticRef(const std::string &Cls, const std::string &Field) const;
-  void setStaticInt(const std::string &Cls, const std::string &Field,
+  int64_t getStaticInt(std::string_view Cls, std::string_view Field) const;
+  Ref getStaticRef(std::string_view Cls, std::string_view Field) const;
+  void setStaticInt(std::string_view Cls, std::string_view Field,
                     int64_t Value);
-  void setStaticRef(const std::string &Cls, const std::string &Field,
-                    Ref Value);
+  void setStaticRef(std::string_view Cls, std::string_view Field, Ref Value);
 
   //===--- Allocation ------------------------------------------------------===//
   Ref allocate(const std::string &ClassName);
@@ -72,18 +76,20 @@ public:
   VM &vm() { return TheVM; }
 
 private:
-  const RtField *fieldOf(Ref Obj, const std::string &Field) const;
+  const RtField *fieldOf(Ref Obj, std::string_view Field) const;
 
   VM &TheVM;
   class TransformerRunner *Runner;
+  /// Index in InstanceFields of the field fieldOf found last.
+  mutable size_t LastField = 0;
 };
 
 /// Runs class and object transformers after a DSU collection.
 class TransformerRunner {
 public:
   TransformerRunner(VM &TheVM, const UpdateBundle &Bundle,
-                    std::vector<UpdateLogEntry> &UpdateLog,
-                    std::unordered_map<Ref, size_t> &NewToLogIndex);
+                    std::vector<UpdateLogEntry> &UpdateLog)
+      : TheVM(TheVM), Bundle(Bundle), UpdateLog(UpdateLog) {}
 
   /// Executes all class transformers, then all object transformers.
   /// \returns wall-clock milliseconds spent.
@@ -102,10 +108,17 @@ public:
   /// not a pending new-version object).
   void ensureTransformed(Ref NewObj);
 
+  /// The log entry whose new object is \p Obj: the index the DSU collection
+  /// stored in the object's header, checked against the log. \returns
+  /// NoEntry for any object that is not one of the log's new objects.
+  size_t entryOf(Ref Obj) const;
+  static constexpr size_t NoEntry = SIZE_MAX;
+
   uint64_t objectsTransformed() const { return NumTransformed; }
 
   /// Copies members with matching name and type from \p From (old layout)
   /// to \p To (new layout); everything else keeps its default value.
+  /// (The runner itself applies the same copy through a per-class plan.)
   static void applyDefaultObjectTransform(VM &TheVM, Ref To, Ref From);
 
   /// Same-name same-type static copy from the renamed old class to the new
@@ -115,12 +128,26 @@ public:
                                          const std::string &OldClass);
 
 private:
+  /// How the instances of one new-version class are transformed, resolved
+  /// from the class's first log entry and reused for the rest.
+  struct TransformPlan {
+    ClassId OldClass = InvalidClassId; ///< old class the plan was built for
+    /// The registered object transformer; null selects the default copy.
+    const ObjectTransformer *User = nullptr;
+    /// Default transform: (new offset, old offset) of every field that
+    /// keeps its name and type.
+    std::vector<std::pair<uint32_t, uint32_t>> Copies;
+  };
+
   void transformEntry(size_t Index);
+
+  /// The plan for \p NewClass instances transformed from \p OldClass.
+  const TransformPlan &planFor(ClassId NewClass, ClassId OldClass);
 
   VM &TheVM;
   const UpdateBundle &Bundle;
   std::vector<UpdateLogEntry> &UpdateLog;
-  std::unordered_map<Ref, size_t> &NewToLogIndex;
+  std::vector<TransformPlan> Plans; ///< indexed by new class id
   uint64_t NumTransformed = 0;
 };
 

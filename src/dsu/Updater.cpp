@@ -821,7 +821,7 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
     // failing transformer cannot roll the update back — it degrades it.
     LazyCommitPending = false;
     auto Engine = std::make_unique<LazyTransformEngine>(
-        TheVM, Bundle, std::move(LazyLog), std::move(LazyIndex),
+        TheVM, Bundle, std::move(LazyLog),
         /*OwnsOldCopySpace=*/Opts.UseOldCopySpace, Opts.LazyDrainBatch,
         Opts.ImpactBoundedDrain);
     Engine->arm();
@@ -930,7 +930,6 @@ void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
   // to-space objects the rollback is about to discard.
   LazyCommitPending = false;
   LazyLog.clear();
-  LazyIndex.clear();
   // So is canary staging: its undo values were read out of that log.
   CanaryUndo.clear();
   CanaryNewClassIds.clear();
@@ -1150,7 +1149,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     if (NewId == InvalidClassId)
       throw UpdateError("class-load",
                         "updated class '" + Name + "' failed to load");
-    Remap.OldToNew[OldId] = NewId;
+    Remap.add(OldId, NewId);
   }
 
   if (!Remap.OldToNew.empty()) {
@@ -1158,8 +1157,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     Remap.OldCopyReserveLimitBytes = Opts.OldCopyReserveLimitBytes;
     Remap.LazyShells = Opts.LazyTransform;
     std::vector<UpdateLogEntry> UpdateLog;
-    std::unordered_map<Ref, size_t> NewToLogIndex;
-    Result.Gc = TheVM.collectGarbage(&Remap, &UpdateLog, &NewToLogIndex);
+    Result.Gc = TheVM.collectGarbage(&Remap, &UpdateLog);
     Result.GcMs = Result.Gc.GcMs;
     markPhase("gc", static_cast<int64_t>(Result.Gc.ObjectsRemapped));
     Result.Trace.record(UpdateEventKind::GcCompleted,
@@ -1174,7 +1172,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     if (Opts.CanaryWindow.enabled())
       stageCanaryUndo(UpdateLog);
 
-    TransformerRunner Runner(TheVM, Bundle, UpdateLog, NewToLogIndex);
+    TransformerRunner Runner(TheVM, Bundle, UpdateLog);
     if (Opts.LazyTransform) {
       // Statics have no read barrier, so class transformers run eagerly;
       // every per-object transform is deferred to the engine. The log is
@@ -1190,7 +1188,6 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                           std::to_string(Result.TransformMs) +
                               " ms (object transforms deferred)");
       LazyLog = std::move(UpdateLog);
-      LazyIndex = std::move(NewToLogIndex);
       LazyCommitPending = true;
       Reg.dropObsoleteStatics();
       return;

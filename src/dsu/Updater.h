@@ -410,7 +410,6 @@ private:
   /// update log) to the commit point in install(), where the engine is
   /// built and adopted by the VM.
   std::vector<UpdateLogEntry> LazyLog;
-  std::unordered_map<Ref, size_t> LazyIndex;
   bool LazyCommitPending = false;
 
   /// Canary-mode staging (CanaryWindow option), captured between schedule

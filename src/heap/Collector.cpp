@@ -28,7 +28,6 @@ Ref Collector::dsuAllocate(size_t Bytes, const char *What) {
 
 Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
                        std::vector<UpdateLogEntry> *UpdateLog,
-                       std::unordered_map<Ref, size_t> *NewToLogIndex,
                        CollectionStats &Stats) {
   if (!Obj)
     return nullptr;
@@ -40,10 +39,10 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
   size_t Bytes = objectBytes(Cls, Obj);
 
   if (Remap) {
-    auto It = Remap->OldToNew.find(H->Class);
-    if (It != Remap->OldToNew.end()) {
+    ClassId NewId = Remap->newClassOf(H->Class);
+    if (NewId != InvalidClassId) {
       assert(UpdateLog && "DSU collection requires an update log");
-      const RtClass &NewCls = Registry.cls(It->second);
+      const RtClass &NewCls = Registry.cls(NewId);
       assert(!NewCls.IsArray && "array classes are never remapped");
 
       // Uninitialized new-version object: new class, zeroed fields.
@@ -75,8 +74,7 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
       H->Flags |= FlagForwarded;
       H->Forward = NewObj;
 
-      if (NewToLogIndex)
-        NewToLogIndex->emplace(NewObj, UpdateLog->size());
+      setLogIndex(NewObj, UpdateLog->size());
       UpdateLog->push_back({OldCopy, NewObj, UpdateLogEntry::State::Pending});
 
       ++Stats.ObjectsRemapped;
@@ -96,10 +94,9 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
   return Copy;
 }
 
-CollectionStats Collector::collect(
-    const RootEnumerator &EnumerateRoots, const DsuRemap *Remap,
-    std::vector<UpdateLogEntry> *UpdateLog,
-    std::unordered_map<Ref, size_t> *NewToLogIndex) {
+CollectionStats Collector::collect(const RootEnumerator &EnumerateRoots,
+                                   const DsuRemap *Remap,
+                                   std::vector<UpdateLogEntry> *UpdateLog) {
   Stopwatch Timer;
   CollectionStats Stats;
   size_t LiveBeforeBytes = TheHeap.bytesAllocated();
@@ -120,7 +117,7 @@ CollectionStats Collector::collect(
   }
 
   auto Fwd = [&](Ref &Loc) {
-    Loc = forward(Loc, Remap, UpdateLog, NewToLogIndex, Stats);
+    Loc = forward(Loc, Remap, UpdateLog, Stats);
   };
 
   EnumerateRoots(Fwd);
@@ -141,7 +138,7 @@ CollectionStats Collector::collect(
           Ref Elem = getRefAt(Obj, arrayElemOffset(I));
           if (Elem)
             setRefAt(Obj, arrayElemOffset(I),
-                     forward(Elem, Remap, UpdateLog, NewToLogIndex, Stats));
+                     forward(Elem, Remap, UpdateLog, Stats));
         }
       }
     } else {
@@ -150,8 +147,7 @@ CollectionStats Collector::collect(
           continue;
         Ref Val = getRefAt(Obj, F.Offset);
         if (Val)
-          setRefAt(Obj, F.Offset,
-                   forward(Val, Remap, UpdateLog, NewToLogIndex, Stats));
+          setRefAt(Obj, F.Offset, forward(Val, Remap, UpdateLog, Stats));
       }
     }
     return (Bytes + 7) & ~size_t(7);

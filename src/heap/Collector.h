@@ -12,11 +12,14 @@
 /// an *uninitialized new-version object* (new class, new size) plus a
 /// *duplicate of the old object* in to-space, installs the forwarding
 /// pointer to the new version, and appends the (old copy, new object) pair
-/// to the update log. The old copy is scanned normally, so its fields end
-/// up pointing at to-space (new-version) objects — exactly the state the
-/// object transformer functions expect. After the collection the DSU layer
-/// runs the transformers over the log; clearing the log makes the old
-/// copies unreachable, so the *next* collection reclaims them.
+/// to the update log; the new object's header records its log index
+/// (setLogIndex in runtime/ObjectModel.h), so the transformer runtime finds
+/// a referenced object's entry without a side table. The old copy is
+/// scanned normally, so its fields end up pointing at to-space
+/// (new-version) objects — exactly the state the object transformer
+/// functions expect. After the collection the DSU layer runs the
+/// transformers over the log; clearing the log makes the old copies
+/// unreachable, so the *next* collection reclaims them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,14 +31,24 @@
 #include "support/FaultInjector.h"
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace jvolve {
 
-/// Classes whose instances must be transformed: old class id -> new.
+/// Classes whose instances must be transformed during a DSU collection.
 struct DsuRemap {
-  std::unordered_map<ClassId, ClassId> OldToNew;
+  /// Indexed by old class id: the new class id its instances become, or
+  /// InvalidClassId for classes the update leaves alone.
+  std::vector<ClassId> OldToNew;
+
+  void add(ClassId Old, ClassId New) {
+    if (Old >= OldToNew.size())
+      OldToNew.resize(Old + 1, InvalidClassId);
+    OldToNew[Old] = New;
+  }
+  ClassId newClassOf(ClassId Old) const {
+    return Old < OldToNew.size() ? OldToNew[Old] : InvalidClassId;
+  }
 
   /// §3.5 optimization: place the duplicates of old-version objects in a
   /// dedicated block (Heap's old-copy space) instead of to-space, so the
@@ -101,11 +114,10 @@ public:
   /// \param EnumerateRoots visits statics, thread stacks, and VM handles.
   /// \param Remap non-null during a dynamic update.
   /// \param UpdateLog receives (old copy, new object) pairs; required when
-  ///        \p Remap is non-null.
-  /// \param NewToLogIndex receives new-object -> log-index entries so the
-  ///        transformer runtime can force-transform a referenced object in
-  ///        O(1) (the paper caches a pointer to the old version instead of
-  ///        scanning the log).
+  ///        \p Remap is non-null. Each new object's header carries its
+  ///        entry's index, so the transformer runtime can force-transform a
+  ///        referenced object in O(1) (the paper caches a pointer to the old
+  ///        version instead of scanning the log).
   ///
   /// A DSU collection (\p Remap non-null) throws UpdateError("dsu-gc", ...)
   /// when to-space cannot hold the live heap plus the duplicate old copies,
@@ -114,15 +126,11 @@ public:
   /// throw; to-space exhaustion there is a fatal VM bug.
   CollectionStats collect(const RootEnumerator &EnumerateRoots,
                           const DsuRemap *Remap = nullptr,
-                          std::vector<UpdateLogEntry> *UpdateLog = nullptr,
-                          std::unordered_map<Ref, size_t> *NewToLogIndex =
-                              nullptr);
+                          std::vector<UpdateLogEntry> *UpdateLog = nullptr);
 
 private:
   Ref forward(Ref Obj, const DsuRemap *Remap,
-              std::vector<UpdateLogEntry> *UpdateLog,
-              std::unordered_map<Ref, size_t> *NewToLogIndex,
-              CollectionStats &Stats);
+              std::vector<UpdateLogEntry> *UpdateLog, CollectionStats &Stats);
 
   /// Allocates \p Bytes in to-space for a DSU copy, throwing
   /// UpdateError("dsu-gc") on exhaustion or an injected fault.

@@ -2,15 +2,9 @@
 
 #include "runtime/ObjectModel.h"
 
-#include <set>
-#include <sstream>
+#include <cstdint>
 
 using namespace jvolve;
-
-bool HeapVerifier::isValidObjectStart(Ref Obj) const {
-  return Obj >= TheHeap.currentSpaceStart() &&
-         Obj < TheHeap.currentSpaceStart() + TheHeap.bytesAllocated();
-}
 
 std::vector<std::string> HeapVerifier::verify(
     const std::function<void(const std::function<void(Ref &)> &)>
@@ -21,11 +15,13 @@ std::vector<std::string> HeapVerifier::verify(
       Problems.push_back(Msg);
   };
 
-  // Pass 1: linear walk; collect valid object starts.
-  std::set<Ref> Starts;
+  // Pass 1: linear walk; mark every valid object start in a bitmap with
+  // one bit per 8-byte granule (every object starts 8-byte aligned).
   uint8_t *Base = TheHeap.currentSpaceStart();
+  size_t Allocated = TheHeap.bytesAllocated();
+  std::vector<bool> Starts((Allocated + 7) / 8);
   size_t Offset = 0;
-  while (Offset < TheHeap.bytesAllocated()) {
+  while (Offset < Allocated) {
     Ref Obj = Base + Offset;
     ObjectHeader *H = header(Obj);
     if (H->Class >= Registry.numClasses()) {
@@ -57,33 +53,65 @@ std::vector<std::string> HeapVerifier::verify(
       Report("array at +" + std::to_string(Offset) +
              " ref-array flag disagrees with element kind of " + Cls.Name);
 
-    size_t Bytes = objectBytes(Cls, Obj);
-    if (Offset + Bytes > TheHeap.bytesAllocated()) {
+    // An array's size comes from its length word, so validate that before
+    // sizing: a negative or oversized length would wrap objectBytes.
+    size_t Avail = Allocated - Offset;
+    size_t Bytes = Cls.IsArray ? ArrayElemsOffset : Cls.InstanceSize;
+    if (Cls.IsArray && Bytes <= Avail) {
+      int64_t Len = arrayLength(Obj);
+      if (Len < 0 || static_cast<uint64_t>(Len) > (Avail - Bytes) / SlotBytes) {
+        Report("array at +" + std::to_string(Offset) +
+               " has corrupt length " + std::to_string(Len));
+        break;
+      }
+      Bytes = arrayBytes(Len);
+    }
+    if (Bytes > Avail) {
       Report("object at +" + std::to_string(Offset) + " (" + Cls.Name +
              ") extends past the allocated heap");
       break;
     }
-    Starts.insert(Obj);
+    Starts[Offset / 8] = true;
     Offset += (Bytes + 7) & ~size_t(7);
   }
+  size_t WalkEnd = Offset; // every object below it is marked in Starts
 
-  auto CheckRef = [&](Ref Val, const std::string &Where) {
+  /// \returns the problem with reference \p Val (the text after its
+  /// location label), or null when it is null or an object start. The
+  /// label itself is built only for a failing check.
+  auto BadRef = [&](Ref Val) -> const char * {
     if (!Val)
-      return;
-    if (!isValidObjectStart(Val))
-      Report(Where + " points outside the live heap");
-    else if (!Starts.count(Val))
-      Report(Where + " points into the middle of an object");
+      return nullptr;
+    uintptr_t Off = reinterpret_cast<uintptr_t>(Val) -
+                    reinterpret_cast<uintptr_t>(Base); // wraps below Base
+    if (Off >= Allocated)
+      return " points outside the live heap";
+    if (Off % 8 || !Starts[Off / 8])
+      return " points into the middle of an object";
+    return nullptr;
   };
 
-  // Pass 2: every reference field/element. A class focus (partial
-  // certification) narrows the non-array field checks to the impacted
-  // classes; arrays are always checked because element stores are cheap
-  // to validate and arrays carry no per-class layout to have changed.
+  // The class focus by class id, resolved once instead of per object.
+  std::vector<char> Focused;
+  if (HasClassFocus) {
+    Focused.resize(Registry.numClasses());
+    for (size_t Id = 0; Id < Focused.size(); ++Id)
+      Focused[Id] =
+          ClassFocus.count(Registry.cls(static_cast<ClassId>(Id)).Name) != 0;
+  }
+
+  // Pass 2: every reference field/element, re-walking pass 1's objects in
+  // address order. A class focus (partial certification) narrows the
+  // non-array field checks to the impacted classes; arrays are always
+  // checked because element stores are cheap to validate and arrays carry
+  // no per-class layout to have changed.
   NumSkipped = 0;
-  for (Ref Obj : Starts) {
-    const RtClass &Cls = Registry.cls(classOf(Obj));
-    if (HasClassFocus && !Cls.IsArray && !ClassFocus.count(Cls.Name)) {
+  for (Offset = 0; Offset < WalkEnd;) {
+    Ref Obj = Base + Offset;
+    ClassId Id = classOf(Obj);
+    const RtClass &Cls = Registry.cls(Id);
+    Offset += (objectBytes(Cls, Obj) + 7) & ~size_t(7);
+    if (HasClassFocus && !Cls.IsArray && !Focused[Id]) {
       ++NumSkipped;
       continue;
     }
@@ -92,19 +120,21 @@ std::vector<std::string> HeapVerifier::verify(
         continue;
       int64_t Len = arrayLength(Obj);
       for (int64_t I = 0; I < Len; ++I)
-        CheckRef(getRefAt(Obj, arrayElemOffset(I)),
-                 Cls.Name + "[" + std::to_string(I) + "]");
+        if (const char *Bad = BadRef(getRefAt(Obj, arrayElemOffset(I))))
+          Report(Cls.Name + "[" + std::to_string(I) + "]" + Bad);
     } else {
       for (const RtField &F : Cls.InstanceFields)
         if (F.IsRef)
-          CheckRef(getRefAt(Obj, F.Offset), Cls.Name + "." + F.Name);
+          if (const char *Bad = BadRef(getRefAt(Obj, F.Offset)))
+            Report(Cls.Name + "." + F.Name + Bad);
     }
   }
 
   // Pass 3: roots.
   size_t RootIndex = 0;
   EnumerateRoots([&](Ref &R) {
-    CheckRef(R, "root #" + std::to_string(RootIndex));
+    if (const char *Bad = BadRef(R))
+      Report("root #" + std::to_string(RootIndex) + Bad);
     ++RootIndex;
   });
 

@@ -11,7 +11,8 @@
 ///  * no object is marked forwarded or uninitialized outside a collection
 ///    (uninitialized objects only exist between the DSU copy phase and
 ///    the transformer phase);
-///  * object extents stay inside the current semi-space;
+///  * array lengths are non-negative and object extents stay inside the
+///    current semi-space;
 ///  * every reference field/element/root is null or points to the start
 ///    of a live object in the current space;
 ///  * reference-array flags agree with the array class's element kind.
@@ -54,11 +55,12 @@ public:
 
   /// Partial certification (impact-bounded updates): when set, the per-field
   /// reference checks of pass 2 run only for non-array objects whose class
-  /// name is in \p Classes. Every object still gets the structural pass-1
-  /// checks (header flags, class ids, sizing, linear-walk integrity), arrays
-  /// are always checked in full, and root checking is unaffected — the
-  /// update-impact closure proves the skipped classes' field graphs are
-  /// byte-identical to the already-certified pre-update heap.
+  /// name is in \p Classes (resolved to class ids once per verify()).
+  /// Every object still gets the structural pass-1 checks (header flags,
+  /// class ids, sizing, linear-walk integrity), arrays are always checked
+  /// in full, and root checking is unaffected — the update-impact closure
+  /// proves the skipped classes' field graphs are byte-identical to the
+  /// already-certified pre-update heap.
   void setClassFocus(std::set<std::string> Classes) {
     ClassFocus = std::move(Classes);
     HasClassFocus = true;
@@ -76,8 +78,6 @@ public:
              &EnumerateRoots);
 
 private:
-  bool isValidObjectStart(Ref Obj) const;
-
   Heap &TheHeap;
   ClassRegistry &Registry;
   std::function<bool(Ref)> LazyIsPendingShell;

@@ -10,7 +10,7 @@
 
 using namespace jvolve;
 
-const RtField *RtClass::findInstanceField(const std::string &Name) const {
+const RtField *RtClass::findInstanceField(std::string_view Name) const {
   // Instance fields include inherited ones; later (more-derived) entries
   // never shadow earlier ones (the verifier rejects shadowing), so a linear
   // scan is unambiguous.
@@ -20,14 +20,14 @@ const RtField *RtClass::findInstanceField(const std::string &Name) const {
   return nullptr;
 }
 
-RtField *RtClass::findStaticField(const std::string &Name) {
+RtField *RtClass::findStaticField(std::string_view Name) {
   for (RtField &F : StaticFields)
     if (F.Name == Name)
       return &F;
   return nullptr;
 }
 
-const RtField *RtClass::findStaticField(const std::string &Name) const {
+const RtField *RtClass::findStaticField(std::string_view Name) const {
   for (const RtField &F : StaticFields)
     if (F.Name == Name)
       return &F;
@@ -214,7 +214,7 @@ ClassRegistry::resolveInstanceField(ClassId Cls0,
 }
 
 RtField *ClassRegistry::resolveStaticField(ClassId Cls0,
-                                           const std::string &Name,
+                                           std::string_view Name,
                                            ClassId *DeclaringOut) {
   ClassId Cur = Cls0;
   while (Cur != InvalidClassId) {

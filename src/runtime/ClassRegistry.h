@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -90,10 +91,10 @@ struct RtClass {
   bool Obsolete = false;
 
   /// \returns the instance field named \p Name, or nullptr.
-  const RtField *findInstanceField(const std::string &Name) const;
+  const RtField *findInstanceField(std::string_view Name) const;
   /// \returns the static field named \p Name declared here, or nullptr.
-  RtField *findStaticField(const std::string &Name);
-  const RtField *findStaticField(const std::string &Name) const;
+  RtField *findStaticField(std::string_view Name);
+  const RtField *findStaticField(std::string_view Name) const;
 };
 
 /// Owns every loaded class and method; maps names to current versions.
@@ -133,7 +134,7 @@ public:
 
   /// Resolves a static field along the superclass chain. \p DeclaringOut
   /// receives the class that owns the storage.
-  RtField *resolveStaticField(ClassId Cls, const std::string &Name,
+  RtField *resolveStaticField(ClassId Cls, std::string_view Name,
                               ClassId *DeclaringOut);
 
   /// \returns true if \p Sub is \p Super or transitively extends it.

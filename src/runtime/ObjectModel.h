@@ -9,6 +9,15 @@
 /// RtClass::InstanceFields. Arrays are followed by a 64-bit length and then
 /// 8-byte elements.
 ///
+/// The header's Forward word means something only while FlagForwarded is
+/// set. A DSU collection therefore stores each new-version shell's
+/// update-log index there (setLogIndex); the shell is never forwarded
+/// while it is uninitialized, and a regular collection that moves it
+/// memcpys the word along, so the index follows the shell through every
+/// move until its update ends. Readers must validate the index against the
+/// log (TransformerRunner::entryOf): any other object's word holds zero, a
+/// stale index from an earlier update, or a dead forwarding address.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JVOLVE_RUNTIME_OBJECTMODEL_H
@@ -19,6 +28,7 @@
 #include "runtime/Slot.h"
 
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 
 namespace jvolve {
@@ -27,7 +37,9 @@ namespace jvolve {
 struct ObjectHeader {
   ClassId Class;
   uint32_t Flags;
-  Ref Forward; ///< forwarding pointer; valid when FlagForwarded is set
+  /// Forwarding pointer when FlagForwarded is set; a DSU shell's
+  /// update-log index otherwise (see setLogIndex).
+  Ref Forward;
 };
 
 /// Object status flags.
@@ -57,6 +69,19 @@ inline ObjectHeader *header(Ref Obj) {
 }
 
 inline ClassId classOf(Ref Obj) { return header(Obj)->Class; }
+
+/// DSU: records \p Index, the update-log entry of new-version shell
+/// \p Obj, in the header's otherwise unused Forward word.
+inline void setLogIndex(Ref Obj, size_t Index) {
+  header(Obj)->Forward = reinterpret_cast<Ref>(static_cast<uintptr_t>(Index));
+}
+
+/// DSU: the update-log index stored by setLogIndex. Unvalidated: on an
+/// object that is not a shell of the current update it is meaningless.
+inline size_t logIndex(Ref Obj) {
+  return static_cast<size_t>(
+      reinterpret_cast<uintptr_t>(header(Obj)->Forward));
+}
 
 inline int64_t getIntAt(Ref Obj, uint32_t Offset) {
   int64_t V;

@@ -365,15 +365,13 @@ void VM::enumerateRoots(const std::function<void(Ref &)> &Visit) {
     CanaryCtl->visitRoots(Visit);
 }
 
-CollectionStats
-VM::collectGarbage(const DsuRemap *Remap,
-                   std::vector<UpdateLogEntry> *UpdateLog,
-                   std::unordered_map<Ref, size_t> *NewToLogIndex) {
+CollectionStats VM::collectGarbage(const DsuRemap *Remap,
+                                   std::vector<UpdateLogEntry> *UpdateLog) {
   CollectionStats St = Gc->collect(
       [this](const std::function<void(Ref &)> &Visit) {
         enumerateRoots(Visit);
       },
-      Remap, UpdateLog, NewToLogIndex);
+      Remap, UpdateLog);
   ++Stats.Collections;
   Stats.TotalGcMs += St.GcMs;
   if (Lazy)

@@ -236,8 +236,7 @@ public:
   /// pinned handles). DSU parameters as in Collector::collect.
   CollectionStats
   collectGarbage(const DsuRemap *Remap = nullptr,
-                 std::vector<UpdateLogEntry> *UpdateLog = nullptr,
-                 std::unordered_map<Ref, size_t> *NewToLogIndex = nullptr);
+                 std::vector<UpdateLogEntry> *UpdateLog = nullptr);
 
   /// Host-held references that must survive (and be updated by) GC.
   std::vector<Ref> &pinnedRoots() { return Pinned; }

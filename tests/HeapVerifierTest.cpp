@@ -51,6 +51,19 @@ Ref makePair(VM &TheVM, int64_t V, Ref Other) {
   return Obj;
 }
 
+/// Allocates a 4-element PairX array as the heap's last object, overwrites
+/// its length word with \p Len, and verifies. \p Offset receives the
+/// array's offset in the current space.
+std::vector<std::string> verifyWithArrayLength(int64_t Len, size_t &Offset) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  Ref Arr = TheVM.allocateArray(
+      TheVM.registry().arrayClassOf(Type::refTy("PairX")), 4);
+  Offset = static_cast<size_t>(Arr - TheVM.heap().currentSpaceStart());
+  setIntAt(Arr, ArrayLengthOffset, Len);
+  return verifyHeap(TheVM);
+}
+
 } // namespace
 
 TEST(HeapVerifier, CleanAfterAllocation) {
@@ -130,6 +143,72 @@ TEST(HeapVerifier, DetectsInteriorPointer) {
   std::vector<std::string> Problems = verifyHeap(TheVM);
   ASSERT_FALSE(Problems.empty());
   EXPECT_NE(Problems[0].find("middle of an object"), std::string::npos);
+}
+
+TEST(HeapVerifier, DetectsUnalignedInteriorPointer) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  Ref A = makePair(TheVM, 1, nullptr);
+  Ref B = makePair(TheVM, 2, nullptr);
+  TheVM.registry().cls(TheVM.registry().idOf("H")).Statics[0] =
+      Slot::ofRef(A);
+  TransformCtx Ctx(TheVM, nullptr);
+  Ctx.setRef(A, "other", B + 3); // not even slot-aligned
+  EXPECT_EQ(verifyHeap(TheVM),
+            std::vector<std::string>{
+                "PairX.other points into the middle of an object"});
+}
+
+TEST(HeapVerifier, LabelsFieldElementAndRootExactly) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(pairVersion(false));
+  static uint8_t Junk[64];
+  Ref A = makePair(TheVM, 1, Junk);
+  TheVM.registry().cls(TheVM.registry().idOf("H")).Statics[0] =
+      Slot::ofRef(A);
+  Ref Arr = TheVM.allocateArray(
+      TheVM.registry().arrayClassOf(Type::refTy("PairX")), 4);
+  setRefAt(Arr, arrayElemOffset(2), Junk);
+  size_t NumRoots = 0;
+  TheVM.visitRoots([&NumRoots](Ref &) { ++NumRoots; });
+  TheVM.pinnedRoots().push_back(Junk);
+  // Pass 2 walks objects in address order, then pass 3 the roots.
+  EXPECT_EQ(verifyHeap(TheVM),
+            (std::vector<std::string>{
+                "PairX.other points outside the live heap",
+                "[LPairX;[2] points outside the live heap",
+                "root #" + std::to_string(NumRoots) +
+                    " points outside the live heap"}));
+  TheVM.pinnedRoots().clear();
+}
+
+TEST(HeapVerifier, DetectsNegativeArrayLength) {
+  size_t Offset = 0;
+  std::vector<std::string> Problems = verifyWithArrayLength(-2, Offset);
+  EXPECT_EQ(Problems, std::vector<std::string>{
+                          "array at +" + std::to_string(Offset) +
+                          " has corrupt length -2"});
+}
+
+TEST(HeapVerifier, DetectsMinusOneArrayLength) {
+  // Sized naively, -1 elements make a 16-byte "array" whose successor is
+  // read out of the length word as a phantom object.
+  size_t Offset = 0;
+  std::vector<std::string> Problems = verifyWithArrayLength(-1, Offset);
+  EXPECT_EQ(Problems, std::vector<std::string>{
+                          "array at +" + std::to_string(Offset) +
+                          " has corrupt length -1"});
+}
+
+TEST(HeapVerifier, DetectsArrayLengthThatWrapsItsSize) {
+  // 2^61 elements of 8 bytes wrap the byte size to a small number.
+  size_t Offset = 0;
+  std::vector<std::string> Problems =
+      verifyWithArrayLength(int64_t(1) << 61, Offset);
+  EXPECT_EQ(Problems, std::vector<std::string>{
+                          "array at +" + std::to_string(Offset) +
+                          " has corrupt length " +
+                          std::to_string(int64_t(1) << 61)});
 }
 
 TEST(HeapVerifier, DetectsCorruptClassId) {

@@ -332,12 +332,19 @@ TEST(LazyTransform, RegularGcDuringDrainMigratesOldCopies) {
   size_t PendingBefore = Engine->pendingCount();
 
   // A regular collection mid-drain: unsettled shells and old copies are
-  // engine roots, so they survive the move; the engine rebuilds its index
-  // and releases the now-empty dedicated old-copy block.
+  // engine roots, so they survive the move; each shell carries its log
+  // index in its header, and the engine releases the now-empty dedicated
+  // old-copy block.
   TheVM->collectGarbage();
   EXPECT_EQ(Engine->pendingCount(), PendingBefore);
   EXPECT_FALSE(TheVM->heap().hasOldCopySpace());
   expectHeapHealthy(*TheVM, "after mid-drain collection");
+
+  // A second move before first touch: the header index must survive
+  // being copied twice (back into the semi-space the shells started in).
+  TheVM->collectGarbage();
+  EXPECT_EQ(Engine->pendingCount(), PendingBefore);
+  expectHeapHealthy(*TheVM, "after a second mid-drain collection");
 
   // On-demand transforms still work against the migrated old copies.
   EXPECT_EQ(TheVM->callStatic("ArrProbe", "sum", "()I").IntVal, SumV2);
