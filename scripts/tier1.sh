@@ -15,7 +15,9 @@
 # first-order fault sweep, the perfbench helper unit tests, then the
 # update-transaction (rollback), quiescence-escalation, GC-fuzz, heap
 # verifier, transformer, lazy-transform and old-copy-space suites, eager
-# and lazy, under a sanitizer build.
+# and lazy, plus the interpreter, active-method, VM-behaviour,
+# scheduler/network, code-versioning, DSU and apps suites (the per-thread
+# slot stack and the frame remaps that move it), under a sanitizer build.
 #
 #   scripts/tier1.sh [sanitizer]
 #
@@ -205,7 +207,9 @@ if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake --build "build-$SAN" -j "$JOBS" \
     --target dsu_rollback_test quiescence_test gc_fuzz_test \
     heap_verifier_test transformer_test lazy_transform_test \
-    old_copy_space_test
+    old_copy_space_test interpreter_test active_method_test \
+    vm_behavior_test scheduler_network_test code_version_test dsu_test \
+    apps_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace'
+    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps'
 fi

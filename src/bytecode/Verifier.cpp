@@ -602,6 +602,14 @@ bool MethodVerifier::step(size_t Pc, AbsState &S,
       if (!popAssignable(P, S, Ret, "return value"))
         return false;
     }
+    // The opt tier turns an inlined callee's returns into jumps, so
+    // operands left below the return value would stay in the caller's
+    // frame and pile up once per iteration of a loop around the call.
+    if (!S.Stack.empty()) {
+      error(P, "return leaves " + std::to_string(S.Stack.size()) +
+                   " operand(s) on the stack");
+      return false;
+    }
     FallsThrough = false;
     break;
   }

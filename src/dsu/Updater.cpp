@@ -602,7 +602,9 @@ void Updater::attempt() {
     if (T->stopped())
       continue;
     Frame *TopRestricted = nullptr;
-    for (Frame &F : T->Frames) { // bottom to top; last hit is topmost
+    // Bottom to top; the last restricted hit is topmost.
+    for (size_t I = 0; I < T->Frames.size(); ++I) {
+      Frame &F = T->Frames[I];
       switch (classifyFrame(F)) {
       case FrameKind::Free:
         break;
@@ -610,7 +612,7 @@ void Updater::attempt() {
         OsrFrames.push_back(&F);
         break;
       case FrameKind::MappedOsr:
-        MappedFrames.emplace_back(&F, mappingFor(F));
+        MappedFrames.push_back({T.get(), I, mappingFor(F)});
         break;
       case FrameKind::Restricted:
         TopRestricted = &F;
@@ -653,10 +655,9 @@ Updater::RootSnapshot Updater::snapshotRoots() const {
     TS.Thread = T.get();
     TS.ExitValue = T->ExitValue;
     TS.HasExitValue = T->HasExitValue;
-    TS.Frames.reserve(T->Frames.size());
-    for (const Frame &F : T->Frames)
-      TS.Frames.push_back(
-          {F.Method, F.Code, F.Pc, F.ReturnBarrier, F.Locals, F.Stack});
+    TS.Frames = T->Frames;
+    size_t Live = T->Frames.empty() ? 0 : T->Frames.back().Sp;
+    TS.Slots.assign(T->Slots.begin(), T->Slots.begin() + Live);
     S.Threads.push_back(std::move(TS));
   }
   S.Pinned = TheVM.pinnedRoots();
@@ -670,21 +671,15 @@ Updater::RootSnapshot Updater::snapshotRoots() const {
 void Updater::restoreRoots(const RootSnapshot &S) {
   // Threads are parked for the entire transaction, so the frame stacks are
   // structurally identical to snapshot time; only slot values, code
-  // pointers, and pcs (OSR / active remap) may have changed.
+  // pointers, pcs (OSR / active remap) and windows (a remap that changed a
+  // local count) may have changed. A thread's Slots never shrinks while it
+  // has frames, so the snapshot's prefix fits where it was taken from.
   for (const ThreadSnapshot &TS : S.Threads) {
     VMThread &T = *TS.Thread;
     assert(T.Frames.size() == TS.Frames.size() &&
            "frame stack changed during the parked install");
-    for (size_t I = 0; I < TS.Frames.size(); ++I) {
-      Frame &F = T.Frames[I];
-      const FrameSnapshot &FS = TS.Frames[I];
-      F.Method = FS.Method;
-      F.Code = FS.Code;
-      F.Pc = FS.Pc;
-      F.ReturnBarrier = FS.ReturnBarrier;
-      F.Locals = FS.Locals;
-      F.Stack = FS.Stack;
-    }
+    T.Frames = TS.Frames;
+    std::copy(TS.Slots.begin(), TS.Slots.end(), T.Slots.begin());
     T.ExitValue = TS.ExitValue;
     T.HasExitValue = TS.HasExitValue;
   }
@@ -1072,7 +1067,8 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     if (!NM.Code || NM.Code->T != Tier::Baseline)
       NM.Code = TheVM.compiler().compile(NewId, Tier::Baseline);
     assert(NM.Code->Code.size() == F->Code->Code.size() &&
-           "OSR requires identical bytecode (1:1 pc mapping)");
+           NM.Code->NumLocals == F->Code->NumLocals &&
+           "OSR requires identical bytecode (1:1 pc mapping, same window)");
     F->Method = NewId;
     F->Code = NM.Code;
     ++Result.OsrReplacements;
@@ -1084,7 +1080,10 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
 
   // --- Step 4f (§3.5 extension): replace *changed* methods on-stack via
   // the user-supplied pc map and frame transformer (UpStare-style). ------
-  for (const auto &[F, Mapping] : MappedFrames) {
+  for (const MappedFrame &MF : MappedFrames) {
+    VMThread &T = *MF.Thread;
+    Frame *F = &T.Frames[MF.Index];
+    const ActiveMethodMapping *Mapping = MF.Mapping;
     RtMethod &M = Reg.method(F->Method);
     ClassId NewCls;
     if (M.Obsolete) {
@@ -1110,23 +1109,32 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     uint32_t NewPc = Mapping->PcMap.at(F->Pc);
     assert(NewPc < NM.Code->Code.size() && "pc map leaves the new body");
 
+    std::vector<Slot> OldLocals(T.Slots.begin() + F->Base,
+                                T.Slots.begin() + F->StackBase);
     std::vector<Slot> NewLocals(NM.Code->NumLocals);
     if (Mapping->Frame) {
       TransformCtx Ctx(TheVM, nullptr);
-      Mapping->Frame(Ctx, F->Locals, NewLocals);
+      Mapping->Frame(Ctx, OldLocals, NewLocals);
+      if (NewLocals.size() != NM.Code->NumLocals)
+        throw UpdateError("install",
+                          "frame transformer for " + M.qualifiedName() +
+                              " left " + std::to_string(NewLocals.size()) +
+                              " locals; the new body has " +
+                              std::to_string(NM.Code->NumLocals));
     } else {
       // Default frame transformer: carry locals over by slot index.
-      for (size_t I = 0; I < std::min(F->Locals.size(), NewLocals.size());
-           ++I)
-        NewLocals[I] = F->Locals[I];
+      std::copy_n(OldLocals.begin(),
+                  std::min(OldLocals.size(), NewLocals.size()),
+                  NewLocals.begin());
     }
 
     F->Method = NewId;
     F->Code = NM.Code;
     F->Pc = NewPc;
-    F->Locals = std::move(NewLocals);
     // The operand stack is preserved as-is (the mapping's author asserts
-    // pc compatibility, as in UpStare's stack reconstruction).
+    // pc compatibility, as in UpStare's stack reconstruction); a changed
+    // local count moves it, and every frame above, within the slot stack.
+    T.replaceLocals(MF.Index, NewLocals);
     ++Result.ActiveFramesRemapped;
     bumpDsuCounter(metrics::DsuFramesRemapped);
     Result.Trace.record(UpdateEventKind::ActiveRemapped,

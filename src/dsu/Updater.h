@@ -287,8 +287,14 @@ private:
   /// Full installation (all stacks clear modulo OSR-able frames), run as a
   /// transaction: snapshot, install, and roll back on any UpdateError.
   /// Mapped frames carry the ActiveMethodMapping resolved at scan time
-  /// (the owner class name changes during installation).
-  using MappedFrame = std::pair<Frame *, const ActiveMethodMapping *>;
+  /// (the owner class name changes during installation). They are named by
+  /// thread and frame index: a remap that changes a frame's local count
+  /// shifts the frames above it within the thread's slot stack.
+  struct MappedFrame {
+    VMThread *Thread;
+    size_t Index;
+    const ActiveMethodMapping *Mapping;
+  };
   void install(const std::vector<Frame *> &OsrFrames,
                const std::vector<MappedFrame> &MappedFrames);
   void abortUpdate(UpdateStatus Status, const std::string &Message);
@@ -326,19 +332,14 @@ private:
   //===--- Transaction machinery -------------------------------------------===//
 
   /// Value snapshot of every root location the DSU collection rewrites:
-  /// thread frames (including code pointers OSR replaces), exit values,
-  /// and pinned handles. Statics live in the registry snapshot.
-  struct FrameSnapshot {
-    MethodId Method = InvalidMethodId;
-    std::shared_ptr<CompiledMethod> Code;
-    uint32_t Pc = 0;
-    bool ReturnBarrier = false;
-    std::vector<Slot> Locals;
-    std::vector<Slot> Stack;
-  };
+  /// thread frames (including code pointers OSR replaces and windows an
+  /// active remap moves) with their live slots, exit values, and pinned
+  /// handles. Statics live in the registry snapshot.
   struct ThreadSnapshot {
     VMThread *Thread = nullptr;
-    std::vector<FrameSnapshot> Frames;
+    std::vector<Frame> Frames;
+    /// The live prefix of the thread's slot stack: [0, top frame's Sp).
+    std::vector<Slot> Slots;
     Slot ExitValue;
     bool HasExitValue = false;
   };

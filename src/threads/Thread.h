@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Green threads: activation stacks of frames plus scheduling state.
+/// Green threads: activation stacks of frames, each a window into one slot
+/// stack per thread, plus scheduling state.
 ///
 /// MiniVM threads are cooperative: they run until their quantum expires or
 /// until they block, and they stop at *yield points* (method calls, method
@@ -18,6 +19,8 @@
 #include "runtime/Ids.h"
 #include "runtime/Slot.h"
 
+#include <algorithm>
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,13 +30,17 @@ namespace jvolve {
 
 class ThreadEventBuffer;
 
-/// One activation record.
+/// One activation record: a window into its thread's slot stack
+/// (VMThread::Slots). Locals occupy [Base, StackBase) and the operand stack
+/// [StackBase, Sp). A caller's Sp is its callee's Base: the arguments it
+/// pushed became the callee's first locals in place.
 struct Frame {
   std::shared_ptr<CompiledMethod> Code;
   MethodId Method = InvalidMethodId;
   uint32_t Pc = 0;
-  std::vector<Slot> Locals;
-  std::vector<Slot> Stack;
+  uint32_t Base = 0;
+  uint32_t StackBase = 0;
+  uint32_t Sp = 0;
   /// Set by the DSU layer: when this frame returns, the bridge code fires
   /// and the update process restarts (paper §3.2, return barriers).
   bool ReturnBarrier = false;
@@ -75,6 +82,10 @@ struct VMThread {
 
   ThreadState State = ThreadState::Runnable;
   std::vector<Frame> Frames;
+  /// Every frame's locals and operand stack, bottom frame first. Slots at
+  /// and above the top frame's Sp are dead: they are no GC roots and are
+  /// written before they are read. Released when the last frame returns.
+  std::vector<Slot> Slots;
 
   uint64_t WakeTick = 0;  ///< Sleeping / BlockedRecv wake-up time
   int BlockedPort = -1;   ///< BlockedAccept
@@ -107,6 +118,83 @@ struct VMThread {
 
   bool stopped() const {
     return State == ThreadState::Finished || State == ThreadState::Trapped;
+  }
+
+  /// Pushes an activation of \p Code. Its first \p NArgs locals are the top
+  /// \p NArgs slots of the caller's operand stack, taken over in place (for
+  /// the entry frame, Slots[0, NArgs)). The other locals are zeroed, since
+  /// they are GC roots before the callee first stores to them.
+  ///
+  /// The window reserves NumLocals + Code.size() slots. Verified code has
+  /// one stack height per pc and no instruction pushes more than one net
+  /// slot, so the operand stack never outgrows it and pushes never check
+  /// capacity. That holds for opt-tier code too: the verifier rejects a
+  /// return that leaves operands below its value, so an inlined callee's
+  /// returns all reach the code after the call at one height.
+  void pushFrame(std::shared_ptr<CompiledMethod> Code, MethodId Method,
+                 uint32_t NArgs) {
+    uint32_t Base = 0;
+    if (!Frames.empty()) {
+      Frame &Caller = Frames.back();
+      assert(Caller.Sp - Caller.StackBase >= NArgs && "argument underflow");
+      Base = Caller.Sp - NArgs;
+      Caller.Sp = Base;
+    }
+    assert(Code->NumLocals >= NArgs && "more arguments than locals");
+    uint32_t StackBase = Base + Code->NumLocals;
+    reserveSlots(StackBase + Code->Code.size());
+    std::fill(Slots.begin() + Base + NArgs, Slots.begin() + StackBase,
+              Slot());
+    Frame F;
+    F.Code = std::move(Code);
+    F.Method = Method;
+    F.Base = Base;
+    F.StackBase = StackBase;
+    F.Sp = StackBase;
+    Frames.push_back(std::move(F));
+  }
+
+  /// Grows Slots to at least \p N entries (amortized doubling). Slots
+  /// never shrinks while the thread has frames, so a rollback can restore
+  /// an earlier layout in place.
+  void reserveSlots(size_t N) {
+    if (Slots.size() < N)
+      Slots.resize(std::max(N, 2 * Slots.size()));
+  }
+
+  /// Replaces the locals of frame \p Index with \p NewLocals (an
+  /// active-method remap, dsu/ActiveMethod.h). A changed local count shifts
+  /// the frame's operand stack and every frame above it.
+  void replaceLocals(size_t Index, const std::vector<Slot> &NewLocals) {
+    Frame &F = Frames[Index];
+    uint32_t Top = Frames.back().Sp;
+    uint32_t NewStackBase = F.Base + static_cast<uint32_t>(NewLocals.size());
+    int64_t Delta = int64_t(NewStackBase) - int64_t(F.StackBase);
+    if (Delta > 0) {
+      reserveSlots(Top + static_cast<size_t>(Delta));
+      std::copy_backward(Slots.begin() + F.StackBase, Slots.begin() + Top,
+                         Slots.begin() + Top + Delta);
+    } else if (Delta < 0) {
+      std::copy(Slots.begin() + F.StackBase, Slots.begin() + Top,
+                Slots.begin() + NewStackBase);
+    }
+    auto Shift = [Delta](uint32_t &X) {
+      X = static_cast<uint32_t>(int64_t(X) + Delta);
+    };
+    Shift(F.StackBase);
+    Shift(F.Sp);
+    for (size_t I = Index + 1; I < Frames.size(); ++I) {
+      Shift(Frames[I].Base);
+      Shift(Frames[I].StackBase);
+      Shift(Frames[I].Sp);
+    }
+    std::copy(NewLocals.begin(), NewLocals.end(), Slots.begin() + F.Base);
+    // Re-reserve every window: the remapped body may be longer than the
+    // old one, and its operand stack is carried over as it is.
+    size_t Need = 0;
+    for (const Frame &G : Frames)
+      Need = std::max<size_t>(Need, G.Sp + G.Code->Code.size());
+    reserveSlots(Need);
   }
 
   /// True when the thread is at a VM safe point (not actively running).

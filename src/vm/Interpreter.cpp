@@ -36,8 +36,8 @@ bool Interpreter::doReturn(VMThread &T, bool HasValue) {
   Frame &F = T.Frames.back();
   Slot Ret;
   if (HasValue) {
-    assert(!F.Stack.empty() && "return with empty stack");
-    Ret = F.Stack.back();
+    assert(F.Sp > F.StackBase && "return with empty stack");
+    Ret = T.Slots[F.Sp - 1];
   }
   bool Barrier = F.ReturnBarrier;
   bool Stale = F.Code && F.Code->Superseded;
@@ -53,8 +53,14 @@ bool Interpreter::doReturn(VMThread &T, bool HasValue) {
       T.ExitValue = Ret;
       T.HasExitValue = true;
     }
+    // A finished thread stays in the scheduler but never reads its slots
+    // again: release the stack instead of keeping it at its peak size.
+    std::vector<Slot>().swap(T.Slots);
   } else if (HasValue) {
-    T.Frames.back().Stack.push_back(Ret);
+    // The caller's Sp is the callee's Base: the value lands where the
+    // arguments were.
+    Frame &Caller = T.Frames.back();
+    T.Slots[Caller.Sp++] = Ret;
   }
 
   if (Barrier) {
@@ -101,21 +107,9 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
   };
 
   auto PushFrame = [&](MethodId Callee, int NArgs) {
-    std::shared_ptr<CompiledMethod> Code =
-        TheVM.ensureCompiledForInvoke(Callee);
-    Frame NF;
-    NF.Code = std::move(Code);
-    NF.Method = Callee;
-    NF.Locals.resize(NF.Code->NumLocals);
-    Frame &Caller = T.Frames.back();
-    assert(Caller.Stack.size() >= static_cast<size_t>(NArgs) &&
-           "argument underflow");
-    for (int A = NArgs - 1; A >= 0; --A) {
-      NF.Locals[static_cast<size_t>(A)] = Caller.Stack.back();
-      Caller.Stack.pop_back();
-    }
-    ++Caller.Pc; // return address
-    T.Frames.push_back(std::move(NF));
+    ++T.Frames.back().Pc; // return address
+    T.pushFrame(TheVM.ensureCompiledForInvoke(Callee), Callee,
+                static_cast<uint32_t>(NArgs));
   };
 
   while (Executed < Budget && T.State == ThreadState::Runnable) {
@@ -130,14 +124,21 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
     }
     ++Executed;
 
-    std::vector<Slot> &S = F.Stack;
+    // The frame's window into the slot stack. Sp stays in the frame, so a
+    // collection triggered mid-instruction sees the live stack top.
+    Slot *Slots = T.Slots.data();
+    Slot *Locals = Slots + F.Base;
+    uint32_t &Sp = F.Sp;
+    auto Push = [&](Slot V) { Slots[Sp++] = V; };
+    auto Pop = [&]() -> Slot { return Slots[--Sp]; };
+    auto Top = [&]() -> Slot & { return Slots[Sp - 1]; };
     bool Advance = true;
 
     switch (I.Op) {
     case ROp::NopOp:
       break;
     case ROp::ConstI:
-      S.push_back(Slot::ofInt(I.A));
+      Push(Slot::ofInt(I.A));
       break;
     case ROp::ConstStr: {
       Ref Obj = TheVM.allocateObject(TheVM.StringClsId);
@@ -147,25 +148,22 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         break;
       }
       setIntAt(Obj, TheVM.StringIdOffset, I.A);
-      S.push_back(Slot::ofRef(Obj));
+      Push(Slot::ofRef(Obj));
       break;
     }
     case ROp::ConstNull:
-      S.push_back(Slot::ofRef(nullptr));
+      Push(Slot::ofRef(nullptr));
       break;
     case ROp::LoadSlot:
-      S.push_back(F.Locals[static_cast<size_t>(I.A)]);
+      Push(Locals[I.A]);
       break;
     case ROp::StoreSlot:
-      F.Locals[static_cast<size_t>(I.A)] = S.back();
-      S.pop_back();
+      Locals[I.A] = Pop();
       break;
     case ROp::IAdd: case ROp::ISub: case ROp::IMul:
     case ROp::IDiv: case ROp::IRem: {
-      int64_t B = S.back().IntVal;
-      S.pop_back();
-      int64_t A = S.back().IntVal;
-      S.pop_back();
+      int64_t B = Pop().IntVal;
+      int64_t A = Pop().IntVal;
       int64_t R = 0;
       if (I.Op == ROp::IAdd)
         R = A + B;
@@ -181,17 +179,17 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         }
         R = I.Op == ROp::IDiv ? A / B : A % B;
       }
-      S.push_back(Slot::ofInt(R));
+      Push(Slot::ofInt(R));
       break;
     }
     case ROp::INeg:
-      S.back().IntVal = -S.back().IntVal;
+      Top().IntVal = -Top().IntVal;
       break;
     case ROp::Dup:
-      S.push_back(S.back());
+      Push(Top());
       break;
     case ROp::Pop:
-      S.pop_back();
+      --Sp;
       break;
     case ROp::Jump:
       F.Pc = static_cast<uint32_t>(I.A);
@@ -199,8 +197,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
       break;
     case ROp::BrEqZ: case ROp::BrNeZ: case ROp::BrLtZ:
     case ROp::BrGeZ: case ROp::BrGtZ: case ROp::BrLeZ: {
-      int64_t V = S.back().IntVal;
-      S.pop_back();
+      int64_t V = Pop().IntVal;
       bool Taken = false;
       switch (I.Op) {
       case ROp::BrEqZ: Taken = V == 0; break;
@@ -218,10 +215,8 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
     }
     case ROp::BrICmpEq: case ROp::BrICmpNe: case ROp::BrICmpLt:
     case ROp::BrICmpGe: case ROp::BrICmpGt: case ROp::BrICmpLe: {
-      int64_t B = S.back().IntVal;
-      S.pop_back();
-      int64_t A = S.back().IntVal;
-      S.pop_back();
+      int64_t B = Pop().IntVal;
+      int64_t A = Pop().IntVal;
       bool Taken = false;
       switch (I.Op) {
       case ROp::BrICmpEq: Taken = A == B; break;
@@ -238,8 +233,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
       break;
     }
     case ROp::BrNull: case ROp::BrNonNull: {
-      Ref V = S.back().RefVal;
-      S.pop_back();
+      Ref V = Pop().RefVal;
       bool Taken = I.Op == ROp::BrNull ? V == nullptr : V != nullptr;
       if (Taken) {
         F.Pc = static_cast<uint32_t>(I.A);
@@ -248,10 +242,8 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
       break;
     }
     case ROp::BrAEq: case ROp::BrANe: {
-      Ref B = S.back().RefVal;
-      S.pop_back();
-      Ref A = S.back().RefVal;
-      S.pop_back();
+      Ref B = Pop().RefVal;
+      Ref A = Pop().RefVal;
       bool Taken = I.Op == ROp::BrAEq ? A == B : A != B;
       if (Taken) {
         F.Pc = static_cast<uint32_t>(I.A);
@@ -266,12 +258,11 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         Advance = false;
         break;
       }
-      S.push_back(Slot::ofRef(Obj));
+      Push(Slot::ofRef(Obj));
       break;
     }
     case ROp::GetFieldI: case ROp::GetFieldR: {
-      Ref Obj = S.back().RefVal;
-      S.pop_back();
+      Ref Obj = Pop().RefVal;
       if (!Obj) {
         Trap("null dereference in field read");
         Advance = false;
@@ -285,16 +276,14 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         Obj = IndirectionCheck(Obj);
       uint32_t Off = static_cast<uint32_t>(I.A);
       if (I.Op == ROp::GetFieldI)
-        S.push_back(Slot::ofInt(getIntAt(Obj, Off)));
+        Push(Slot::ofInt(getIntAt(Obj, Off)));
       else
-        S.push_back(Slot::ofRef(getRefAt(Obj, Off)));
+        Push(Slot::ofRef(getRefAt(Obj, Off)));
       break;
     }
     case ROp::PutFieldI: case ROp::PutFieldR: {
-      Slot V = S.back();
-      S.pop_back();
-      Ref Obj = S.back().RefVal;
-      S.pop_back();
+      Slot V = Pop();
+      Ref Obj = Pop().RefVal;
       if (!Obj) {
         Trap("null dereference in field write");
         Advance = false;
@@ -316,26 +305,24 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
     case ROp::GetStaticI: case ROp::GetStaticR: {
       Slot &Static =
           Reg.cls(static_cast<ClassId>(I.A)).Statics[static_cast<size_t>(I.B)];
-      S.push_back(Static);
+      Push(Static);
       break;
     }
     case ROp::PutStaticI: case ROp::PutStaticR: {
       Slot &Static =
           Reg.cls(static_cast<ClassId>(I.A)).Statics[static_cast<size_t>(I.B)];
-      Static = S.back();
-      S.pop_back();
+      Static = Pop();
       break;
     }
     case ROp::InstanceOfOp: {
-      Ref Obj = S.back().RefVal;
-      S.pop_back();
+      Ref Obj = Pop().RefVal;
       bool Is = Obj && Reg.isSubclassOf(classOf(Obj),
                                         static_cast<ClassId>(I.A));
-      S.push_back(Slot::ofInt(Is ? 1 : 0));
+      Push(Slot::ofInt(Is ? 1 : 0));
       break;
     }
     case ROp::CheckCastOp: {
-      Ref Obj = S.back().RefVal;
+      Ref Obj = Top().RefVal;
       if (Obj &&
           !Reg.isSubclassOf(classOf(Obj), static_cast<ClassId>(I.A))) {
         Trap("class cast failure to " +
@@ -346,7 +333,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
     }
     case ROp::CallVirt: {
       int NArgs = I.B;
-      Ref Receiver = S[S.size() - static_cast<size_t>(NArgs)].RefVal;
+      Ref Receiver = Slots[Sp - static_cast<uint32_t>(NArgs)].RefVal;
       if (!Receiver) {
         Trap("null receiver in virtual call");
         Advance = false;
@@ -366,7 +353,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
     }
     case ROp::CallStatic: case ROp::CallSpecial: {
       if (I.Op == ROp::CallSpecial) {
-        Ref Receiver = S[S.size() - static_cast<size_t>(I.B)].RefVal;
+        Ref Receiver = Slots[Sp - static_cast<uint32_t>(I.B)].RefVal;
         if (!Receiver) {
           Trap("null receiver in special call");
           Advance = false;
@@ -383,8 +370,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
       break;
     }
     case ROp::NewArr: {
-      int64_t Len = S.back().IntVal;
-      S.pop_back();
+      int64_t Len = Pop().IntVal;
       if (Len < 0) {
         Trap("negative array length");
         Advance = false;
@@ -396,14 +382,12 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         Advance = false;
         break;
       }
-      S.push_back(Slot::ofRef(Arr));
+      Push(Slot::ofRef(Arr));
       break;
     }
     case ROp::ALoadElem: {
-      int64_t Idx = S.back().IntVal;
-      S.pop_back();
-      Ref Arr = S.back().RefVal;
-      S.pop_back();
+      int64_t Idx = Pop().IntVal;
+      Ref Arr = Pop().RefVal;
       if (!Arr) {
         Trap("null array in element read");
         Advance = false;
@@ -420,18 +404,15 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
       }
       uint32_t Off = arrayElemOffset(Idx);
       if (header(Arr)->Flags & FlagRefArray)
-        S.push_back(Slot::ofRef(getRefAt(Arr, Off)));
+        Push(Slot::ofRef(getRefAt(Arr, Off)));
       else
-        S.push_back(Slot::ofInt(getIntAt(Arr, Off)));
+        Push(Slot::ofInt(getIntAt(Arr, Off)));
       break;
     }
     case ROp::AStoreElem: {
-      Slot V = S.back();
-      S.pop_back();
-      int64_t Idx = S.back().IntVal;
-      S.pop_back();
-      Ref Arr = S.back().RefVal;
-      S.pop_back();
+      Slot V = Pop();
+      int64_t Idx = Pop().IntVal;
+      Ref Arr = Pop().RefVal;
       if (!Arr) {
         Trap("null array in element write");
         Advance = false;
@@ -454,8 +435,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
       break;
     }
     case ROp::ArrLen: {
-      Ref Arr = S.back().RefVal;
-      S.pop_back();
+      Ref Arr = Pop().RefVal;
       if (!Arr) {
         Trap("null array in arraylength");
         Advance = false;
@@ -465,7 +445,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         Advance = false;
         break;
       }
-      S.push_back(Slot::ofInt(arrayLength(Arr)));
+      Push(Slot::ofInt(arrayLength(Arr)));
       break;
     }
     case ROp::RetVoid:
@@ -479,14 +459,12 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
     case ROp::Intr: {
       switch (static_cast<IntrinsicId>(I.A)) {
       case IntrinsicId::PrintInt: {
-        int64_t V = S.back().IntVal;
-        S.pop_back();
+        int64_t V = Pop().IntVal;
         TheVM.appendPrintLog(std::to_string(V));
         break;
       }
       case IntrinsicId::PrintStr: {
-        Ref Str = S.back().RefVal;
-        S.pop_back();
+        Ref Str = Pop().RefVal;
         if (!Str) {
           Trap("null string in print");
           Advance = false;
@@ -496,11 +474,10 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         break;
       }
       case IntrinsicId::CurrentTicks:
-        S.push_back(Slot::ofInt(static_cast<int64_t>(Sched.ticks())));
+        Push(Slot::ofInt(static_cast<int64_t>(Sched.ticks())));
         break;
       case IntrinsicId::SleepTicks: {
-        int64_t N = S.back().IntVal;
-        S.pop_back();
+        int64_t N = Pop().IntVal;
         ++F.Pc; // resume after the sleep
         T.WakeTick = Sched.ticks() + static_cast<uint64_t>(std::max<int64_t>(N, 0));
         T.State = ThreadState::Sleeping;
@@ -508,7 +485,7 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
         break;
       }
       case IntrinsicId::NetAccept: {
-        int Port = static_cast<int>(S.back().IntVal);
+        int Port = static_cast<int>(Top().IntVal);
         int Conn = TheVM.net().tryAccept(Port);
         if (Conn < 0) {
           // Block; re-execute this instruction when woken.
@@ -517,18 +494,16 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
           Advance = false;
           break;
         }
-        S.pop_back();
-        S.push_back(Slot::ofInt(Conn));
+        Top() = Slot::ofInt(Conn);
         break;
       }
       case IntrinsicId::NetTryAccept: {
-        int Port = static_cast<int>(S.back().IntVal);
-        S.pop_back();
-        S.push_back(Slot::ofInt(TheVM.net().tryAccept(Port)));
+        int Port = static_cast<int>(Top().IntVal);
+        Top() = Slot::ofInt(TheVM.net().tryAccept(Port));
         break;
       }
       case IntrinsicId::NetRecv: {
-        int Conn = static_cast<int>(S.back().IntVal);
+        int Conn = static_cast<int>(Top().IntVal);
         int64_t Value = 0;
         uint64_t ReadyTick = 0;
         Network::RecvStatus St =
@@ -540,55 +515,45 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
           Advance = false;
           break;
         }
-        S.pop_back();
-        S.push_back(Slot::ofInt(
-            St == Network::RecvStatus::Eof ? -1 : Value));
+        Top() = Slot::ofInt(St == Network::RecvStatus::Eof ? -1 : Value);
         break;
       }
       case IntrinsicId::NetSend: {
-        int64_t Value = S.back().IntVal;
-        S.pop_back();
-        int Conn = static_cast<int>(S.back().IntVal);
-        S.pop_back();
+        int64_t Value = Pop().IntVal;
+        int Conn = static_cast<int>(Pop().IntVal);
         TheVM.net().send(Conn, Value, Sched.ticks());
         break;
       }
       case IntrinsicId::NetClose: {
-        int Conn = static_cast<int>(S.back().IntVal);
-        S.pop_back();
+        int Conn = static_cast<int>(Pop().IntVal);
         TheVM.net().close(Conn);
         break;
       }
       case IntrinsicId::StrEquals: {
-        Ref B = S.back().RefVal;
-        S.pop_back();
-        Ref A = S.back().RefVal;
-        S.pop_back();
+        Ref B = Pop().RefVal;
+        Ref A = Pop().RefVal;
         if (!A || !B) {
-          S.push_back(Slot::ofInt(A == B ? 1 : 0));
+          Push(Slot::ofInt(A == B ? 1 : 0));
           break;
         }
-        S.push_back(Slot::ofInt(
+        Push(Slot::ofInt(
             TheVM.stringValue(A) == TheVM.stringValue(B) ? 1 : 0));
         break;
       }
       case IntrinsicId::StrLength: {
-        Ref A = S.back().RefVal;
-        S.pop_back();
+        Ref A = Pop().RefVal;
         if (!A) {
           Trap("null string in length");
           Advance = false;
           break;
         }
-        S.push_back(
+        Push(
             Slot::ofInt(static_cast<int64_t>(TheVM.stringValue(A).size())));
         break;
       }
       case IntrinsicId::StrConcat: {
-        Ref B = S.back().RefVal;
-        S.pop_back();
-        Ref A = S.back().RefVal;
-        S.pop_back();
+        Ref B = Pop().RefVal;
+        Ref A = Pop().RefVal;
         std::string Joined = (A ? TheVM.stringValue(A) : "null") +
                              (B ? TheVM.stringValue(B) : "null");
         Ref Out = TheVM.newString(Joined);
@@ -597,30 +562,27 @@ uint64_t Interpreter::runThread(VMThread &T, uint64_t Budget) {
           Advance = false;
           break;
         }
-        S.push_back(Slot::ofRef(Out));
+        Push(Slot::ofRef(Out));
         break;
       }
       case IntrinsicId::StrIndexOf: {
-        int64_t Ch = S.back().IntVal;
-        S.pop_back();
-        Ref A = S.back().RefVal;
-        S.pop_back();
+        int64_t Ch = Pop().IntVal;
+        Ref A = Pop().RefVal;
         if (!A) {
           Trap("null string in indexOf");
           Advance = false;
           break;
         }
         size_t Pos = TheVM.stringValue(A).find(static_cast<char>(Ch));
-        S.push_back(Slot::ofInt(
+        Push(Slot::ofInt(
             Pos == std::string::npos ? -1 : static_cast<int64_t>(Pos)));
         break;
       }
       case IntrinsicId::Rand: {
-        int64_t Bound = S.back().IntVal;
-        S.pop_back();
+        int64_t Bound = Pop().IntVal;
         uint64_t V = TheVM.TheRng.nextBelow(
             Bound > 0 ? static_cast<uint64_t>(Bound) : 1);
-        S.push_back(Slot::ofInt(static_cast<int64_t>(V)));
+        Push(Slot::ofInt(static_cast<int64_t>(V)));
         break;
       }
       }

@@ -8,18 +8,16 @@ using namespace jvolve;
 int Network::inject(int Port, const std::vector<int64_t> &Values,
                     uint64_t Now, uint64_t InterArrival,
                     uint64_t FirstDelay) {
-  int Id = NextConnId++;
+  Connections.emplace_back();
+  int Id = static_cast<int>(Connections.size());
+  Connection &C = Connections.back();
   // Admission control: a full accept backlog sheds the whole connection —
   // every request gets an immediate Rejected response so the client learns
   // its fate instead of waiting on a queue the server will never reach.
   auto Lim = AdmissionLimits.find(Port);
   if (Lim != AdmissionLimits.end() && Lim->second > 0 &&
       AcceptQueues[Port].size() >= Lim->second) {
-    Connection Shed;
-    Shed.Port = Port;
-    Shed.Closed = true;
-    Connections.emplace(Id, std::move(Shed));
-    ++NumConnections;
+    C.Closed = true;
     for (size_t I = 0; I < Values.size(); ++I) {
       Responses.push_back({Id, RejectedResponse, Now});
       ++NumResponses;
@@ -31,16 +29,13 @@ int Network::inject(int Port, const std::vector<int64_t> &Values,
           .add(Values.size());
     return Id;
   }
-  Connection C;
-  C.Port = Port;
+  C.Pending.reserve(Values.size());
   uint64_t Arrival = Now + FirstDelay;
   for (int64_t V : Values) {
     C.Pending.push_back({V, Arrival});
     Arrival += InterArrival;
   }
-  Connections.emplace(Id, std::move(C));
   AcceptQueues[Port].push_back(Id);
-  ++NumConnections;
   return Id;
 }
 
@@ -76,27 +71,25 @@ int Network::tryAccept(int Port) {
 
 Network::RecvStatus Network::recv(int Conn, uint64_t Now, int64_t &Value,
                                   uint64_t &ReadyTick) {
-  auto It = Connections.find(Conn);
-  if (It == Connections.end() || It->second.Closed || It->second.Pending.empty())
+  Connection *C = find(Conn);
+  if (!C || C->Closed || C->Head == C->Pending.size())
     return RecvStatus::Eof;
-  Connection &C = It->second;
-  const Request &R = C.Pending.front();
+  const Request &R = C->Pending[C->Head];
   if (R.ArrivalTick > Now) {
     ReadyTick = R.ArrivalTick;
     return RecvStatus::NotReady;
   }
   Value = R.Value;
-  C.LastConsumedArrival = R.ArrivalTick;
-  C.Pending.pop_front();
+  C->LastConsumedArrival = R.ArrivalTick;
+  ++C->Head;
   return RecvStatus::Value;
 }
 
 void Network::send(int Conn, int64_t Value, uint64_t Now) {
   Responses.push_back({Conn, Value, Now});
   ++NumResponses;
-  auto It = Connections.find(Conn);
-  if (It != Connections.end()) {
-    uint64_t LatencyTicks = Now - It->second.LastConsumedArrival;
+  if (const Connection *C = find(Conn)) {
+    uint64_t LatencyTicks = Now - C->LastConsumedArrival;
     Latencies.push_back(static_cast<double>(LatencyTicks));
     LatencySumTicks += LatencyTicks;
     if (Telemetry::isEnabled()) {
@@ -115,14 +108,18 @@ void Network::send(int Conn, int64_t Value, uint64_t Now) {
 }
 
 void Network::close(int Conn) {
-  auto It = Connections.find(Conn);
-  if (It != Connections.end())
-    It->second.Closed = true;
+  if (Connection *C = find(Conn)) {
+    C->Closed = true;
+    // A closed connection only answers Eof; its unread requests go. The
+    // last consumed arrival stays: a send after close still has a latency.
+    std::vector<Request>().swap(C->Pending);
+    C->Head = 0;
+  }
 }
 
 bool Network::isClosed(int Conn) const {
-  auto It = Connections.find(Conn);
-  return It == Connections.end() || It->second.Closed;
+  const Connection *C = find(Conn);
+  return !C || C->Closed;
 }
 
 std::vector<NetResponse> Network::drainResponses() {

@@ -101,7 +101,7 @@ public:
   std::vector<double> drainLatencies();
 
   uint64_t totalResponses() const { return NumResponses; }
-  uint64_t totalConnections() const { return NumConnections; }
+  uint64_t totalConnections() const { return Connections.size(); }
 
   /// Cumulative per-request latency (in ticks) since construction — unlike
   /// drainLatencies() this is never consumed, so two samples give the mean
@@ -114,20 +114,31 @@ private:
     uint64_t ArrivalTick;
   };
   struct Connection {
-    int Port = -1;
-    std::deque<Request> Pending;
+    /// Requests not yet consumed are Pending[Head...]; close() frees them.
+    std::vector<Request> Pending;
+    std::size_t Head = 0;
     uint64_t LastConsumedArrival = 0;
     bool Closed = false;
   };
 
+  /// \returns connection \p Conn, or nullptr for an id never issued.
+  Connection *find(int Conn) {
+    return Conn >= 1 && static_cast<std::size_t>(Conn) <= Connections.size()
+               ? &Connections[static_cast<std::size_t>(Conn) - 1]
+               : nullptr;
+  }
+  const Connection *find(int Conn) const {
+    return const_cast<Network *>(this)->find(Conn);
+  }
+
   std::map<int, std::deque<int>> AcceptQueues;
-  std::map<int, Connection> Connections;
+  /// Every connection ever opened, indexed by id - 1: ids are issued
+  /// densely from 1, shed connections included.
+  std::vector<Connection> Connections;
   std::map<int, std::size_t> AdmissionLimits;
   std::vector<NetResponse> Responses;
   std::vector<double> Latencies;
-  int NextConnId = 1;
   uint64_t NumResponses = 0;
-  uint64_t NumConnections = 0;
   uint64_t NumShed = 0;
   uint64_t LatencySumTicks = 0;
   bool Draining = false;

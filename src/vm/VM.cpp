@@ -134,25 +134,29 @@ ThreadId VM::spawnThread(const std::string &ClassName,
   if (Entry == InvalidMethodId)
     fatalError("spawnThread: unknown method " + ClassName + "." + MethodName +
                Sig);
-  if (!Registry.method(Entry).IsStatic)
+  const RtMethod &M = Registry.method(Entry);
+  if (!M.IsStatic)
     fatalError("spawnThread: entry point must be static");
+  // The arguments become the entry frame's first locals; a count that
+  // differs from the signature would write past the frame or leave a
+  // parameter unset.
+  size_t NParams = MethodSignature::parse(Sig).Params.size();
+  if (Args.size() != NParams)
+    fatalError("spawnThread: " + ClassName + "." + M.qualifiedName() +
+               " takes " + std::to_string(NParams) + " argument(s), got " +
+               std::to_string(Args.size()));
 
   VMThread &T = Sched.spawn(ThreadName, Daemon);
-  pushEntryFrame(T, Entry, std::move(Args));
+  pushEntryFrame(T, Entry, Args);
   return T.Id;
 }
 
 void VM::pushEntryFrame(VMThread &T, MethodId Method,
-                        std::vector<Slot> Args) {
-  std::shared_ptr<CompiledMethod> Code = ensureCompiledForInvoke(Method);
-  Frame F;
-  F.Code = std::move(Code);
-  F.Method = Method;
-  F.Locals.resize(F.Code->NumLocals);
-  assert(Args.size() <= F.Locals.size() && "too many entry arguments");
-  for (size_t A = 0; A < Args.size(); ++A)
-    F.Locals[A] = Args[A];
-  T.Frames.push_back(std::move(F));
+                        const std::vector<Slot> &Args) {
+  T.reserveSlots(Args.size());
+  std::copy(Args.begin(), Args.end(), T.Slots.begin());
+  T.pushFrame(ensureCompiledForInvoke(Method), Method,
+              static_cast<uint32_t>(Args.size()));
 }
 
 std::shared_ptr<CompiledMethod> VM::ensureCompiledForInvoke(MethodId Method) {
@@ -345,14 +349,14 @@ std::string VM::stringValue(Ref Str) {
 void VM::enumerateRoots(const std::function<void(Ref &)> &Visit) {
   Registry.visitStaticRoots(Visit);
   for (auto &T : Sched.threads()) {
-    for (Frame &F : T->Frames) {
-      for (Slot &L : F.Locals)
-        if (L.IsRef && L.RefVal)
-          Visit(L.RefVal);
-      for (Slot &S : F.Stack)
+    // Each frame's [Base, Sp): its locals, then its operand stack. The
+    // dead slots above the top frame are not roots.
+    for (const Frame &F : T->Frames)
+      for (uint32_t I = F.Base; I < F.Sp; ++I) {
+        Slot &S = T->Slots[I];
         if (S.IsRef && S.RefVal)
           Visit(S.RefVal);
-    }
+      }
     if (T->HasExitValue && T->ExitValue.IsRef && T->ExitValue.RefVal)
       Visit(T->ExitValue.RefVal);
   }

@@ -177,6 +177,7 @@ public:
 
   /// Spawns a thread whose entry point is the static method
   /// \p ClassName.\p MethodName with signature \p Sig, passing \p Args.
+  /// Aborts unless \p Args has exactly one slot per parameter.
   ThreadId spawnThread(const std::string &ClassName,
                        const std::string &MethodName, const std::string &Sig,
                        std::vector<Slot> Args = {},
@@ -417,7 +418,8 @@ public:
   }
 
 private:
-  void pushEntryFrame(VMThread &T, MethodId Method, std::vector<Slot> Args);
+  void pushEntryFrame(VMThread &T, MethodId Method,
+                      const std::vector<Slot> &Args);
   void enumerateRoots(const std::function<void(Ref &)> &Visit);
 
   Config Cfg;

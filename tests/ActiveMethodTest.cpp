@@ -16,6 +16,7 @@
 #include "dsu/Transformers.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -315,4 +316,215 @@ TEST_EAGER_AND_LAZY(ActiveMethod, Jes13BecomesSupportedWithMappings) {
   TheVM.injectConnection(Pop3Port, {40});
   TheVM.run(10'000);
   EXPECT_FALSE(TheVM.net().drainResponses().empty());
+}
+
+//===--- Remaps inside the per-thread slot stack --------------------------===//
+
+namespace {
+
+/// Loop.run(a) prints 100 + helper(a, 5) six times; helper(a, b) computes
+/// a * b into a local, sleeps there, then returns it plus a. While helper
+/// sleeps, run sits below it at its return address with 100 on its
+/// operand stack. v2's run keeps a multiplier in a new third local
+/// (initially 1) and prints (100 + helper(a, 5)) * m. With \p WithPoint, a
+/// Point{x} (v2: Point{x, y}) lives in Holder.p, so the update also runs a
+/// DSU collection after stack repair.
+ClassSet remapVersion(bool V2, bool WithPoint) {
+  ClassSet Set;
+  ClassBuilder CB("Loop");
+  MethodBuilder &Run = CB.staticMethod("run", "(I)V");
+  Run.locals(V2 ? 3 : 2).iconst(0).store(1);
+  if (V2)
+    Run.iconst(1).store(2);
+  Run.label("top")
+      .load(1)
+      .iconst(6)
+      .branch(Opcode::IfICmpGe, "done")
+      .iconst(100)
+      .load(0)
+      .iconst(5)
+      .invokestatic("Loop", "helper", "(II)I")
+      .iadd();
+  if (V2)
+    Run.load(2).imul();
+  Run.intrinsic(IntrinsicId::PrintInt)
+      .load(1)
+      .iconst(1)
+      .iadd()
+      .store(1)
+      .jump("top")
+      .label("done")
+      .ret();
+  CB.staticMethod("helper", "(II)I")
+      .locals(3)
+      .load(0)
+      .load(1)
+      .imul()
+      .store(2)
+      .iconst(1'000)
+      .intrinsic(IntrinsicId::SleepTicks)
+      .load(2)
+      .load(0)
+      .iadd()
+      .iret();
+  Set.add(CB.build());
+  if (WithPoint) {
+    ClassBuilder P("Point");
+    P.field("x", "I");
+    if (V2)
+      P.field("y", "I");
+    Set.add(P.build());
+    ClassBuilder H("Holder");
+    H.staticField("p", "LPoint;");
+    H.staticMethod("init", "()V")
+        .newobj("Point")
+        .putstatic("Holder", "p", "LPoint;")
+        .ret();
+    Set.add(H.build());
+  }
+  return Set;
+}
+
+/// run's return address while helper sleeps (the instruction after the
+/// call) in v1 and v2; v2's prologue initializes one more local.
+constexpr uint32_t OldReturnPc = 9, NewReturnPc = 11;
+
+/// v1 -> v2 with run's frame remapped at its return address; the frame
+/// transformer keeps a and the loop counter and seeds the multiplier 2.
+UpdateBundle remapBundle(bool WithPoint) {
+  UpdateBundle B = Upt::prepare(remapVersion(false, WithPoint),
+                                remapVersion(true, WithPoint), "v1");
+  ActiveMethodMapping M;
+  M.Method = {"Loop", "run", "(I)V"};
+  M.PcMap = {{OldReturnPc, NewReturnPc}};
+  M.Frame = [](TransformCtx &, const std::vector<Slot> &Old,
+               std::vector<Slot> &New) {
+    New[0] = Old[0];
+    New[1] = Old[1];
+    New[2] = Slot::ofInt(2);
+  };
+  B.addActiveMapping(std::move(M));
+  return B;
+}
+
+/// Boots the program and runs until Loop.run(3) sleeps in helper during
+/// its third iteration.
+VMThread &startRemapLoop(VM &TheVM, bool WithPoint) {
+  TheVM.loadProgram(remapVersion(false, WithPoint));
+  if (WithPoint)
+    TheVM.callStatic("Holder", "init", "()V");
+  ThreadId Id =
+      TheVM.spawnThread("Loop", "run", "(I)V", {Slot::ofInt(3)}, "loop");
+  TheVM.run(2'500);
+  return *TheVM.scheduler().findThread(Id);
+}
+
+/// Applies \p B while the loop sleeps in helper, without running it: the
+/// sleeping thread is already at a safe point, so the update resolves in
+/// the first tick (applyNow would go on serving and finish the loop).
+UpdateResult updateWhileParked(VM &TheVM, UpdateBundle B,
+                               UpdateOptions Opts) {
+  Updater U(TheVM);
+  U.schedule(std::move(B), Opts);
+  TheVM.run(1);
+  EXPECT_FALSE(U.pending());
+  return U.result();
+}
+
+} // namespace
+
+TEST(ActiveMethod, RemapGrowsLocalsBelowParkedCallee) {
+  VM TheVM(smallConfig());
+  VMThread &T = startRemapLoop(TheVM, /*WithPoint=*/false);
+  ASSERT_EQ(T.State, ThreadState::Sleeping);
+  ASSERT_EQ(T.Frames.size(), 2u); // run below helper
+  ASSERT_EQ(T.Frames[0].Pc, OldReturnPc);
+  size_t Printed = TheVM.printLog().size();
+  ASSERT_GE(Printed, 1u);
+  uint32_t HelperBase = T.Frames[1].Base;
+
+  UpdateResult R = updateWhileParked(TheVM, remapBundle(false), {});
+  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+  ASSERT_EQ(R.ActiveFramesRemapped, 1);
+  ASSERT_EQ(T.Frames.size(), 2u);
+  // run's third local pushed its operand stack and helper's window up.
+  EXPECT_EQ(T.Frames[0].StackBase - T.Frames[0].Base, 3u);
+  EXPECT_EQ(T.Frames[1].Base, HelperBase + 1);
+  EXPECT_EQ(T.Frames[0].Sp, T.Frames[1].Base);
+
+  TheVM.runToCompletion();
+  ASSERT_EQ(T.State, ThreadState::Finished) << T.TrapMessage;
+  // Six iterations: the ones before the update print 100 + 3 * 5 + 3; the
+  // in-flight one and the rest print twice that. The in-flight one needs
+  // run's operand stack (100) and helper's locals (3, 15) intact.
+  const std::vector<std::string> &Log = TheVM.printLog();
+  ASSERT_EQ(Log.size(), 6u);
+  for (size_t I = 0; I < Log.size(); ++I)
+    EXPECT_EQ(Log[I], I < Printed ? "118" : "236") << "iteration " << I;
+}
+
+TEST_EAGER_AND_LAZY(ActiveMethod, RemapRolledBackByGcFaultResumesOldFrames) {
+  VM TheVM(smallConfig());
+  VMThread &T = startRemapLoop(TheVM, /*WithPoint=*/true);
+  ASSERT_EQ(T.State, ThreadState::Sleeping);
+  ASSERT_EQ(T.Frames.size(), 2u);
+  std::vector<Frame> FramesBefore = T.Frames;
+  std::vector<Slot> SlotsBefore(T.Slots.begin(),
+                                T.Slots.begin() + T.Frames.back().Sp);
+
+  // The DSU collection runs after stack repair: the remap has already
+  // moved the windows when the fault fires.
+  TheVM.faults().arm(FaultInjector::Site::GcAllocExhaustion);
+  UpdateResult R =
+      updateWhileParked(TheVM, remapBundle(true), modeOptions(Lazy));
+  ASSERT_EQ(R.Status, UpdateStatus::RolledBack) << R.Message;
+  EXPECT_NE(R.Message.find("dsu-gc"), std::string::npos) << R.Message;
+  EXPECT_EQ(R.ActiveFramesRemapped, 1);
+  EXPECT_TRUE(R.Certified);
+
+  // Old body, pc, windows and slot values.
+  ASSERT_EQ(T.Frames.size(), FramesBefore.size());
+  for (size_t I = 0; I < T.Frames.size(); ++I) {
+    const Frame &F = T.Frames[I], &Old = FramesBefore[I];
+    EXPECT_EQ(F.Code, Old.Code) << "frame " << I;
+    EXPECT_EQ(F.Method, Old.Method) << "frame " << I;
+    EXPECT_EQ(F.Pc, Old.Pc) << "frame " << I;
+    EXPECT_EQ(F.Base, Old.Base) << "frame " << I;
+    EXPECT_EQ(F.StackBase, Old.StackBase) << "frame " << I;
+    EXPECT_EQ(F.Sp, Old.Sp) << "frame " << I;
+  }
+  for (size_t I = 0; I < SlotsBefore.size(); ++I) {
+    EXPECT_EQ(T.Slots[I].IsRef, SlotsBefore[I].IsRef) << "slot " << I;
+    EXPECT_EQ(T.Slots[I].IntVal, SlotsBefore[I].IntVal) << "slot " << I;
+  }
+
+  // From here on it prints exactly what a VM that never tried prints.
+  VM Twin(smallConfig());
+  startRemapLoop(Twin, /*WithPoint=*/true);
+  TheVM.runToCompletion();
+  Twin.runToCompletion();
+  ASSERT_EQ(T.State, ThreadState::Finished) << T.TrapMessage;
+  EXPECT_EQ(TheVM.printLog(), Twin.printLog());
+  EXPECT_EQ(TheVM.printLog(), std::vector<std::string>(6, "118"));
+}
+
+TEST(ActiveMethod, FrameTransformerThatResizesLocalsRollsBack) {
+  // The new body's window has three locals; a transformer leaving one
+  // would put run's operand stack where its locals should be.
+  VM TheVM(smallConfig());
+  VMThread &T = startRemapLoop(TheVM, /*WithPoint=*/false);
+  ASSERT_EQ(T.State, ThreadState::Sleeping);
+  UpdateBundle B = remapBundle(false);
+  B.ActiveMappings.begin()->second.Frame =
+      [](TransformCtx &, const std::vector<Slot> &Old,
+         std::vector<Slot> &New) { New = {Old[0]}; };
+
+  UpdateResult R = updateWhileParked(TheVM, std::move(B), {});
+  ASSERT_EQ(R.Status, UpdateStatus::RolledBack) << R.Message;
+  EXPECT_NE(R.Message.find("left 1 locals; the new body has 3"),
+            std::string::npos)
+      << R.Message;
+  TheVM.runToCompletion();
+  ASSERT_EQ(T.State, ThreadState::Finished) << T.TrapMessage;
+  EXPECT_EQ(TheVM.printLog(), std::vector<std::string>(6, "118"));
 }

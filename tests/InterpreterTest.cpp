@@ -2,16 +2,23 @@
 ///
 /// \file
 /// Execution-engine tests: arithmetic, control flow, objects, arrays,
-/// strings, dispatch, recursion, and runtime traps.
+/// strings, dispatch, recursion, runtime traps, entry-argument checks, and
+/// the per-thread slot stack's frame windows and GC roots.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "bytecode/Builder.h"
+#include "heap/HeapVerifier.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
 
 using namespace jvolve;
 using namespace jvolve::test;
@@ -373,4 +380,262 @@ TEST(Interpreter, PrintIntrinsics) {
   ASSERT_EQ(TheVM.printLog().size(), 2u);
   EXPECT_EQ(TheVM.printLog()[0], "7");
   EXPECT_EQ(TheVM.printLog()[1], "jvolve");
+}
+
+TEST(Interpreter, EntryWithTooManyArgumentsDies) {
+  ClassSet Set;
+  ClassBuilder CB("M");
+  CB.staticMethod("f", "()I").iconst(7).iret();
+  Set.add(CB.build());
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(Set);
+  // The extra arguments would land past the entry frame's window.
+  EXPECT_DEATH(TheVM.callStatic("M", "f", "()I",
+                                {Slot::ofInt(1), Slot::ofInt(2),
+                                 Slot::ofInt(3)}),
+               "M.f.*takes 0 argument.*got 3");
+}
+
+TEST(Interpreter, EntryWithTooFewArgumentsDies) {
+  ClassSet Set;
+  ClassBuilder CB("M");
+  CB.staticMethod("add", "(II)I").load(0).load(1).iadd().iret();
+  Set.add(CB.build());
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(Set);
+  EXPECT_DEATH(TheVM.spawnThread("M", "add", "(II)I", {Slot::ofInt(1)}),
+               "M.add.*takes 2 argument.*got 1");
+}
+
+//===--- The per-thread slot stack ----------------------------------------===//
+
+namespace {
+
+/// Main.depth(n) allocates a Node per level, keeps it in a local across
+/// the recursive call, drops a garbage array, and returns the sum of the
+/// nodes' values: n + (n - 1) + ... + 1.
+ClassSet deepRecursionProgram() {
+  ClassSet Set;
+  ClassBuilder N("Node");
+  N.field("v", "I");
+  Set.add(N.build());
+  ClassBuilder CB("Main");
+  CB.staticMethod("depth", "(I)I")
+      .locals(2)
+      .load(0)
+      .branch(Opcode::IfNe, "rec")
+      .iconst(0)
+      .iret()
+      .label("rec")
+      .newobj("Node")
+      .store(1)
+      .load(1)
+      .load(0)
+      .putfield("Node", "v", "I")
+      .iconst(64)
+      .newarray("I")
+      .pop()
+      .load(0)
+      .iconst(1)
+      .isub()
+      .invokestatic("Main", "depth", "(I)I")
+      .load(1)
+      .getfield("Node", "v", "I")
+      .iadd()
+      .iret();
+  Set.add(CB.build());
+  return Set;
+}
+
+} // namespace
+
+TEST(Interpreter, DeepRecursionSurvivesCollections) {
+  constexpr int64_t Depth = 2'500;
+  VM::Config Cfg = smallConfig();
+  Cfg.HeapSpaceBytes = 256u << 10; // the garbage arrays fill it many times
+  VM TheVM(Cfg);
+  TheVM.loadProgram(deepRecursionProgram());
+  ThreadId Id =
+      TheVM.spawnThread("Main", "depth", "(I)I", {Slot::ofInt(Depth)});
+  VMThread *T = TheVM.scheduler().findThread(Id);
+
+  // Verify the heap against the frames' roots between quanta, while the
+  // recursion is deep and collections have moved every Node.
+  size_t MaxFrames = 0;
+  while (!T->stopped()) {
+    TheVM.run(5'000);
+    MaxFrames = std::max(MaxFrames, T->Frames.size());
+    HeapVerifier HV(TheVM.heap(), TheVM.registry());
+    std::vector<std::string> Problems = HV.verify(
+        [&](const std::function<void(Ref &)> &Visit) {
+          TheVM.visitRoots(Visit);
+        });
+    ASSERT_TRUE(Problems.empty()) << Problems.front();
+  }
+  ASSERT_EQ(T->State, ThreadState::Finished) << T->TrapMessage;
+  EXPECT_EQ(MaxFrames, static_cast<size_t>(Depth) + 1);
+  EXPECT_GE(TheVM.stats().Collections, 3u);
+  ASSERT_TRUE(T->HasExitValue);
+  EXPECT_EQ(T->ExitValue.IntVal, Depth * (Depth + 1) / 2);
+  // The finished thread stays in the scheduler without its slot stack.
+  EXPECT_EQ(T->Slots.capacity(), 0u);
+}
+
+TEST(Interpreter, RootsAreExactlyTheLiveFramesSlots) {
+  // run() keeps a Box in local 0 and another on its operand stack, calls
+  // mid(), which allocates into its own locals and stack and calls
+  // leaf(), which allocates too. After both return, run() parks in a
+  // sleep: the callees' slots above its window still hold refs, but only
+  // run()'s own slots are roots.
+  ClassSet Set;
+  ClassBuilder Box("Box");
+  Set.add(Box.build());
+  ClassBuilder CB("Main");
+  CB.staticMethod("leaf", "()LBox;").locals(1).newobj("Box").store(0)
+      .newobj("Box").aret();
+  CB.staticMethod("mid", "(LBox;)LBox;")
+      .locals(2)
+      .newobj("Box")
+      .store(1)
+      .newobj("Box")
+      .invokestatic("Main", "leaf", "()LBox;")
+      .pop()
+      .pop()
+      .load(0)
+      .aret();
+  CB.staticMethod("run", "()V")
+      .locals(2)
+      .newobj("Box")
+      .store(0)
+      .newobj("Box")
+      .load(0)
+      .invokestatic("Main", "mid", "(LBox;)LBox;")
+      .store(1)
+      .iconst(1'000'000)
+      .intrinsic(IntrinsicId::SleepTicks)
+      .pop()
+      .ret();
+  Set.add(CB.build());
+
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(Set);
+  ThreadId Id = TheVM.spawnThread("Main", "run", "()V", {}, "run", true);
+  TheVM.run(1'000);
+  VMThread *T = TheVM.scheduler().findThread(Id);
+  ASSERT_EQ(T->State, ThreadState::Sleeping);
+  ASSERT_EQ(T->Frames.size(), 1u);
+  const Frame &F = T->Frames[0];
+  ASSERT_EQ(F.Sp - F.Base, 3u); // locals a, a; operand stack [Box]
+
+  // The dead slots above the window still hold the callees' refs.
+  size_t DeadRefs = 0;
+  for (size_t I = F.Sp; I < T->Slots.size(); ++I)
+    DeadRefs += T->Slots[I].IsRef && T->Slots[I].RefVal;
+  EXPECT_GE(DeadRefs, 3u);
+
+  std::vector<Ref *> Expected;
+  for (uint32_t I = F.Base; I < F.Sp; ++I)
+    if (T->Slots[I].IsRef && T->Slots[I].RefVal)
+      Expected.push_back(&T->Slots[I].RefVal);
+  ASSERT_EQ(Expected.size(), 3u);
+
+  // Roots outside the slot stack (statics) are not this test's subject.
+  auto Lo = reinterpret_cast<uintptr_t>(T->Slots.data());
+  auto Hi = reinterpret_cast<uintptr_t>(T->Slots.data() + T->Slots.size());
+  std::vector<Ref *> Visited;
+  TheVM.visitRoots([&](Ref &R) {
+    auto At = reinterpret_cast<uintptr_t>(&R);
+    if (At >= Lo && At < Hi)
+      Visited.push_back(&R);
+  });
+  EXPECT_EQ(Visited, Expected);
+}
+
+namespace {
+
+/// Main.loop(n) returns the sum of pick(i) for i in [0, n). \p Pick fills
+/// the body of Main.pick(I)I, which is short enough to be inlined.
+ClassSet pickLoopProgram(const std::function<void(MethodBuilder &)> &Pick) {
+  ClassSet Set;
+  ClassBuilder CB("Main");
+  Pick(CB.staticMethod("pick", "(I)I"));
+  CB.staticMethod("loop", "(I)I")
+      .locals(3)
+      .iconst(0)
+      .store(1) // i
+      .iconst(0)
+      .store(2) // sum
+      .label("loop")
+      .load(1)
+      .load(0)
+      .branch(Opcode::IfICmpGe, "done")
+      .load(2)
+      .load(1)
+      .invokestatic("Main", "pick", "(I)I")
+      .iadd()
+      .store(2)
+      .load(1)
+      .iconst(1)
+      .iadd()
+      .store(1)
+      .jump("loop")
+      .label("done")
+      .load(2)
+      .iret();
+  Set.add(CB.build());
+  return Set;
+}
+
+} // namespace
+
+TEST(Interpreter, InlinedReturnsRejoinTheCallerLoopAtOneHeight) {
+  // pick returns from two branches; inlined, both returns become jumps to
+  // the iadd after the call. Each must arrive with just its value on top
+  // of loop's operands, or the loop's stack would grow per iteration.
+  constexpr int64_t N = 10'000;
+  VM::Config Cfg = smallConfig();
+  Cfg.OptThreshold = 1; // compile loop at the opt tier on its first call
+  VM TheVM(Cfg);
+  TheVM.loadProgram(pickLoopProgram([](MethodBuilder &M) {
+    M.load(0).iconst(2).irem().branch(Opcode::IfEq, "even");
+    M.iconst(9).iret();
+    M.label("even").load(0).iret();
+  }));
+  ThreadId Id = TheVM.spawnThread("Main", "loop", "(I)I", {Slot::ofInt(N)});
+  VMThread *T = TheVM.scheduler().findThread(Id);
+  std::shared_ptr<CompiledMethod> Code = T->Frames[0].Code;
+  ASSERT_EQ(Code->T, Tier::Opt);
+  MethodId Pick = TheVM.registry().resolveMethod(
+      TheVM.registry().idOf("Main"), "pick", "(I)I");
+  ASSERT_EQ(Code->Inlined, std::vector<MethodId>{Pick});
+
+  uint32_t MaxHeight = 0;
+  while (!T->stopped()) {
+    TheVM.run(997); // stops the thread at many different pcs
+    if (!T->Frames.empty()) {
+      const Frame &F = T->Frames[0];
+      MaxHeight = std::max(MaxHeight, F.Sp - F.StackBase);
+    }
+  }
+  ASSERT_EQ(T->State, ThreadState::Finished) << T->TrapMessage;
+  EXPECT_LE(MaxHeight, 3u); // sum plus irem's two operands at most
+  // Even i contribute i, odd i contribute 9.
+  EXPECT_EQ(T->ExitValue.IntVal, (N / 2) * (N / 2 - 1) + 9 * (N / 2));
+}
+
+TEST(Interpreter, LeftoverReturningCalleeNeverReachesTheOptTier) {
+  // This pick leaves a 9 below its return value. Inlined into the loop,
+  // each iteration would leave one more slot in loop's frame, far past
+  // the window pushFrame reserves; the verifier refuses the program.
+  VM::Config Cfg = smallConfig();
+  Cfg.OptThreshold = 1;
+  EXPECT_DEATH(
+      {
+        VM TheVM(Cfg);
+        TheVM.loadProgram(pickLoopProgram([](MethodBuilder &M) {
+          M.iconst(9).load(0).iret();
+        }));
+        TheVM.callStatic("Main", "loop", "(I)I", {Slot::ofInt(10'000)});
+      },
+      "Main.pick.*@2: return leaves 1 operand");
 }

@@ -194,6 +194,67 @@ TEST(Network, CloseMakesRecvEof) {
   EXPECT_EQ(Net.recv(Conn, 0, V, Ready), Network::RecvStatus::Eof);
 }
 
+TEST(Network, UnknownIdsReadEofAndClosed) {
+  Network Net;
+  int Conn = Net.inject(80, {1}, /*Now=*/0);
+  ASSERT_EQ(Conn, 1);
+  int64_t V = 0;
+  uint64_t Ready = 0;
+  for (int Unknown : {0, -1, Conn + 1}) {
+    EXPECT_EQ(Net.recv(Unknown, 0, V, Ready), Network::RecvStatus::Eof)
+        << "id " << Unknown;
+    EXPECT_TRUE(Net.isClosed(Unknown)) << "id " << Unknown;
+    Net.close(Unknown); // a no-op
+  }
+  EXPECT_FALSE(Net.isClosed(Conn));
+  EXPECT_EQ(Net.recv(Conn, 0, V, Ready), Network::RecvStatus::Value);
+}
+
+TEST(Network, SendOnUnknownIdCountsResponseWithoutLatency) {
+  Network Net;
+  Net.send(99, 5, /*Now=*/10);
+  EXPECT_EQ(Net.totalResponses(), 1u);
+  std::vector<NetResponse> Rs = Net.drainResponses();
+  ASSERT_EQ(Rs.size(), 1u);
+  EXPECT_EQ(Rs[0].Conn, 99);
+  EXPECT_TRUE(Net.drainLatencies().empty());
+  EXPECT_EQ(Net.latencySumTicks(), 0u);
+}
+
+TEST(Network, SendAfterCloseRecordsLatency) {
+  Network Net;
+  int Conn = Net.inject(80, {1, 2}, /*Now=*/100);
+  int64_t V = 0;
+  uint64_t Ready = 0;
+  ASSERT_EQ(Net.recv(Conn, 120, V, Ready), Network::RecvStatus::Value);
+  Net.close(Conn);
+  EXPECT_EQ(Net.recv(Conn, 130, V, Ready), Network::RecvStatus::Eof);
+  Net.send(Conn, 7, 150); // measured against the consumed arrival, 100
+  std::vector<double> L = Net.drainLatencies();
+  ASSERT_EQ(L.size(), 1u);
+  EXPECT_DOUBLE_EQ(L[0], 50);
+  EXPECT_EQ(Net.latencySumTicks(), 50u);
+}
+
+TEST(Network, IdsStayDenseAcrossShedConnections) {
+  Network Net;
+  Net.setAdmissionLimit(80, 1);
+  EXPECT_EQ(Net.inject(80, {1}, 0), 1);
+  EXPECT_EQ(Net.inject(80, {2}, 0), 2); // shed
+  EXPECT_EQ(Net.inject(80, {3}, 0), 3); // shed
+  EXPECT_EQ(Net.tryAccept(80), 1);
+  EXPECT_EQ(Net.inject(80, {4}, 0), 4);
+  EXPECT_EQ(Net.totalConnections(), 4u);
+  EXPECT_TRUE(Net.isClosed(2));
+  EXPECT_TRUE(Net.isClosed(3));
+  EXPECT_EQ(Net.tryAccept(80), 4);
+  int64_t V = 0;
+  uint64_t Ready = 0;
+  ASSERT_EQ(Net.recv(4, 0, V, Ready), Network::RecvStatus::Value);
+  EXPECT_EQ(V, 4);
+  EXPECT_EQ(Net.recv(4, 0, V, Ready), Network::RecvStatus::Eof);
+}
+
 TEST(Network, BlockedAcceptWakesOnInjection) {
   ClassSet Set;
   ClassBuilder CB("Srv");

@@ -205,6 +205,30 @@ TEST(Verifier, RejectsWrongReturnKind) {
   EXPECT_FALSE(verifiesBody("()I", [](MethodBuilder &M) { M.ret(); }));
 }
 
+TEST(Verifier, RejectsReturnLeavingOperands) {
+  // The opt tier inlines returns as jumps to the code after the call, so
+  // an operand left below the return value would stay in the caller.
+  std::vector<VerifyError> Errs =
+      verifyMethodBody("(I)I", [](MethodBuilder &M) {
+        M.iconst(9).load(0).iret();
+      });
+  ASSERT_EQ(Errs.size(), 1u);
+  EXPECT_EQ(Errs[0].Pc, 2);
+  EXPECT_EQ(Errs[0].Message, "return leaves 1 operand(s) on the stack");
+  EXPECT_FALSE(verifiesBody("()V", [](MethodBuilder &M) {
+    M.iconst(1).iconst(2).ret();
+  }));
+  EXPECT_FALSE(verifiesBody(
+      "()LBox;",
+      [](MethodBuilder &M) { M.iconst(1).newobj("Box").aret(); },
+      addBoxClass));
+  // One return with a leftover is enough, though the other one is clean.
+  EXPECT_FALSE(verifiesBody("(I)I", [](MethodBuilder &M) {
+    M.load(0).branch(Opcode::IfEq, "z").load(0).iret();
+    M.label("z").iconst(7).iconst(0).iret();
+  }));
+}
+
 TEST(Verifier, RejectsReturnValueSubtypeViolation) {
   auto Classes = [](ClassSet &Set) {
     Set.add(ClassBuilder("Animal").build());
