@@ -49,6 +49,6 @@ bool EcUpdater::apply(const ClassSet &NewProgram, const UpdateSpec &Spec,
                                                     Trace, &Why))
     return Fail(Why);
 
-  TheVM.setProgram(Program);
+  TheVM.setProgram(std::move(Program));
   return true;
 }

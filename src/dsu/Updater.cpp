@@ -124,32 +124,33 @@ void Updater::schedule(UpdateBundle InBundle, UpdateOptions InOpts) {
 
   // Stacked-update discipline for an open canary window: a foreign update
   // arriving while the window observes supersedes it (the operator chose
-  // to move forward; the window settles without reverting), but one
-  // arriving mid-revert is refused — the heap is on its way back to the
-  // predecessor and a concurrent forward update has no consistent base.
-  if (auto *Canary = static_cast<CanaryController *>(TheVM.canary());
-      Canary && Canary->windowOpen() && !Canary->ownsUpdater(this)) {
-    if (Canary->reverting()) {
-      std::string Msg =
-          "a canary revert is in flight; retry after it settles\n" +
-          Canary->report().str();
-      Result.Trace.record(UpdateEventKind::Rejected,
-                          TheVM.scheduler().ticks(), 0, Msg);
-      bumpDsuCounter(metrics::DsuUpdatesRejected);
-      finish(UpdateStatus::RejectedCanaryBusy, Msg);
-      return;
-    }
-    Canary->settle("superseded by stacked update '" + Bundle.VersionTag +
-                   "'");
+  // to move forward; the window settles without reverting, once the update
+  // is admitted below), but one arriving mid-revert is refused — the heap
+  // is on its way back to the predecessor and a concurrent forward update
+  // has no consistent base.
+  auto *Canary = static_cast<CanaryController *>(TheVM.canary());
+  bool ForeignWindow =
+      Canary && Canary->windowOpen() && !Canary->ownsUpdater(this);
+  if (ForeignWindow && Canary->reverting()) {
+    std::string Msg =
+        "a canary revert is in flight; retry after it settles\n" +
+        Canary->report().str();
+    Result.Trace.record(UpdateEventKind::Rejected, TheVM.scheduler().ticks(),
+                        0, Msg);
+    bumpDsuCounter(metrics::DsuUpdatesRejected);
+    finish(UpdateStatus::RejectedCanaryBusy, Msg);
+    return;
   }
 
-  // A stacked update must not race a still-draining predecessor: its DSU
-  // collection assumes no pending shells remain. Settle them now,
-  // synchronously, and drop the old engine.
-  TheVM.drainLazyEngineNow();
-
+  // The three admission gates only read the bundle and the running
+  // program, so they run before anything is settled: a rejected update
+  // leaves the previous update's canary window observing and its lazy
+  // drain running.
+  //
   // Safety gate 1: the complete new program version must verify (§2.2).
+  Stopwatch VerifyClock;
   std::vector<VerifyError> Errs = Verifier(Bundle.NewProgram).verifyAll();
+  Result.VerifyMs = VerifyClock.elapsedMs();
   if (!Errs.empty()) {
     std::string Msg = "new version fails verification: " + Errs.front().str();
     Result.Trace.record(UpdateEventKind::Rejected,
@@ -199,6 +200,14 @@ void Updater::schedule(UpdateBundle InBundle, UpdateOptions InOpts) {
       return;
     }
   }
+
+  if (ForeignWindow)
+    Canary->settle("superseded by stacked update '" + Bundle.VersionTag +
+                   "'");
+  // A stacked update must not race a still-draining predecessor: its DSU
+  // collection assumes no pending shells remain. Settle them now,
+  // synchronously, and drop the old engine.
+  TheVM.drainLazyEngineNow();
 
   // Canary staging: retain what a revert would need — the running program
   // version (the reverse bundle's "new" program) and the pre-update health
@@ -728,7 +737,7 @@ void Updater::certify() {
   // structural checks alone.
   if (Opts.ImpactBoundedDrain && Result.LazyInstalled)
     Verifier.setClassFocus(
-        TransformerSynthesis::impactClasses(Bundle.NewProgram, Bundle.Spec));
+        TransformerSynthesis::impactClasses(TheVM.program(), Bundle.Spec));
   std::vector<std::string> Problems =
       Verifier.verify([this](const std::function<void(Ref &)> &Visit) {
         TheVM.visitRoots(Visit);
@@ -808,7 +817,11 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
 
   // ---- Commit. ----------------------------------------------------------
   TheVM.setTransformationInProgress(false);
-  TheVM.setProgram(Bundle.NewProgram);
+  // Moved, not copied: nothing reads Bundle.NewProgram after commit (the
+  // lazy engine and the canary keep the bundle for its transformers, spec
+  // and mappings). The replaced version is destroyed here, inside the
+  // pause.
+  TheVM.setProgram(std::move(Bundle.NewProgram));
   if (LazyCommitPending) {
     // Point of no return for lazy mode: build the engine over the update
     // log, arm the read barrier on all compiled code, and hand the engine

@@ -162,6 +162,10 @@ struct UpdateResult {
   double GcMs = 0;         ///< DSU collection (copying phase)
   double TransformMs = 0;  ///< running class + object transformers
   double TotalPauseMs = 0; ///< full disruption: install + GC + transform
+  /// Wall time of the admission verification gate, which verifies the
+  /// complete new version. 0 when the update was refused before reaching
+  /// it (a truncated bundle, a canary revert in flight).
+  double VerifyMs = 0;
   uint64_t ObjectsTransformed = 0;
   CollectionStats Gc;
 

@@ -462,6 +462,31 @@ TEST(Canary, StackedVersionedUpdateSettlesObservingWindow) {
   stackOnObservingWindow(/*Lazy=*/false, Versioned);
 }
 
+TEST_EAGER_AND_LAZY(Canary, RejectedStackedUpdateKeepsWindowObserving) {
+  VM TheVM(smallConfig());
+  bootV1(TheVM);
+
+  Updater U1(TheVM);
+  UpdateResult Fwd = U1.applyNow(Upt::prepare(canaryV1(), canaryV2(5), "v1"),
+                                 canaryOpts(Lazy));
+  ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
+
+  // v2': Probe.grade returns its int with areturn, so v2' never verifies.
+  // Refusing it must not settle the window it would have superseded.
+  ClassSet Broken = canaryV2(5);
+  Broken.find("Probe")->findMethod("grade", "()I")->Code.back().Op =
+      Opcode::AReturn;
+  Updater U2(TheVM);
+  UpdateResult Next =
+      U2.applyNow(Upt::prepare(canaryV2(5), Broken, "v2"), modeOptions(Lazy));
+  ASSERT_EQ(Next.Status, UpdateStatus::RejectedNotVerifiable) << Next.Message;
+  ASSERT_EQ(controller(TheVM)->state(), CanaryState::Observing);
+  EXPECT_TRUE(controller(TheVM)->windowOpen());
+
+  // The window still guards v1 -> v2: a revert takes the VM back to v1.
+  expectFullyReverted(TheVM, U1.revert("breach after a refused update"));
+}
+
 TEST_EAGER_AND_LAZY(Canary, StackedUpdateDuringRevertIsRefused) {
   VM TheVM(smallConfig());
   bootV1(TheVM);

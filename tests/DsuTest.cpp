@@ -778,6 +778,38 @@ TEST(Dsu, RejectsUnverifiableNewVersion) {
   EXPECT_EQ(TheVM.callStatic("Worker", "value", "()I").IntVal, 1);
 }
 
+TEST(Dsu, VerifyMsTimesTheAdmissionGate) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(workerVersion(1));
+
+  // An applied update and a rejected one both paid for verification.
+  Updater U(TheVM);
+  UpdateResult Applied =
+      U.applyNow(Upt::prepare(workerVersion(1), workerVersion(2), "v1"));
+  ASSERT_EQ(Applied.Status, UpdateStatus::Applied) << Applied.Message;
+  EXPECT_GT(Applied.VerifyMs, 0.0);
+
+  ClassSet Broken;
+  ClassBuilder CB("Worker");
+  CB.staticMethod("value", "()I").nullconst().raw(
+      {Opcode::IReturn, 0, "", "", ""});
+  Broken.add(CB.build());
+  UpdateResult Rejected =
+      U.applyNow(Upt::prepare(workerVersion(2), Broken, "v2"));
+  ASSERT_EQ(Rejected.Status, UpdateStatus::RejectedNotVerifiable);
+  EXPECT_NE(Rejected.Message.find("fails verification"), std::string::npos);
+  EXPECT_GT(Rejected.VerifyMs, 0.0);
+
+  // A truncated bundle is refused at ingest, before the gate.
+  TheVM.faults().arm(FaultInjector::Site::BundleTruncated);
+  UpdateResult Truncated =
+      U.applyNow(Upt::prepare(workerVersion(2), workerVersion(3), "v2"));
+  ASSERT_EQ(Truncated.Status, UpdateStatus::RejectedNotVerifiable);
+  EXPECT_NE(Truncated.Message.find("truncated"), std::string::npos);
+  EXPECT_EQ(Truncated.VerifyMs, 0.0);
+  EXPECT_EQ(TheVM.callStatic("Worker", "value", "()I").IntVal, 2);
+}
+
 TEST(Dsu, RejectsHierarchyPermutation) {
   ClassSet V1;
   {
