@@ -19,7 +19,8 @@
 # scheduler/network, code-versioning, DSU and apps suites (the per-thread
 # slot stack and the frame remaps that move it), plus the verifier and
 # stack-shape suites (the verifier indexes one reused state arena by
-# offsets) and the canary suite, under a sanitizer build.
+# offsets), the canary suite and the synthesis suite (renames, faulted
+# plans and the impact-bounded bulk-settle), under a sanitizer build.
 #
 #   scripts/tier1.sh [sanitizer]
 #
@@ -211,7 +212,7 @@ if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
     heap_verifier_test transformer_test lazy_transform_test \
     old_copy_space_test interpreter_test active_method_test \
     vm_behavior_test scheduler_network_test code_version_test dsu_test \
-    apps_test verifier_test canary_test
+    apps_test verifier_test canary_test synthesis_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|StackShapes|Canary'
+    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|StackShapes|Canary|Synthesis'
 fi

@@ -160,7 +160,7 @@ void CanaryController::beginRevert(uint64_t Now) {
   // The reverse tag must not collide with any version prefix already in
   // the registry; the arm tick is unique per VM lifetime.
   UpdateBundle RB =
-      synthesizeReverseBundle(TheVM, PreUpdateProgram, ForwardBundle, &Undo,
+      synthesizeReverseBundle(TheVM, PreUpdateProgram, ForwardBundle, Undo,
                               "rb" + std::to_string(ArmedTick));
 
   // The revert runs through the same pipeline with the forward update's

@@ -1,6 +1,7 @@
 #include "dsu/CodeVersion.h"
 
 #include "dsu/UpdateTrace.h"
+#include "support/Error.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -14,6 +15,26 @@ CodeVersionManager &CodeVersionManager::of(VM &TheVM) {
   if (!TheVM.codeVersions())
     TheVM.installCodeVersions(std::make_unique<CodeVersionManager>(TheVM));
   return *static_cast<CodeVersionManager *>(TheVM.codeVersions());
+}
+
+std::pair<MethodId, const MethodDef *>
+CodeVersionManager::resolve(const ClassRegistry &Reg,
+                            const ClassSet &NewProgram, const MethodRef &R) {
+  ClassId Cls = Reg.idOf(R.ClassName);
+  if (Cls == InvalidClassId)
+    throw UpdateError("install",
+                      "body update on unknown class '" + R.ClassName + "'");
+  MethodId Id = Reg.resolveMethod(Cls, R.Name, R.Sig);
+  if (Id == InvalidMethodId)
+    throw UpdateError("install", "body update on unknown method " + R.key());
+  const ClassDef *NewCls = NewProgram.find(R.ClassName);
+  const MethodDef *NewBody =
+      NewCls ? NewCls->findMethod(R.Name, R.Sig) : nullptr;
+  if (!NewBody)
+    throw UpdateError("install", "spec references " + R.key() +
+                                     ", which is missing from the new "
+                                     "version");
+  return {Id, NewBody};
 }
 
 bool CodeVersionManager::installBodySet(const std::vector<BodyUpdate> &Updates,

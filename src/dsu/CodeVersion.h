@@ -54,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace jvolve {
@@ -96,6 +97,15 @@ public:
     const MethodDef *NewBody = nullptr;
     std::string Display; ///< "Class.name(sig)" for traces and diagnostics
   };
+
+  /// Resolves the spec entry \p R against the running registry and the
+  /// new program version: the method to swap and its new body. Throws
+  /// UpdateError("install") naming an unknown class or method, or a body
+  /// \p NewProgram lacks — the same outcome on the versioned and the
+  /// safe-point install paths.
+  static std::pair<MethodId, const MethodDef *>
+  resolve(const ClassRegistry &Reg, const ClassSet &NewProgram,
+          const MethodRef &R);
 
   /// Atomically installs \p Updates as one active-version switch: every
   /// body is swapped (or, when a new body is bit-identical to the parent

@@ -41,36 +41,15 @@ void LazyTransformEngine::arm() {
 }
 
 void LazyTransformEngine::settleUntouched() {
-  ClassRegistry &Reg = TheVM.registry();
-  // Memoized per new-version class: is this class's transform provably the
-  // identity copy? True only when no custom object transformer is
-  // registered and the flattened instance layouts (name, type, offset)
-  // match slot for slot — the same criterion the static impact analysis
-  // applies, checked against the live registry so it can never be stale.
-  std::unordered_map<ClassId, bool> Untouched;
   uint64_t Settled = 0;
   for (UpdateLogEntry &E : UpdateLog) {
     if (E.St != UpdateLogEntry::State::Pending || !E.NewObj || !E.OldCopy)
       continue;
-    ClassId NewId = classOf(E.NewObj);
-    auto It = Untouched.find(NewId);
-    if (It == Untouched.end()) {
-      const RtClass &NewCls = Reg.cls(NewId);
-      const RtClass &OldCls = Reg.cls(classOf(E.OldCopy));
-      bool Same = Bundle.ObjectTransformers.count(NewCls.Name) == 0 &&
-                  NewCls.InstanceFields.size() == OldCls.InstanceFields.size();
-      for (size_t F = 0; Same && F < NewCls.InstanceFields.size(); ++F) {
-        const RtField &NF = NewCls.InstanceFields[F];
-        const RtField &OF = OldCls.InstanceFields[F];
-        Same = NF.Name == OF.Name && NF.Ty == OF.Ty &&
-               NF.Offset == OF.Offset;
-      }
-      It = Untouched.emplace(NewId, Same).first;
-    }
-    if (!It->second)
+    const TransformPlan &P =
+        Runner.planFor(classOf(E.NewObj), classOf(E.OldCopy));
+    if (P.User || !P.Identity)
       continue;
-    TransformerRunner::applyDefaultObjectTransform(TheVM, E.NewObj,
-                                                   E.OldCopy);
+    Runner.applyDefault(E.NewObj, E.OldCopy);
     header(E.NewObj)->Flags &= ~(FlagUninitialized | FlagLazyPending);
     E.St = UpdateLogEntry::State::Done;
     ++Settled;

@@ -74,10 +74,10 @@ public:
   /// barrier retirement (or hands the copies to a regular GC first).
   /// \p DrainBatch: background transforms per drainer quantum.
   /// \p ImpactBounded: at arm time, bulk-settle every pending shell whose
-  /// class the impact analysis proves untouched (instance layout identical
-  /// between versions and no custom object transformer) — those objects
-  /// are pure bitwise copies, so the drain loop and the read barrier skip
-  /// them entirely.
+  /// class is provably untouched (its TransformPlan is the identity and no
+  /// custom object transformer replaces it) — those objects are pure
+  /// bitwise copies, so the drain loop and the read barrier skip them
+  /// entirely.
   LazyTransformEngine(VM &TheVM, UpdateBundle Bundle,
                       std::vector<UpdateLogEntry> Log, bool OwnsOldCopySpace,
                       size_t DrainBatch, bool ImpactBounded = false);
@@ -123,9 +123,9 @@ private:
   bool transformIndex(size_t Index, bool OnDemand, std::string *Err);
 
   /// Bulk-settles every pending entry of a provably-untouched class (the
-  /// runtime mirror of SynthesisReport::UntouchedClasses): identical
-  /// instance layout old -> new and no custom object transformer, so the
-  /// default copy is the whole transform.
+  /// runtime mirror of SynthesisReport::UntouchedClasses): the runner's
+  /// plan is the identity and no custom object transformer replaces it,
+  /// so the default copy is the whole transform.
   void settleUntouched();
 
   /// Applies \p V to the LazyBarriers bit of all compiled code: registry

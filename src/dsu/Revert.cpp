@@ -87,15 +87,12 @@ jvolve::evaluateCanaryHealth(const CanaryPolicy &Policy,
 // CanaryUndoLog
 //===----------------------------------------------------------------------===//
 
-void CanaryUndoLog::captureObject(VM &TheVM, Ref OldCopy, Ref NewObj) {
-  ClassRegistry &Reg = TheVM.registry();
-  const RtClass &OldCls = Reg.cls(classOf(OldCopy));
-  const RtClass &NewCls = Reg.cls(classOf(NewObj));
+void CanaryUndoLog::captureObject(VM &TheVM, Ref OldCopy, Ref NewObj,
+                                  const TransformPlan &Plan) {
+  const RtClass &OldCls = TheVM.registry().cls(classOf(OldCopy));
   UndoEntry E;
-  for (const RtField &OF : OldCls.InstanceFields) {
-    const RtField *NF = NewCls.findInstanceField(OF.Name);
-    if (NF && NF->Ty == OF.Ty)
-      continue; // survives the update; nothing to retain
+  for (uint32_t I : Plan.Dropped) {
+    const RtField &OF = OldCls.InstanceFields[I];
     UndoField F;
     F.Name = OF.Name;
     F.IsRef = OF.IsRef;
@@ -228,43 +225,42 @@ ActiveMethodMapping jvolve::invertActiveMapping(const ActiveMethodMapping &M) {
 UpdateBundle jvolve::synthesizeReverseBundle(VM &TheVM,
                                              const ClassSet &OldProgram,
                                              const UpdateBundle &Forward,
-                                             const CanaryUndoLog *Undo,
+                                             const CanaryUndoLog &Undo,
                                              const std::string &ReverseTag) {
   UpdateBundle RB = Upt::prepare(TheVM.program(), OldProgram, ReverseTag);
 
   for (const std::string &Name : RB.Spec.ClassUpdates) {
-    ObjectTransformer UserObj;
+    // A registered inverse is trusted in full; the fallback is the reverse
+    // runner's default plan, with the forward renames inverted, followed
+    // by the undo log's restore of the fields the forward plan dropped.
     auto OIt = Forward.InverseObjectTransformers.find(Name);
-    if (OIt != Forward.InverseObjectTransformers.end())
-      UserObj = OIt->second;
-    // A registered inverse is trusted in full; the fallback is the default
-    // same-name same-type copy plus the undo log's removed-field restore.
-    RB.ObjectTransformers[Name] = [UserObj, Undo](TransformCtx &Ctx, Ref To,
-                                                  Ref From) {
-      if (UserObj) {
-        UserObj(Ctx, To, From);
-        return;
-      }
-      TransformerRunner::applyDefaultObjectTransform(Ctx.vm(), To, From);
-      if (Undo)
-        Undo->restoreInto(Ctx, To);
-    };
+    if (OIt != Forward.InverseObjectTransformers.end()) {
+      RB.ObjectTransformers[Name] = OIt->second;
+    } else {
+      // Only renames the pre-update shapes declare are inverted: a
+      // corrupted mapping names an old field that never existed.
+      auto RIt = Forward.Renames.find(Name);
+      if (RIt != Forward.Renames.end())
+        for (const auto &[NewField, OldField] : RIt->second) {
+          const FieldDef *F = OldProgram.resolveField(Name, OldField);
+          if (F && !F->IsStatic)
+            RB.Renames[Name][OldField] = NewField;
+        }
+      RB.ObjectTransformers[Name] = [&Undo](TransformCtx &Ctx, Ref To,
+                                            Ref From) {
+        Ctx.defaultTransform(To, From);
+        Undo.restoreInto(Ctx, To);
+      };
+    }
 
-    ClassTransformer UserCls;
     auto CIt = Forward.InverseClassTransformers.find(Name);
     if (CIt != Forward.InverseClassTransformers.end())
-      UserCls = CIt->second;
-    std::string Renamed = RB.renamedOldClass(Name);
-    RB.ClassTransformers[Name] = [Name, Renamed, UserCls,
-                                  Undo](TransformCtx &Ctx) {
-      if (UserCls) {
-        UserCls(Ctx);
-        return;
-      }
-      TransformerRunner::applyDefaultClassTransform(Ctx.vm(), Name, Renamed);
-      if (Undo)
-        Undo->restoreStatics(Ctx, Name);
-    };
+      RB.ClassTransformers[Name] = CIt->second;
+    else
+      RB.ClassTransformers[Name] = [Name, &Undo](TransformCtx &Ctx) {
+        Ctx.defaultClassTransform(Name);
+        Undo.restoreStatics(Ctx, Name);
+      };
   }
 
   // Methods the forward update replaced on-stack may be on-stack again

@@ -13,8 +13,9 @@
 /// from the forward DSU collection's old copies and kept alive as GC
 /// roots for the length of the observation window (the way the lazy
 /// engine holds old-copy space). Reverse transformers are the registered
-/// inverses where the developer supplied them, and otherwise the default
-/// same-name same-type copy plus an undo-log restore.
+/// inverses where the developer supplied them, and otherwise the reverse
+/// runner's default plan (the forward renames inverted) plus an undo-log
+/// restore.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,10 +117,11 @@ public:
     std::vector<UndoField> Fields;
   };
 
-  /// Extracts removed-field values for one forward (OldCopy, NewObj)
-  /// pair: every instance field of \p OldCopy's class with no same-name
-  /// same-type match in \p NewObj's class.
-  void captureObject(VM &TheVM, Ref OldCopy, Ref NewObj);
+  /// Extracts dropped-field values for one forward (OldCopy, NewObj)
+  /// pair: every instance field of \p OldCopy that \p Plan, the pair's
+  /// forward transform plan, drops.
+  void captureObject(VM &TheVM, Ref OldCopy, Ref NewObj,
+                     const struct TransformPlan &Plan);
 
   /// Extracts removed statics of \p ClassName: declared statics of the
   /// renamed old class \p RenamedOld with no same-name same-type match in
@@ -160,13 +162,14 @@ private:
 /// Synthesizes the reverse bundle: a normal UpdateBundle whose "new"
 /// program is \p OldProgram, whose spec is recomputed by the UPT against
 /// the running program, and whose transformers are \p Forward's
-/// registered inverses — falling back to the default copy plus \p Undo
-/// restores. Forward ActiveMethodMappings are inverted (PC maps swapped)
-/// unless explicit inverses exist, so on-stack methods the forward update
-/// replaced can be walked back the same way.
+/// registered inverses — falling back to the default plan, with the
+/// renames of \p Forward that \p OldProgram declares inverted, plus
+/// \p Undo restores. Forward ActiveMethodMappings are inverted (PC maps
+/// swapped) unless explicit inverses exist, so on-stack methods the
+/// forward update replaced can be walked back the same way.
 UpdateBundle synthesizeReverseBundle(VM &TheVM, const ClassSet &OldProgram,
                                      const UpdateBundle &Forward,
-                                     const CanaryUndoLog *Undo,
+                                     const CanaryUndoLog &Undo,
                                      const std::string &ReverseTag);
 
 /// \returns \p M with its PC map swapped (new pc -> old pc). The frame

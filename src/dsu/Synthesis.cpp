@@ -1,7 +1,6 @@
 #include "dsu/Synthesis.h"
 
 #include "dsu/Dataflow.h"
-#include "dsu/Transformers.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
@@ -193,19 +192,6 @@ void planFields(const std::vector<const FieldDef *> &OldFields,
   }
 }
 
-/// True when the synthesized plan must be installed as an explicit
-/// transformer: the default copy cannot express a rename, and a faulted
-/// plan must actually run so the fault manifests.
-bool needsObjectTransformer(const ClassPlan &P) {
-  if (P.Faulted)
-    return true;
-  return P.count(FieldAction::Rename, /*Static=*/false) != 0;
-}
-
-bool needsClassTransformer(const ClassPlan &P) {
-  return P.count(FieldAction::Rename, /*Static=*/true) != 0;
-}
-
 } // namespace
 
 SynthesisReport TransformerSynthesis::synthesize(const UpdateSpec &Spec,
@@ -273,7 +259,9 @@ SynthesisReport TransformerSynthesis::synthesize(const UpdateSpec &Spec,
       R.NumRenames += M.Action == FieldAction::Rename;
       R.NumFlagged += M.Action == FieldAction::Flagged;
     }
-    if (P.LayoutUnchanged && !needsObjectTransformer(P))
+    // A rename changes a field's name, so only a fault can keep a
+    // layout-unchanged class from being a pure copy.
+    if (P.LayoutUnchanged && !P.Faulted)
       R.UntouchedClasses.insert(Name);
     R.Classes.push_back(std::move(P));
   }
@@ -284,50 +272,15 @@ SynthesisReport TransformerSynthesis::synthesize(const UpdateSpec &Spec,
 void TransformerSynthesis::installTransformers(UpdateBundle &B,
                                                const SynthesisReport &R) {
   for (const ClassPlan &P : R.Classes) {
-    // A custom transformer replaces the default entirely, so the emitted
-    // body must perform every Copy as well as the Renames.
-    if (needsObjectTransformer(P) && !B.ObjectTransformers.count(P.Name)) {
-      struct Row {
-        std::string To, From;
-        bool IsInt;
-      };
-      std::vector<Row> Rows;
-      for (const FieldMapping &M : P.Fields)
-        if (!M.IsStatic && (M.Action == FieldAction::Copy ||
-                            M.Action == FieldAction::Rename))
-          Rows.push_back({M.NewField, M.OldField, M.NewType == "I"});
-      B.ObjectTransformers[P.Name] = [Rows = std::move(Rows)](
-                                         TransformCtx &Ctx, Ref To, Ref From) {
-        for (const Row &Rw : Rows) {
-          if (Rw.IsInt)
-            Ctx.setInt(To, Rw.To, Ctx.getInt(From, Rw.From));
-          else
-            Ctx.setRef(To, Rw.To, Ctx.getRef(From, Rw.From));
-        }
-      };
-    }
-    if (needsClassTransformer(P) && !B.ClassTransformers.count(P.Name)) {
-      struct Row {
-        std::string To, From;
-        bool IsInt;
-      };
-      std::vector<Row> Rows;
-      for (const FieldMapping &M : P.Fields)
-        if (M.IsStatic && (M.Action == FieldAction::Copy ||
-                           M.Action == FieldAction::Rename))
-          Rows.push_back({M.NewField, M.OldField, M.NewType == "I"});
-      std::string NewCls = P.Name;
-      std::string OldCls = B.renamedOldClass(P.Name);
-      B.ClassTransformers[P.Name] = [Rows = std::move(Rows), NewCls,
-                                     OldCls](TransformCtx &Ctx) {
-        for (const Row &Rw : Rows) {
-          if (Rw.IsInt)
-            Ctx.setStaticInt(NewCls, Rw.To, Ctx.getStaticInt(OldCls, Rw.From));
-          else
-            Ctx.setStaticRef(NewCls, Rw.To, Ctx.getStaticRef(OldCls, Rw.From));
-        }
-      };
-    }
+    if (B.ObjectTransformers.count(P.Name))
+      continue; // handwritten transformers always win
+    // Copies and keeps are the runner's default already; what it cannot
+    // infer from the layouts is a source under another name — a rename,
+    // or a corrupted mapping, whose plan then throws at run time.
+    for (const FieldMapping &M : P.Fields)
+      if (!M.IsStatic && M.OldField != M.NewField &&
+          (M.Action == FieldAction::Copy || M.Action == FieldAction::Rename))
+        B.Renames[P.Name][M.NewField] = M.OldField;
   }
 }
 

@@ -13,11 +13,12 @@
 ///    paired as a *rename* when the copy-chain analysis over the two
 ///    versions' `<init>` bodies (dsu/Dataflow.h paramFieldFlows) shows
 ///    the same constructor parameter position flowing into both — the
-///    default transformer would silently zero these;
+///    rename is recorded in the bundle, where the runner's default plan
+///    copies it instead of zeroing the new field;
 ///  * a same-name field whose type changed (Fig. 2's String[] ->
 ///    EmailAddress[]) is *flagged*: a value conversion genuinely needs a
-///    human rule, and the synthesized transformer leaves the default
-///    value exactly like the UPT default does;
+///    human rule, and the plan leaves the default value exactly like the
+///    UPT default does;
 ///  * ambiguous rename candidates (several same-type pairs, no chain
 ///    evidence) are flagged rather than guessed.
 ///
@@ -113,14 +114,16 @@ public:
   /// Builds the per-class plans for every class in \p Spec.ClassUpdates.
   /// \p Faults, when given, is probed once per inferred instance-field
   /// mapping (the synth-transformer-field chaos site); a firing probe
-  /// corrupts that mapping so the emitted transformer fails at run time.
+  /// corrupts that mapping so the installed plan fails at run time.
   SynthesisReport synthesize(const UpdateSpec &Spec,
                              FaultInjector *Faults = nullptr) const;
 
-  /// Installs the synthesized object transformers (and class transformers
-  /// where the static plan goes beyond the default copy) into \p B for
-  /// every planned class *without* a handwritten entry. Handwritten
-  /// transformers always win.
+  /// Records, in \p B.Renames, every instance field a plan fills from a
+  /// differently named old field, for every planned class *without* a
+  /// handwritten object transformer (handwritten transformers always win).
+  /// The runner's default plan applies them; everything else a plan says
+  /// is the default already, so no transformer is installed. Statics get
+  /// name/type matching only, which is the default class transform.
   static void installTransformers(UpdateBundle &B, const SynthesisReport &R);
 
   /// The runtime mirror of SynthesisReport::ImpactClasses, computable

@@ -135,37 +135,72 @@ void TransformCtx::ensureTransformed(Ref Obj) {
     Runner->ensureTransformed(Obj);
 }
 
-/// Calls \p Copy(new offset, old offset) for every instance field of \p New
-/// that \p Old has with the same name and type — the default transform.
-template <typename CopyFn>
-static void forEachKeptField(const RtClass &New, const RtClass &Old,
-                             CopyFn Copy) {
+void TransformCtx::defaultTransform(Ref To, Ref From) {
+  Runner->applyDefault(To, From);
+}
+
+void TransformCtx::defaultClassTransform(const std::string &Cls) {
+  Runner->applyDefaultStatics(Cls);
+}
+
+const TransformPlan &TransformerRunner::planFor(ClassId NewClass,
+                                                ClassId OldClass) {
+  if (NewClass >= Plans.size())
+    Plans.resize(NewClass + 1);
+  TransformPlan &P = Plans[NewClass];
+  if (P.OldClass == OldClass)
+    return P;
+  ClassRegistry &Reg = TheVM.registry();
+  const RtClass &New = Reg.cls(NewClass);
+  const RtClass &Old = Reg.cls(OldClass);
+  P = TransformPlan();
+  P.OldClass = OldClass;
+  auto It = Bundle.ObjectTransformers.find(New.Name);
+  P.User = It != Bundle.ObjectTransformers.end() ? &It->second : nullptr;
+
+  static const std::map<std::string, std::string> NoRenames;
+  auto RIt = Bundle.Renames.find(New.Name);
+  const std::map<std::string, std::string> &Renames =
+      RIt != Bundle.Renames.end() ? RIt->second : NoRenames;
+  std::vector<bool> Read(Old.InstanceFields.size());
+  bool InPlace = Old.InstanceFields.size() == New.InstanceFields.size();
   for (const RtField &NF : New.InstanceFields) {
-    const RtField *OF = Old.findInstanceField(NF.Name);
-    if (OF && OF->Ty == NF.Ty) // new or retyped fields keep their default
-      Copy(NF.Offset, OF->Offset);
+    auto Rename = Renames.find(NF.Name);
+    bool Renamed = Rename != Renames.end();
+    const std::string &Source = Renamed ? Rename->second : NF.Name;
+    const RtField *OF = Old.findInstanceField(Source);
+    if (!OF && Renamed && P.Error.empty())
+      P.Error = "class " + Old.Name + " has no field '" + Source + "'";
+    InPlace &= OF && OF->Ty == NF.Ty && OF->Offset == NF.Offset;
+    if (!OF || OF->Ty != NF.Ty) // new or retyped fields keep their default
+      continue;
+    P.Copies.emplace_back(NF.Offset, OF->Offset);
+    Read[OF - Old.InstanceFields.data()] = true;
   }
+  for (uint32_t I = 0; I < Read.size(); ++I)
+    if (!Read[I])
+      P.Dropped.push_back(I);
+  P.Identity = InPlace;
+  return P;
 }
 
-/// One 8-byte slot, int or ref alike.
-static void copySlot(Ref To, uint32_t ToOffset, Ref From, uint32_t FromOffset) {
-  std::memcpy(To + ToOffset, From + FromOffset, SlotBytes);
+/// Runs \p P's default transform from \p From into \p To.
+static void copyThrough(const TransformPlan &P, Ref To, Ref From) {
+  if (!P.Error.empty())
+    throw UpdateError("transform", P.Error);
+  // One 8-byte slot per copy, int or ref alike.
+  for (const auto &[NewOffset, OldOffset] : P.Copies)
+    std::memcpy(To + NewOffset, From + OldOffset, SlotBytes);
 }
 
-void TransformerRunner::applyDefaultObjectTransform(VM &TheVM, Ref To,
-                                                    Ref From) {
+void TransformerRunner::applyDefault(Ref To, Ref From) {
+  copyThrough(planFor(classOf(To), classOf(From)), To, From);
+}
+
+void TransformerRunner::applyDefaultStatics(const std::string &Name) {
   ClassRegistry &Reg = TheVM.registry();
-  forEachKeptField(Reg.cls(classOf(To)), Reg.cls(classOf(From)),
-                   [To, From](uint32_t NewOffset, uint32_t OldOffset) {
-                     copySlot(To, NewOffset, From, OldOffset);
-                   });
-}
-
-void TransformerRunner::applyDefaultClassTransform(
-    VM &TheVM, const std::string &NewClass, const std::string &OldClass) {
-  ClassRegistry &Reg = TheVM.registry();
-  ClassId NewId = Reg.idOf(NewClass);
-  ClassId OldId = Reg.idOf(OldClass);
+  ClassId NewId = Reg.idOf(Name);
+  ClassId OldId = Reg.idOf(Bundle.renamedOldClass(Name));
   if (NewId == InvalidClassId || OldId == InvalidClassId)
     return;
   RtClass &New = Reg.cls(NewId);
@@ -176,27 +211,6 @@ void TransformerRunner::applyDefaultClassTransform(
       continue;
     New.Statics[NF.Offset] = Old.Statics[OF->Offset];
   }
-}
-
-const TransformerRunner::TransformPlan &
-TransformerRunner::planFor(ClassId NewClass, ClassId OldClass) {
-  if (NewClass >= Plans.size())
-    Plans.resize(NewClass + 1);
-  TransformPlan &P = Plans[NewClass];
-  if (P.OldClass == OldClass)
-    return P;
-  ClassRegistry &Reg = TheVM.registry();
-  const RtClass &New = Reg.cls(NewClass);
-  P.OldClass = OldClass;
-  auto It = Bundle.ObjectTransformers.find(New.Name);
-  P.User = It != Bundle.ObjectTransformers.end() ? &It->second : nullptr;
-  P.Copies.clear();
-  if (!P.User)
-    forEachKeptField(New, Reg.cls(OldClass),
-                     [&P](uint32_t NewOffset, uint32_t OldOffset) {
-                       P.Copies.emplace_back(NewOffset, OldOffset);
-                     });
-  return P;
 }
 
 void TransformerRunner::transformEntry(size_t Index) {
@@ -226,8 +240,7 @@ void TransformerRunner::transformEntry(size_t Index) {
     TransformCtx Ctx(TheVM, this);
     (*User)(Ctx, E.NewObj, E.OldCopy);
   } else {
-    for (const auto &[NewOffset, OldOffset] : P.Copies)
-      copySlot(E.NewObj, NewOffset, E.OldCopy, OldOffset);
+    copyThrough(P, E.NewObj, E.OldCopy);
   }
 
   header(E.NewObj)->Flags &= ~(FlagUninitialized | FlagLazyPending);
@@ -257,7 +270,7 @@ double TransformerRunner::runClassTransformers() {
     if (It != Bundle.ClassTransformers.end())
       It->second(Ctx);
     else
-      applyDefaultClassTransform(TheVM, Name, Bundle.renamedOldClass(Name));
+      applyDefaultStatics(Name);
   }
   return Timer.elapsedMs();
 }

@@ -13,10 +13,12 @@
 /// TransformerRunner executes, after a DSU collection, first every class
 /// transformer and then every object transformer over the update log,
 /// falling back to the UPT-generated default (copy members with matching
-/// name and type; default-initialize the rest). It resolves each new
-/// class once per update to a plan — the registered transformer, or the
-/// default's list of slots to copy — so the per-object work does no name
-/// lookups.
+/// name and type plus the bundle's renames; default-initialize the rest).
+/// It resolves each (new class, old class) pair once per update to a
+/// TransformPlan, the only place old and new layouts are matched by name:
+/// eager and lazy transforms, the impact-bounded bulk-settle, the canary
+/// undo log and the reverse bundle all read it, and the per-object work
+/// does no name lookups.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,7 +75,10 @@ public:
   /// transformer set); the updater rolls the update back.
   void ensureTransformed(Ref Obj);
 
-  VM &vm() { return TheVM; }
+  /// The runner's default object and class transforms, for transformers
+  /// that extend the default instead of replacing it (the reverse bundle).
+  void defaultTransform(Ref To, Ref From);
+  void defaultClassTransform(const std::string &Cls);
 
 private:
   const RtField *fieldOf(Ref Obj, std::string_view Field) const;
@@ -82,6 +87,27 @@ private:
   class TransformerRunner *Runner;
   /// Index in InstanceFields of the field fieldOf found last.
   mutable size_t LastField = 0;
+};
+
+/// How the instances of one new-version class are initialized from one
+/// old-version class, built once per update by matching the two runtime
+/// layouts by name.
+struct TransformPlan {
+  ClassId OldClass = InvalidClassId; ///< old class the plan was built for
+  /// The registered object transformer; null selects the default copy.
+  const ObjectTransformer *User = nullptr;
+  /// The default transform: (new offset, old offset) of every field that
+  /// keeps its name and type, or that the bundle renames.
+  std::vector<std::pair<uint32_t, uint32_t>> Copies;
+  /// Indices in the old class's InstanceFields of the fields no copy reads:
+  /// the values the default transform drops.
+  std::vector<uint32_t> Dropped;
+  /// A rename naming a field the layouts lack: the default transform throws
+  /// it as UpdateError("transform") instead of copying anything.
+  std::string Error;
+  /// The default transform copies every slot in place between identical
+  /// layouts — the whole object, bit for bit.
+  bool Identity = false;
 };
 
 /// Runs class and object transformers after a DSU collection.
@@ -116,33 +142,22 @@ public:
 
   uint64_t objectsTransformed() const { return NumTransformed; }
 
-  /// Copies members with matching name and type from \p From (old layout)
-  /// to \p To (new layout); everything else keeps its default value.
-  /// (The runner itself applies the same copy through a per-class plan.)
-  static void applyDefaultObjectTransform(VM &TheVM, Ref To, Ref From);
+  const std::vector<UpdateLogEntry> &log() const { return UpdateLog; }
 
-  /// Same-name same-type static copy from the renamed old class to the new
-  /// one. Missing old classes (pure additions) are a no-op.
-  static void applyDefaultClassTransform(VM &TheVM,
-                                         const std::string &NewClass,
-                                         const std::string &OldClass);
+  /// The plan for \p NewClass instances transformed from \p OldClass
+  /// (built on first use, then reused for the rest of the update).
+  const TransformPlan &planFor(ClassId NewClass, ClassId OldClass);
+
+  /// Runs the default transform of \p To's plan: copies its slots from
+  /// \p From, or throws the plan's Error.
+  void applyDefault(Ref To, Ref From);
+
+  /// Same-name same-type static copy from the renamed old class to the
+  /// updated class \p Name. Missing classes (pure additions) are a no-op.
+  void applyDefaultStatics(const std::string &Name);
 
 private:
-  /// How the instances of one new-version class are transformed, resolved
-  /// from the class's first log entry and reused for the rest.
-  struct TransformPlan {
-    ClassId OldClass = InvalidClassId; ///< old class the plan was built for
-    /// The registered object transformer; null selects the default copy.
-    const ObjectTransformer *User = nullptr;
-    /// Default transform: (new offset, old offset) of every field that
-    /// keeps its name and type.
-    std::vector<std::pair<uint32_t, uint32_t>> Copies;
-  };
-
   void transformEntry(size_t Index);
-
-  /// The plan for \p NewClass instances transformed from \p OldClass.
-  const TransformPlan &planFor(ClassId NewClass, ClassId OldClass);
 
   VM &TheVM;
   const UpdateBundle &Bundle;

@@ -53,11 +53,18 @@ struct UpdateBundle {
   std::map<std::string, ObjectTransformer> ObjectTransformers;
   std::map<std::string, ClassTransformer> ClassTransformers;
 
+  /// Per-updated-class renames (copy-chain-proven, dsu/Synthesis.h), keyed
+  /// by class name and then by new field: the old field the default object
+  /// transformer fills that new field from. A registered object
+  /// transformer replaces them along with the rest of the default.
+  std::map<std::string, std::map<std::string, std::string>> Renames;
+
   /// Optional inverse transformers, keyed by class name, used only when a
   /// canary window reverts this update: they initialize the *old* version
   /// \p To from the *new* version \p From. Classes absent from these maps
-  /// fall back to the default copy plus the canary's retained undo log
-  /// (removed fields restored from values extracted at commit).
+  /// fall back to the default copy, with Renames inverted, plus the
+  /// canary's retained undo log (dropped fields restored from values
+  /// extracted at commit).
   std::map<std::string, ObjectTransformer> InverseObjectTransformers;
   std::map<std::string, ClassTransformer> InverseClassTransformers;
 

@@ -3,6 +3,7 @@
 #include "bytecode/Builtins.h"
 #include "bytecode/Verifier.h"
 #include "dsu/Canary.h"
+#include "dsu/CodeVersion.h"
 #include "dsu/EcUpdater.h"
 #include "dsu/LazyTransform.h"
 #include "dsu/Synthesis.h"
@@ -866,9 +867,12 @@ void Updater::installVersioned() {
   Result.Trace.record(UpdateEventKind::Scheduled, ScheduleTick, 0,
                       "body-only bundle: versioned install, no safe point");
 
+  // Admission already completed and verified Bundle.NewProgram; it moves
+  // into the VM on success, and nothing reads it after a failure.
   std::string Why;
-  bool Ok = EcUpdater(TheVM).apply(Bundle.NewProgram, Bundle.Spec, &Why,
-                                   &Result.Trace, Bundle.VersionTag);
+  bool Ok = EcUpdater(TheVM).installVerified(std::move(Bundle.NewProgram),
+                                             Bundle.Spec, &Why, &Result.Trace,
+                                             Bundle.VersionTag);
   markPhase("codeversion",
             static_cast<int64_t>(Bundle.Spec.MethodBodyUpdates.size()),
             Ok ? "active-version switch committed" : Why);
@@ -1007,22 +1011,8 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
   for (const MethodRef &R : Bundle.Spec.MethodBodyUpdates) {
     if (Bundle.Spec.isClassUpdated(R.ClassName))
       continue; // the freshly loaded replacement class already has it
-    ClassId Cls = Reg.idOf(R.ClassName);
-    if (Cls == InvalidClassId)
-      throw UpdateError("install",
-                        "body update on unknown class '" + R.ClassName + "'");
-    MethodId Id = Reg.resolveMethod(Cls, R.Name, R.Sig);
-    if (Id == InvalidMethodId)
-      throw UpdateError("install", "body update on unknown method " +
-                                       R.ClassName + "." + R.Name + R.Sig);
-    const ClassDef *NewCls = Bundle.NewProgram.find(R.ClassName);
-    const MethodDef *NewBody = NewCls ? NewCls->findMethod(R.Name, R.Sig)
-                                      : nullptr;
-    if (!NewBody)
-      throw UpdateError("install", "spec references " + R.ClassName + "." +
-                                       R.Name + R.Sig +
-                                       ", which is missing from the new "
-                                       "version");
+    auto [Id, NewBody] =
+        CodeVersionManager::resolve(Reg, Bundle.NewProgram, R);
     Reg.setMethodBody(Id, *NewBody);
     BodyChangedIds.insert(Id);
   }
@@ -1186,14 +1176,14 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                         static_cast<int64_t>(Result.Gc.ObjectsRemapped),
                         std::to_string(Result.GcMs) + " ms");
 
-    // Canary staging happens while both versions are still live: removed
-    // fields read out of the old copies, removed statics out of the
-    // renamed old classes (dropped below), and the new-version class ids
-    // a completed revert must leave no instances of.
-    if (Opts.CanaryWindow.enabled())
-      stageCanaryUndo(UpdateLog);
-
+    // Canary staging happens while both versions are still live: the
+    // fields each plan drops read out of the old copies, removed statics
+    // out of the renamed old classes (dropped below), and the new-version
+    // class ids a completed revert must leave no instances of.
     TransformerRunner Runner(TheVM, Bundle, UpdateLog);
+    if (Opts.CanaryWindow.enabled())
+      stageCanaryUndo(&Runner);
+
     if (Opts.LazyTransform) {
       // Statics have no read barrier, so class transformers run eagerly;
       // every per-object transform is deferred to the engine. The log is
@@ -1235,7 +1225,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
   } else if (Opts.CanaryWindow.enabled()) {
     // No instances to remap (body-update / addition / deletion-only
     // update); deleted classes may still carry statics worth retaining.
-    stageCanaryUndo({});
+    stageCanaryUndo(nullptr);
   }
 }
 
@@ -1368,10 +1358,13 @@ UpdateResult Updater::resumeDeferred(UpdateOptions InOpts,
   return R;
 }
 
-void Updater::stageCanaryUndo(const std::vector<UpdateLogEntry> &UpdateLog) {
+void Updater::stageCanaryUndo(TransformerRunner *Runner) {
   ClassRegistry &Reg = TheVM.registry();
-  for (const UpdateLogEntry &E : UpdateLog)
-    CanaryUndo.captureObject(TheVM, E.OldCopy, E.NewObj);
+  if (Runner)
+    for (const UpdateLogEntry &E : Runner->log())
+      CanaryUndo.captureObject(
+          TheVM, E.OldCopy, E.NewObj,
+          Runner->planFor(classOf(E.NewObj), classOf(E.OldCopy)));
   for (const std::string &Name : Bundle.Spec.ClassUpdates)
     CanaryUndo.captureStatics(TheVM, Name, Bundle.renamedOldClass(Name));
   for (const std::string &Name : Bundle.Spec.DeletedClasses)

@@ -429,8 +429,10 @@ private:
   /// Arms the controller at commit (install() calls this after certify).
   void armCanary();
   /// Extracts the undo log and new-version id set from a just-collected
-  /// update (installSteps calls this before obsolete statics drop).
-  void stageCanaryUndo(const std::vector<UpdateLogEntry> &UpdateLog);
+  /// update (installSteps calls this before obsolete statics drop): per
+  /// entry of \p Runner's log, the old fields its plan drops; \p Runner
+  /// is null when the update remapped no instances.
+  void stageCanaryUndo(class TransformerRunner *Runner);
 
   // Id-level views of the spec, resolved against the current registry.
   std::set<MethodId> RestrictedMethodIds; ///< categories (1) and (3)

@@ -177,11 +177,14 @@ jvolve::runScenario(const ScenarioSpec &Spec,
                                 "v" + std::to_string(Ver - 1));
   if (Spec.Stream == "email")
     registerEmailTransformers(B, App, Ver);
-  // Synthesized transformers ride along (handwritten entries win). The
+  // Synthesized renames ride along (handwritten transformers win). The
   // synthesis pass probes the synth-transformer-field site once per
-  // inferred instance mapping, so the first-order sweep can corrupt one
-  // mapping and watch the faulted transformer throw at run time: rollback
-  // when eager, degraded settle when lazy.
+  // inferred instance mapping, so the first-order sweep can corrupt one.
+  // In the shipped streams no corrupted mapping ever reaches a live
+  // object: every such fire point ends applied, eager or lazy, with or
+  // without a canary. The run-time failure (rollback when eager, a Failed
+  // settle when lazy, a breach and revert under a canary) is covered by
+  // tests/SynthesisTest.cpp, not by the sweep.
   {
     TransformerSynthesis Synthesis(App.version(Ver - 1), App.version(Ver));
     SynthesisReport SynthRep = Synthesis.synthesize(B.Spec, &TheVM.faults());

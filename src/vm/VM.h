@@ -293,31 +293,15 @@ public:
     Sched.unparkAll();
   }
 
-  /// Invoked by the run loop when a yield was requested and every thread
-  /// sits at a safe point. The callback must leave the system either
-  /// resumed or finished (it may re-request a yield later).
-  void setSafePointCallback(std::function<void()> Fn) {
-    DsuHookOwner = nullptr;
-    SafePointCallback = std::move(Fn);
-  }
-
-  /// Invoked once per scheduling round with the current virtual tick; the
-  /// updater uses it to implement the safe-point timeout.
-  void setTickCallback(std::function<void(uint64_t)> Fn) {
-    DsuHookOwner = nullptr;
-    TickCallback = std::move(Fn);
-  }
-
-  /// Invoked when a frame with an installed return barrier returns.
-  void setReturnBarrierCallback(std::function<void(VMThread &)> Fn) {
-    DsuHookOwner = nullptr;
-    ReturnBarrierCallback = std::move(Fn);
-  }
-
-  /// Installs all three DSU callbacks at once and records \p Owner as the
-  /// holder. A canary revert's Updater may outlive the forward update's
-  /// (tool code keeps loop-local Updaters); ownership keeps a dying
-  /// foreign Updater from clobbering the live one's hooks.
+  /// Installs the three DSU callbacks and records \p Owner as the holder:
+  /// \p SafePoint runs when a yield was requested and every thread sits at
+  /// a safe point (it must leave the system either resumed or finished; it
+  /// may re-request a yield later), \p Tick once per scheduling round with
+  /// the current virtual tick (the updater's safe-point timeout), and
+  /// \p Barrier when a frame with an installed return barrier returns. A
+  /// canary revert's Updater may outlive the forward update's (tool code
+  /// keeps loop-local Updaters); ownership keeps a dying foreign Updater
+  /// from clobbering the live one's hooks.
   void claimDsuHooks(void *Owner, std::function<void()> SafePoint,
                      std::function<void(uint64_t)> Tick,
                      std::function<void(VMThread &)> Barrier) {

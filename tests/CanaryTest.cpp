@@ -6,7 +6,8 @@
 /// health evaluator's thresholds, and end-to-end reverts that restore
 /// removed fields, removed statics, and deleted classes — explicitly,
 /// via injected health breaches, under lazy commits, through custom
-/// inverse transformers, and with stacked updates during the window.
+/// inverse transformers and inverted synthesized renames, and with
+/// stacked updates during the window.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 
 #include "dsu/Canary.h"
 #include "dsu/Revert.h"
+#include "dsu/Synthesis.h"
 #include "dsu/Transformers.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
@@ -416,6 +418,93 @@ TEST_EAGER_AND_LAZY(Canary, CustomInverseTransformerIsTrusted) {
   // Statics still restore from the undo log (no class inverse given).
   EXPECT_EQ(legacyTuning(TheVM), 99);
   expectHeapClean(TheVM, "after inverse-transformer revert");
+}
+
+namespace {
+
+/// v1: C{a, keep} whose constructor stores its argument in a; v2: C{b,
+/// keep} storing it in b — the copy-chain-proven rename a -> b. Setup
+/// seeds one C (a 5, keep 3); v2's Mutate.run writes b 7 and keep 9.
+ClassSet renameVersion(bool V2) {
+  const char *Field = V2 ? "b" : "a";
+  ClassSet Set;
+  ClassBuilder C("C");
+  C.field(Field, "I");
+  C.field("keep", "I");
+  C.method("<init>", "(I)V")
+      .load(0)
+      .load(1)
+      .putfield("C", Field, "I")
+      .ret();
+  Set.add(C.build());
+  ClassBuilder H("Holder");
+  H.staticField("obj", "LC;");
+  Set.add(H.build());
+  ClassBuilder S("Setup");
+  S.staticMethod("init", "()V")
+      .newobj("C")
+      .dup()
+      .iconst(5)
+      .putfield("C", Field, "I")
+      .dup()
+      .iconst(3)
+      .putfield("C", "keep", "I")
+      .putstatic("Holder", "obj", "LC;")
+      .ret();
+  Set.add(S.build());
+  ClassBuilder P("Probe");
+  P.staticMethod("renamed", "()I")
+      .getstatic("Holder", "obj", "LC;")
+      .getfield("C", Field, "I")
+      .iret();
+  P.staticMethod("keep", "()I")
+      .getstatic("Holder", "obj", "LC;")
+      .getfield("C", "keep", "I")
+      .iret();
+  Set.add(P.build());
+  if (V2) {
+    ClassBuilder M("Mutate");
+    M.staticMethod("run", "()V")
+        .getstatic("Holder", "obj", "LC;")
+        .iconst(7)
+        .putfield("C", "b", "I")
+        .getstatic("Holder", "obj", "LC;")
+        .iconst(9)
+        .putfield("C", "keep", "I")
+        .ret();
+    Set.add(M.build());
+  }
+  ensureBuiltins(Set);
+  return Set;
+}
+
+} // namespace
+
+TEST_EAGER_AND_LAZY(Canary, RevertCarriesSynthesizedRenameBack) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(renameVersion(false));
+  TheVM.callStatic("Setup", "init", "()V");
+
+  ClassSet Old = renameVersion(false), New = renameVersion(true);
+  UpdateBundle B = Upt::prepare(Old, New, "v1");
+  TransformerSynthesis::installTransformers(
+      B, TransformerSynthesis(Old, New).synthesize(B.Spec));
+  ASSERT_EQ(B.Renames["C"].size(), 1u);
+  Updater U(TheVM);
+  UpdateResult Fwd = U.applyNow(std::move(B), canaryOpts(Lazy));
+  ASSERT_EQ(Fwd.Status, UpdateStatus::Applied) << Fwd.Message;
+  EXPECT_EQ(TheVM.callStatic("Probe", "renamed", "()I").IntVal, 5);
+
+  // Writes after commit must survive the revert: the reverse plan copies
+  // b back into a instead of restoring a's commit-time value.
+  TheVM.callStatic("Mutate", "run", "()V");
+  UpdateResult Rev = U.revert("rename revert");
+  ASSERT_EQ(Rev.Status, UpdateStatus::Reverted) << Rev.Message;
+  EXPECT_TRUE(Rev.Certified);
+  EXPECT_EQ(TheVM.callStatic("Probe", "renamed", "()I").IntVal, 7);
+  EXPECT_EQ(TheVM.callStatic("Probe", "keep", "()I").IntVal, 9);
+  EXPECT_EQ(controller(TheVM)->report().ResidualNewObjects, 0u);
+  expectHeapClean(TheVM, "after rename revert");
 }
 
 //===----------------------------------------------------------------------===//

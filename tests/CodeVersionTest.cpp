@@ -21,6 +21,7 @@
 #include "dsu/Upt.h"
 #include "support/FaultInjector.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
 
 using namespace jvolve;
@@ -110,6 +111,34 @@ UpdateOptions versionedOpts() {
   UpdateOptions Opts;
   Opts.CodeVersioning = true;
   return Opts;
+}
+
+/// Applies \p B to a fresh VM running \p Running, committed through the
+/// versioned path or through the safe-point pipeline, and expects the
+/// prior version (pairProgram(1)) to keep serving.
+UpdateResult applyOnFreshVm(const ClassSet &Running, UpdateBundle B,
+                            bool Versioned) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(Running);
+  Updater U(TheVM);
+  UpdateResult R = U.applyNow(std::move(B), Versioned ? versionedOpts()
+                                                      : UpdateOptions());
+  EXPECT_EQ(TheVM.callStatic("Main", "run", "()I").IntVal, 1);
+  EXPECT_EQ(TheVM.callStatic("Main", "aux", "()I").IntVal, 11);
+  EXPECT_FALSE(R.CodeVersioned);
+  return R;
+}
+
+/// Expects \p B, applied on top of \p Running, to roll back with
+/// \p Message on both commit paths.
+void expectBothPathsRollBack(const ClassSet &Running, const UpdateBundle &B,
+                             const std::string &Message) {
+  for (bool Versioned : {false, true}) {
+    SCOPED_TRACE(Versioned ? "versioned" : "safe-point pipeline");
+    UpdateResult R = applyOnFreshVm(Running, B, Versioned);
+    EXPECT_EQ(R.Status, UpdateStatus::RolledBack);
+    EXPECT_EQ(R.Message, Message);
+  }
 }
 
 } // namespace
@@ -275,6 +304,42 @@ TEST(CodeVersion, FaultedInstallUnwindsAndPriorVersionsServe) {
       Upt::prepare(pairProgram(1), pairProgram(2), "v1"), versionedOpts());
   ASSERT_EQ(R2.Status, UpdateStatus::Applied) << R2.Message;
   EXPECT_EQ(TheVM.callStatic("Main", "run", "()I").IntVal, 2);
+}
+
+//===--- Unresolvable spec entries ------------------------------------------===//
+
+// A body-only spec naming a method the running VM lacks, or one the new
+// version lacks, must resolve the same way through the versioned commit as
+// through the safe-point pipeline: rolled back, prior versions serving.
+
+TEST(CodeVersion, SpecMethodUnknownToVmRollsBack) {
+  UpdateBundle B = Upt::prepare(pairProgram(1), pairProgram(2), "v1");
+  B.Spec.MethodBodyUpdates.push_back({"Main", "nosuch", "()I"});
+  expectBothPathsRollBack(pairProgram(1), B,
+                          "update rolled back (install: body update on "
+                          "unknown method Main.nosuch()I)");
+}
+
+TEST(CodeVersion, SpecMethodMissingFromNewVersionRollsBack) {
+  // pairProgram plus Main.other()I, changed too; the bundle's new version
+  // then loses other() while its spec still lists the body update.
+  auto Triple = [](int64_t K) {
+    ClassSet Set = pairProgram(K);
+    ClassBuilder CB("Main");
+    CB.staticMethod("other", "()I").iconst(K + 20).iret();
+    Set.find("Main")->Methods.push_back(CB.build().Methods.front());
+    return Set;
+  };
+  UpdateBundle B = Upt::prepare(Triple(1), Triple(2), "v1");
+  std::vector<MethodDef> &Methods = B.NewProgram.find("Main")->Methods;
+  Methods.erase(std::find_if(Methods.begin(), Methods.end(),
+                             [](const MethodDef &M) {
+                               return M.Name == "other";
+                             }));
+  expectBothPathsRollBack(Triple(1), B,
+                          "update rolled back (install: spec references "
+                          "Main.other()I, which is missing from the new "
+                          "version)");
 }
 
 //===--- Quiescence Degrade rung --------------------------------------------===//

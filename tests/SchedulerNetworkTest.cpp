@@ -114,14 +114,17 @@ TEST(Scheduler, YieldParksAllThreads) {
   TheVM.run(500);
 
   bool Reached = false;
-  TheVM.setSafePointCallback([&] {
-    Reached = true;
-    EXPECT_TRUE(TheVM.scheduler().allAtSafePoints());
-    TheVM.resumeAfterYield();
-    TheVM.setSafePointCallback(nullptr);
-  });
+  TheVM.claimDsuHooks(
+      &Reached,
+      [&] {
+        Reached = true;
+        EXPECT_TRUE(TheVM.scheduler().allAtSafePoints());
+        TheVM.resumeAfterYield();
+      },
+      nullptr, nullptr);
   TheVM.requestYield();
   TheVM.run(5'000);
+  TheVM.releaseDsuHooks(&Reached);
   EXPECT_TRUE(Reached);
   // Threads resumed and keep making progress.
   int64_t A = staticOf(TheVM, "Counters", 0);

@@ -5,7 +5,8 @@
 /// rename, ambiguous and retyped fields flagged), transformer
 /// installation precedence (handwritten wins, defaults install nothing),
 /// end-to-end synthesized renames through a real update, the
-/// synth-transformer-field fault rolling an eager update back, the
+/// synth-transformer-field fault rolling an eager update back (and
+/// failing lazy shells, never bulk-settled, reverted under a canary), the
 /// impact-bounded lazy drain bulk-settling layout-unchanged classes, and
 /// the dsu.synth.* / dsu.impact.* metrics.
 ///
@@ -13,6 +14,7 @@
 
 #include "TestUtil.h"
 
+#include "dsu/Canary.h"
 #include "dsu/LazyTransform.h"
 #include "dsu/Synthesis.h"
 #include "dsu/Updater.h"
@@ -351,6 +353,7 @@ TEST(Synthesis, DefaultOnlyPlansInstallNoTransformer) {
   // installing a transformer for them would only slow the drain down.
   EXPECT_TRUE(B.ObjectTransformers.empty());
   EXPECT_TRUE(B.ClassTransformers.empty());
+  EXPECT_TRUE(B.Renames.empty());
 }
 
 TEST_EAGER_AND_LAZY(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
@@ -359,7 +362,11 @@ TEST_EAGER_AND_LAZY(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
     UpdateBundle B = Upt::prepare(Old, New, "test");
     SynthesisReport R = TransformerSynthesis(Old, New).synthesize(B.Spec);
     TransformerSynthesis::installTransformers(B, R);
-    EXPECT_EQ(B.ObjectTransformers.count("C"), 1u);
+    // The rename is bundle data for the runner's default plan, not a
+    // transformer that replaces it.
+    EXPECT_TRUE(B.ObjectTransformers.empty());
+    EXPECT_EQ(B.Renames["C"],
+              (std::map<std::string, std::string>{{"b", "a"}}));
   }
   {
     UpdateBundle B = Upt::prepare(Old, New, "test");
@@ -368,6 +375,7 @@ TEST_EAGER_AND_LAZY(Synthesis, RenamePlanInstallsTransformerUnlessHandwritten) {
     };
     SynthesisReport R = TransformerSynthesis(Old, New).synthesize(B.Spec);
     TransformerSynthesis::installTransformers(B, R);
+    EXPECT_TRUE(B.Renames.empty());
 
     // The handwritten rule must survive installation: apply the update
     // and observe its effect (the synthesized rename would copy 5).
@@ -408,7 +416,7 @@ TEST_EAGER_AND_LAZY(Synthesis, SynthesizedRenameCarriesHeapStateAcrossUpdate) {
   expectHeapHealthy(TheVM, "after rename update");
 }
 
-TEST(Synthesis, FaultedMappingRollsBackEagerUpdate) {
+TEST_EAGER_AND_LAZY(Synthesis, FaultedMappingRollsBackEagerUpdate) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(renameVersion(false));
   TheVM.callStatic("Setup", "init", "()V");
@@ -424,12 +432,26 @@ TEST(Synthesis, FaultedMappingRollsBackEagerUpdate) {
   TransformerSynthesis::installTransformers(B, R);
 
   Updater U(TheVM);
-  UpdateResult Res = U.applyNow(std::move(B));
-  // The corrupted mapping reads a nonexistent source field: the
-  // transformer throws mid-transaction and the snapshot is restored.
-  EXPECT_EQ(Res.Status, UpdateStatus::FailedTransformer) << Res.Message;
-  EXPECT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 5);
-  expectHeapHealthy(TheVM, "after rollback");
+  UpdateResult Res = U.applyNow(std::move(B), modeOptions(Lazy));
+  // The corrupted mapping reads a nonexistent source field. Eagerly, the
+  // plan throws mid-transaction and the snapshot is restored; lazily, the
+  // update has committed, so the shell settles Failed with the diagnostic.
+  const std::string Diag = "class v1_C has no field 'a__fault'";
+  if (!Lazy) {
+    EXPECT_EQ(Res.Status, UpdateStatus::FailedTransformer) << Res.Message;
+    EXPECT_NE(Res.Message.find(Diag), std::string::npos) << Res.Message;
+    EXPECT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 5);
+  } else {
+    EXPECT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
+    auto *Engine = dynamic_cast<LazyTransformEngine *>(TheVM.lazyEngine());
+    ASSERT_NE(Engine, nullptr);
+    EXPECT_EQ(Engine->failedTransforms(), 1u);
+    ASSERT_EQ(TheVM.lazyFailureLog().size(), 1u);
+    EXPECT_NE(TheVM.lazyFailureLog()[0].find(Diag), std::string::npos)
+        << TheVM.lazyFailureLog()[0];
+    EXPECT_EQ(TheVM.callStatic("Probe", "get", "()I").IntVal, 0);
+  }
+  expectHeapHealthy(TheVM, Lazy ? "after failed settle" : "after rollback");
 }
 
 TEST(Synthesis, ImpactBoundedLazyDrainBulkSettlesUntouchedClasses) {
@@ -464,6 +486,90 @@ TEST(Synthesis, ImpactBoundedLazyDrainBulkSettlesUntouchedClasses) {
   EXPECT_EQ(TheVM.callStatic("Probe", "sumX", "()I").IntVal, SumX);
   EXPECT_EQ(TheVM.callStatic("Probe", "sumS", "()I").IntVal, SumS);
   expectHeapHealthy(TheVM, "after impact-bounded drain");
+}
+
+namespace {
+
+/// settleVersion v1 -> v2 with the synth-transformer-field fault fired on
+/// the first inferred mapping, Point.x: Point's layout is unchanged, but
+/// its plan now reads a field that does not exist.
+UpdateBundle faultedSettleBundle(VM &TheVM) {
+  UpdateBundle B =
+      Upt::prepare(settleVersion(false), settleVersion(true), "v1");
+  TheVM.faults().arm(FaultInjector::Site::SynthTransformerField);
+  SynthesisReport R =
+      TransformerSynthesis(settleVersion(false), settleVersion(true))
+          .synthesize(B.Spec, &TheVM.faults());
+  EXPECT_TRUE(R.plan("Point") && R.plan("Point")->Faulted);
+  EXPECT_TRUE(R.plan("Stamp") && !R.plan("Stamp")->Faulted);
+  TransformerSynthesis::installTransformers(B, R);
+  return B;
+}
+
+UpdateOptions impactBoundedLazy() {
+  UpdateOptions Opts;
+  Opts.LazyTransform = true;
+  Opts.ImpactBoundedDrain = true;
+  return Opts;
+}
+
+} // namespace
+
+TEST(Synthesis, FaultedUntouchedClassIsNeverBulkSettled) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(settleVersion(false));
+  TheVM.callStatic("Setup", "points", "()V");
+  TheVM.callStatic("Setup", "stamps", "()V");
+
+  Updater U(TheVM);
+  UpdateResult Res =
+      U.applyNow(faultedSettleBundle(TheVM), impactBoundedLazy());
+  ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
+
+  auto *Engine = dynamic_cast<LazyTransformEngine *>(TheVM.lazyEngine());
+  ASSERT_NE(Engine, nullptr);
+  // A faulted plan is not the identity, so no Point is settled in bulk:
+  // each one runs its plan and fails; the Stamps transform normally.
+  EXPECT_EQ(Engine->bulkSettled(), 0u);
+  EXPECT_EQ(Engine->failedTransforms(), static_cast<uint64_t>(NumPoints));
+  EXPECT_EQ(Engine->onDemandTransforms() + Engine->backgroundTransforms(),
+            static_cast<uint64_t>(NumStamps));
+  EXPECT_TRUE(Engine->drained());
+  EXPECT_EQ(TheVM.callStatic("Probe", "sumX", "()I").IntVal, 0);
+  expectHeapHealthy(TheVM, "after faulted impact-bounded drain");
+}
+
+TEST(Synthesis, FaultedUntouchedClassBreachRevertsWithoutResidue) {
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(settleVersion(false));
+  TheVM.callStatic("Setup", "points", "()V");
+  TheVM.callStatic("Setup", "stamps", "()V");
+  const int64_t SumX = NumPoints * (NumPoints - 1) / 2;
+  const int64_t SumS = NumStamps * (NumStamps - 1) / 2;
+
+  UpdateOptions Opts = impactBoundedLazy();
+  Opts.CanaryWindow.WindowTicks = 100'000'000;
+  Opts.CanaryWindow.CheckIntervalTicks = 500;
+  Updater U(TheVM);
+  UpdateResult Res = U.applyNow(faultedSettleBundle(TheVM), Opts);
+  ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
+  ASSERT_TRUE(Res.CanaryArmed);
+
+  // The failed Points breach the window, which reverts the update.
+  auto *Ctl = static_cast<CanaryController *>(TheVM.canary());
+  ASSERT_NE(Ctl, nullptr);
+  for (int Round = 0; Ctl->windowOpen() && Round < 1'000; ++Round)
+    TheVM.run(10'000);
+  ASSERT_EQ(Ctl->state(), CanaryState::Reverted);
+  ASSERT_FALSE(Ctl->report().Breaches.empty());
+  EXPECT_EQ(Ctl->report().Breaches.front().Monitor, "failed-transforms");
+  EXPECT_TRUE(Ctl->revertResult().Certified);
+  EXPECT_EQ(Ctl->report().ResidualNewObjects, 0u);
+  // The corrupted mapping was not inverted, and the x values the faulted
+  // plan dropped come back from the undo log.
+  EXPECT_EQ(TheVM.callStatic("Probe", "sumX", "()I").IntVal, SumX);
+  EXPECT_EQ(TheVM.callStatic("Probe", "sumS", "()I").IntVal, SumS);
+  expectHeapHealthy(TheVM, "after revert");
 }
 
 //===--------------------------------------------------------------------===//
