@@ -3,21 +3,21 @@
 /// \file
 /// Streaming-telemetry cost (ISSUE 7): what does observability charge?
 ///
-/// Two measurements over the lock-free streaming pipeline
+/// Two measurements over the streaming sessions
 /// (support/TelemetryStream.h):
 ///
-///   1. Raw event-write throughput: ns per tryWrite through the emitting
-///      thread's buffer with an in-memory session attached, drops and all
-///      — the price a hot path pays per trace event.
+///   1. Raw event-write throughput: ns per Telemetry::emit into an
+///      in-memory session, which keeps its budget's worth of events and
+///      evicts the rest — the price a hot path pays per trace event.
 ///   2. Full-suite overhead: the email release history (every release
 ///      applied under load, as jvolve-serve does) timed in two
 ///      configurations. Baseline: metrics enabled, no streaming session,
 ///      no windows — the instrumented production posture every tool runs
 ///      with. Streaming: the same run with a live JSONL session plus
 ///      windowed aggregation attached. The delta isolates what THIS
-///      subsystem (buffers, writer thread, file sink, window rolls)
-///      charges on top of plain counters. Trials interleave the two
-///      configurations pairwise in process CPU time; the gate reads
+///      subsystem (emit, file sink, window rolls) charges on top of plain
+///      counters. Trials interleave the two configurations pairwise in
+///      process CPU time; the gate reads
 ///      min(median pair overhead, quietest-pair overhead) — a real
 ///      regression moves both estimators past the budget, while shared-
 ///      host noise rarely moves both the same way.
@@ -33,8 +33,8 @@
 /// dumps with a --max-delta budget.
 ///
 /// `--check` exits 1 unless (a) the min-of-N suite overhead stays in
-/// single digits (<= 10%) and (b) the pipeline's books balance: every
-/// event ever attempted is either streamed into a session or counted
+/// single digits (<= 10%) and (b) the published ledger balances: every
+/// event attempted is either streamed into the sessions or counted
 /// dropped — attempted == streamed + dropped, nothing silent.
 ///
 /// Environment knobs: JVOLVE_TELBENCH_TRIALS (default 5),
@@ -72,10 +72,9 @@ int envInt(const char *Name, int Default) {
   return V ? std::atoi(V) : Default;
 }
 
-/// Process CPU milliseconds (all threads — the writer's share counts).
-/// CPU time, not wall time: on a shared host other tenants' noise swamps
-/// a single-digit-percent signal, and the pipeline's cost IS the cycles
-/// it burns.
+/// Process CPU milliseconds. CPU time, not wall time: on a shared host
+/// other tenants' noise swamps a single-digit-percent signal, and the
+/// pipeline's cost IS the cycles it burns.
 double cpuMs() {
   return static_cast<double>(std::clock()) * 1e3 / CLOCKS_PER_SEC;
 }
@@ -159,32 +158,25 @@ int main(int argc, char **argv) {
 
   std::printf("=== bench_telemetry: streaming pipeline cost ===\n\n");
 
-  // --- 1. Raw write path: in-memory session, one hot emitting thread. ---
-  // Drops are expected (the writer drains every ~2ms while we spin) and
-  // are the point: they must all land in the ledger, never stall the
-  // producer.
+  // --- 1. Raw write path: an in-memory session past its budget, so the
+  // timed loop includes the eviction an unread session pays per event.
   Tel.setEnabled(true);
-  TelemetrySessionConfig MemCfg;
-  MemCfg.Name = "bench-mem";
-  auto Mem = Tel.streamer().openSession(MemCfg);
-  if (!Mem) {
-    std::fprintf(stderr, "telemetry: cannot open in-memory session\n");
-    return 2;
-  }
+  auto Mem = Tel.openSession();
   Stopwatch WriteSw;
   for (int I = 0; I < Events; ++I)
     Tel.emit({"bench.telemetry.event", "point",
               static_cast<uint64_t>(I), static_cast<uint64_t>(I), 0.0,
               I, ""});
   double WriteMs = WriteSw.elapsedMs();
-  Tel.streamer().closeSession(Mem);
+  size_t Kept = Mem->drainBuffered().size();
+  unsigned long long Evicted = Mem->bufferEvictions();
+  Tel.closeSession(Mem);
   double NsPerEvent = WriteMs * 1e6 / std::max(Events, 1);
   double EventsPerSec = Events / std::max(WriteMs / 1e3, 1e-9);
   std::printf("write path: %d event(s) in %.2f ms — %.0f ns/event, "
-              "%.2fM events/s (%llu streamed, %llu dropped)\n\n",
-              Events, WriteMs, NsPerEvent, EventsPerSec / 1e6,
-              static_cast<unsigned long long>(Tel.streamer().streamedTotal()),
-              static_cast<unsigned long long>(Tel.streamer().droppedTotal()));
+              "%.2fM events/s (%zu kept, %llu evicted)\n\n",
+              Events, WriteMs, NsPerEvent, EventsPerSec / 1e6, Kept,
+              Evicted);
 
   // --- 2. Full-suite overhead: email history, metrics-only baseline vs.
   // streaming session attached. Metrics stay enabled in both — counters
@@ -239,9 +231,12 @@ int main(int argc, char **argv) {
   double MedianPct = percentile(PairPct, 50);
   double OverheadPct = std::min(QuietestPct, MedianPct);
 
-  unsigned long long Attempted = Tel.streamer().attemptedTotal();
-  unsigned long long Streamed = Tel.streamer().streamedTotal();
-  unsigned long long Dropped = Tel.streamer().droppedTotal();
+  auto Read = [&Tel](const char *Name) {
+    return static_cast<unsigned long long>(Tel.findGauge(Name)->value());
+  };
+  unsigned long long Attempted = Read(metrics::TelemetryEventsAttempted);
+  unsigned long long Streamed = Read(metrics::TelemetryEventsStreamed);
+  unsigned long long Dropped = Read(metrics::TelemetryDroppedTotal);
 
   std::printf("suite baseline:  min %.2f CPU-ms over %d trial(s) x %d "
               "rep(s) (metrics on, no session)\n",

@@ -4,10 +4,11 @@
 # deterministic tool gates: the 22-stream analysis, synthesis and impact
 # checks and the first-order chaos sweep), the same suite again with
 # telemetry + JSONL tracing enabled (catches crashes that only
-# instrumented paths can hit), a third pass with the full
-# streaming-telemetry pipeline live (JSONL session + windowed aggregation
-# on every VM, plus a ledger-balance check: every event attempted is
-# either streamed or counted dropped), the analysis runtime budget, the
+# instrumented paths can hit), a third pass with streaming telemetry
+# live (a JSONL session + windowed aggregation on every VM), a
+# ledger-balance check on a traced serve run (every event attempted is
+# either streamed or counted dropped, and the trace file holds every
+# streamed event its sink did not drop), the analysis runtime budget, the
 # bench_lazy_pause trade-off gate, the streaming-telemetry overhead gate
 # (bench_telemetry --check + a coarse metrics-diff backstop), the canary
 # pause and revert-convergence gates (an injected health breach must
@@ -19,8 +20,10 @@
 # scheduler/network, code-versioning, DSU and apps suites (the per-thread
 # slot stack and the frame remaps that move it), plus the verifier and
 # stack-shape suites (the verifier indexes one reused state arena by
-# offsets), the canary suite and the synthesis suite (renames, faulted
-# plans and the impact-bounded bulk-settle), under a sanitizer build.
+# offsets), the canary suite, the synthesis suite (renames, faulted
+# plans and the impact-bounded bulk-settle), and the telemetry and
+# update-trace suites (streaming sessions and the JSONL sink), under a
+# sanitizer build.
 #
 #   scripts/tier1.sh [sanitizer]
 #
@@ -71,37 +74,44 @@ JVOLVE_TELEMETRY=1 JVOLVE_TRACE_OUT="$TRACE_OUT" \
   ctest --test-dir build --output-on-failure -j 1
 rm -f "$TRACE_OUT"
 
-# Streaming pass: the suite a third time with the whole streaming
-# pipeline live in every VM — a JSONL session (per-thread buffers, the
-# background writer, drop accounting) plus 2000-tick windowed
-# aggregation. Serial: the processes share one trace file.
+# Streaming pass: the suite a third time with streaming telemetry live in
+# every VM — a JSONL session (tid/seq stamping, the stream ledger) plus
+# 2000-tick windowed aggregation. Serial: the processes share one trace
+# file.
 STREAM_TRACE="$(mktemp /tmp/jvolve-tier1-stream.XXXXXX.jsonl)"
 JVOLVE_TELEMETRY=1 JVOLVE_TRACE_OUT="$STREAM_TRACE" \
   JVOLVE_STATS_WINDOW=2000 \
   ctest --test-dir build --output-on-failure -j 1
 rm -f "$STREAM_TRACE"
 
-# Ledger-balance check on a full instrumented serve run: the telemetry.*
-# gauges must exist (require-any) and account for every event — attempted
-# equals streamed plus dropped, nothing silent.
+# Ledger-balance check on a full traced serve run: the telemetry.* gauges
+# must exist (require-any) and account for every event — attempted
+# equals streamed plus dropped, nothing silent — and the trace file must
+# hold one line per streamed event its sink did not drop.
 TEL_JSON="$(mktemp /tmp/jvolve-tier1-telemetry.XXXXXX.json)"
 TEL_TRACE="$(mktemp /tmp/jvolve-tier1-teltrace.XXXXXX.jsonl)"
-JVOLVE_TRACE_OUT="$TEL_TRACE" JVOLVE_STATS_WINDOW=2000 \
-  build/tools/jvolve-serve email --metrics-out "$TEL_JSON" > /dev/null
+build/tools/jvolve-serve email --stats --trace-out "$TEL_TRACE" \
+  --metrics-out "$TEL_JSON" > /dev/null
 scripts/metrics-diff.py "$TEL_JSON" "$TEL_JSON" \
   --require-any telemetry. > /dev/null
-python3 - "$TEL_JSON" <<'EOF'
+python3 - "$TEL_JSON" "$TEL_TRACE" <<'EOF'
 import json, sys
 m = {x["name"]: x.get("value", 0)
      for x in json.load(open(sys.argv[1]))["metrics"]}
 a = m.get("telemetry.events_attempted", 0)
 s = m.get("telemetry.events_streamed", 0)
 d = m.get("telemetry.dropped_total", 0)
+lost = m.get("telemetry.trace.dropped", 0)
 if a != s + d:
     sys.exit(f"tier1: telemetry ledger imbalanced: "
              f"{a} attempted != {s} streamed + {d} dropped")
+with open(sys.argv[2]) as f:
+    lines = sum(1 for _ in f)
+if lines != s - lost:
+    sys.exit(f"tier1: trace file holds {lines} line(s), ledger says "
+             f"{s} streamed - {lost} dropped by the sink")
 print(f"tier1: telemetry ledger balanced "
-      f"({a} attempted = {s} streamed + {d} dropped)")
+      f"({a} attempted = {s} streamed + {d} dropped; {lines} trace lines)")
 EOF
 rm -f "$TEL_JSON" "$TEL_TRACE"
 
@@ -212,7 +222,8 @@ if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
     heap_verifier_test transformer_test lazy_transform_test \
     old_copy_space_test interpreter_test active_method_test \
     vm_behavior_test scheduler_network_test code_version_test dsu_test \
-    apps_test verifier_test canary_test synthesis_test
+    apps_test verifier_test canary_test synthesis_test telemetry_test \
+    update_trace_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|StackShapes|Canary|Synthesis'
+    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|StackShapes|Canary|Synthesis|Telemetry|UpdateTrace'
 fi

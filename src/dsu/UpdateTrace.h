@@ -17,6 +17,7 @@
 #ifndef JVOLVE_DSU_UPDATETRACE_H
 #define JVOLVE_DSU_UPDATETRACE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -60,6 +61,9 @@ enum class UpdateEventKind : uint8_t {
   CodeVersionReverted,  ///< chains popped to the prior active versions
 };
 
+/// Total number of UpdateEventKind values (for exhaustive round-trip tests).
+inline constexpr size_t NumUpdateEventKinds = 33;
+
 const char *updateEventKindName(UpdateEventKind K);
 
 /// One trace event.
@@ -75,13 +79,10 @@ struct UpdateEvent {
 /// The whole trace of one update.
 class UpdateTrace {
 public:
-  /// Appends an event. Also forwards it into the streaming telemetry
-  /// pipeline (as a "dsu.update.event" point event) while any session is
-  /// open: the event lands in the emitting thread's lock-free buffer —
-  /// stamped with its per-thread sequence number — and the background
-  /// writer streams it to every session, so the JSONL trace carries the
-  /// full update narrative alongside phase spans (see
-  /// support/TelemetryStream.h for buffering and drop semantics).
+  /// Appends an event. Also emits it to the open telemetry sessions (as a
+  /// "dsu.update.event" point event), so the JSONL trace carries the full
+  /// update narrative alongside phase spans, in emission order (see
+  /// support/TelemetryStream.h).
   void record(UpdateEventKind Kind, uint64_t Tick, int64_t Value = 0,
               std::string Detail = "") {
     forwardToSink(Kind, Tick, Value, Detail);

@@ -13,7 +13,6 @@
 #include "support/Error.h"
 #include "support/Stopwatch.h"
 #include "support/Telemetry.h"
-#include "support/TelemetryStream.h"
 
 #include <algorithm>
 #include <cassert>
@@ -32,13 +31,6 @@ void Updater::markPhase(const std::string &Phase, int64_t Value,
   double Now = PhaseClock.elapsedMs();
   double Ms = Now - LastPhaseMark;
   LastPhaseMark = Now;
-  // Probed before the enablement check so probe indices are stable whether
-  // or not telemetry is live; a fire only bites when a streamer exists.
-  // The stalled writer must degrade to counted drops — producers (and this
-  // VM thread) never block on it.
-  if (TheVM.faults().probe(FaultInjector::Site::TelemetryWriterStall) &&
-      Telemetry::isEnabled() && Telemetry::global().hasStreamer())
-    Telemetry::global().streamer().injectWriterStall(3);
   if (!Telemetry::isEnabled())
     return;
   Telemetry &Tel = Telemetry::global();

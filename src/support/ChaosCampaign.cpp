@@ -11,7 +11,6 @@
 #include "support/Error.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
-#include "support/TelemetryStream.h"
 #include "vm/VM.h"
 
 #include <algorithm>
@@ -235,15 +234,15 @@ jvolve::runScenario(const ScenarioSpec &Spec,
   }
   Res.CanaryState = Ctx.CanaryState;
 
-  // Telemetry ledger: force-drain so every attempted event is either
-  // streamed or counted dropped before the balance is judged (this also
-  // clears any injected writer stall — the durability contract).
-  if (Telemetry::isEnabled() && Telemetry::global().hasStreamer()) {
-    TelemetryStreamer &St = Telemetry::global().streamer();
-    St.flushAll();
-    Ctx.LedgerAttempted = St.attemptedTotal();
-    Ctx.LedgerStreamed = St.streamedTotal();
-    Ctx.LedgerDropped = St.droppedTotal();
+  // Telemetry ledger, as published in the telemetry.* gauges.
+  if (Telemetry::isEnabled()) {
+    auto Read = [](const char *Name) -> uint64_t {
+      const TelGauge *G = Telemetry::global().findGauge(Name);
+      return G ? static_cast<uint64_t>(G->value()) : 0;
+    };
+    Ctx.LedgerAttempted = Read(metrics::TelemetryEventsAttempted);
+    Ctx.LedgerStreamed = Read(metrics::TelemetryEventsStreamed);
+    Ctx.LedgerDropped = Read(metrics::TelemetryDroppedTotal);
   }
 
   for (const auto &O : Oracles)
@@ -404,7 +403,7 @@ public:
              std::vector<std::string> &Out) override {
     if (Ctx.LedgerAttempted == 0 && Ctx.LedgerStreamed == 0 &&
         Ctx.LedgerDropped == 0)
-      return; // no streamer live this run
+      return; // no session was opened this run
     if (Ctx.LedgerAttempted != Ctx.LedgerStreamed + Ctx.LedgerDropped)
       Out.push_back(std::string(name()) + ": " +
                     std::to_string(Ctx.LedgerAttempted) + " attempted != " +

@@ -34,7 +34,6 @@ const char *FaultInjector::siteName(Site S) {
   case Site::CanaryHealthBreach: return "canary-health-breach";
   case Site::HeapAllocNth: return "heap-alloc-nth";
   case Site::BundleTruncated: return "bundle-truncated";
-  case Site::TelemetryWriterStall: return "telemetry-writer-stall";
   case Site::SynthTransformerField: return "synth-transformer-field";
   case Site::CodeVersionInstall: return "codeversion-install";
   }

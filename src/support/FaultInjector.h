@@ -33,9 +33,6 @@
 ///                          back to a forced collection and retries
 ///   bundle-truncated       the UpdateBundle arrives torn/truncated and
 ///                          must be rejected cleanly before any snapshot
-///   telemetry-writer-stall the streaming-telemetry writer stalls for a
-///                          few passes; producers must keep running and
-///                          degrade to counted drops, never block
 ///   synth-transformer-field transformer synthesis emits a wrong field
 ///                          mapping (the source field does not exist), so
 ///                          the synthesized transformer throws when it
@@ -80,11 +77,10 @@ public:
     CanaryHealthBreach,
     HeapAllocNth,
     BundleTruncated,
-    TelemetryWriterStall,
     SynthTransformerField,
     CodeVersionInstall,
   };
-  static constexpr size_t NumSites = 14;
+  static constexpr size_t NumSites = 13;
 
   /// One counter per registered site, indexed by Site enumeration order.
   /// The chaos campaign's recording mode snapshots probe/fire counts into

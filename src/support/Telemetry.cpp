@@ -197,11 +197,7 @@ TraceSink::TraceSink(const std::string &InPath, size_t BufferEvents)
   Buffer.reserve(BufferCap);
 }
 
-TraceSink::~TraceSink() {
-  flush();
-  if (Out)
-    std::fclose(Out);
-}
+TraceSink::~TraceSink() { close(); }
 
 void TraceSink::emit(TraceEvent E) {
   if (!Out) {
@@ -214,16 +210,45 @@ void TraceSink::emit(TraceEvent E) {
     flush();
 }
 
+bool TraceSink::writeBuffer() {
+  bool Ok = true;
+  std::string Line;
+  for (const TraceEvent &E : Buffer) {
+    Line = E.jsonLine();
+    Line += '\n';
+    Ok &= std::fwrite(Line.data(), 1, Line.size(), Out) == Line.size();
+  }
+  return Ok;
+}
+
+void TraceSink::endBatch(bool Ok, size_t Events) {
+  if (Events == 0)
+    return;
+  ++NumBatches;
+  if (!Ok)
+    NumDropped += Events; // the batch's lines may be missing or torn
+}
+
 void TraceSink::flush() {
   if (!Out)
     return;
-  for (const TraceEvent &E : Buffer) {
-    std::string Line = E.jsonLine();
-    std::fwrite(Line.data(), 1, Line.size(), Out);
-    std::fputc('\n', Out);
-  }
+  bool Ok = writeBuffer();
+  Ok &= std::fflush(Out) == 0;
+  endBatch(Ok, Buffer.size());
   Buffer.clear();
-  std::fflush(Out);
+}
+
+bool TraceSink::close() {
+  if (Out) {
+    // No flush before fclose: fclose writes the last batch, so its result
+    // decides whether that batch reached the file.
+    bool Ok = writeBuffer();
+    Ok &= std::fclose(Out) == 0;
+    Out = nullptr;
+    endBatch(Ok, Buffer.size());
+    Buffer.clear();
+  }
+  return NumDropped == 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -236,6 +261,12 @@ Telemetry &Telemetry::global() {
 }
 
 Telemetry::Telemetry() {
+  // The registry never destructs, so without this a run that exits with
+  // a session open would lose the events still in its file sink's buffer.
+  std::atexit([] {
+    for (const auto &S : Telemetry::global().Sessions)
+      S->flush();
+  });
   const char *Env = std::getenv("JVOLVE_TELEMETRY");
   if (Env && Env[0] && std::strcmp(Env, "0") != 0)
     Enabled = true;
@@ -253,8 +284,8 @@ Telemetry::Telemetry() {
 }
 
 // Never runs — global() leaks the singleton on purpose so handles never
-// dangle — but must be defined where TelemetryStreamer/WindowAggregator
-// are complete types for the unique_ptr members.
+// dangle — but must be defined where WindowAggregator is a complete type
+// for the unique_ptr member.
 Telemetry::~Telemetry() = default;
 
 std::vector<double> Telemetry::defaultBuckets() {
@@ -342,6 +373,7 @@ void Telemetry::reset() {
     H->NextSample = 0;
     H->SamplesSeen = 0;
   }
+  Streamed = SessionsOpened = ClosedSinkDropped = ClosedSinkBatches = 0;
 }
 
 Telemetry::Snapshot Telemetry::snapshot() const {
@@ -449,34 +481,79 @@ std::string Telemetry::Snapshot::table() const {
 
 bool Telemetry::openTrace(const std::string &Path) {
   closeTrace();
-  TelemetrySessionConfig Cfg;
-  Cfg.Name = "default";
-  Cfg.Path = Path;
-  DefaultSession = streamer().openSession(std::move(Cfg));
+  DefaultSession = openSession(Path);
   if (!DefaultSession)
     return false;
   Enabled = true;
   return true;
 }
 
-void Telemetry::closeTrace() {
+bool Telemetry::closeTrace() {
   if (!DefaultSession)
-    return;
-  Streamer->closeSession(DefaultSession);
+    return true;
+  bool Ok = closeSession(DefaultSession);
   DefaultSession.reset();
+  return Ok;
 }
 
-bool Telemetry::tracing() const { return Streamer && Streamer->active(); }
+std::shared_ptr<TelemetrySession>
+Telemetry::openSession(const std::string &Path) {
+  auto S = std::make_shared<TelemetrySession>(Path);
+  if (!S->ok())
+    return nullptr;
+  if (!GAttempted) {
+    GAttempted = &gauge(metrics::TelemetryEventsAttempted);
+    GStreamed = &gauge(metrics::TelemetryEventsStreamed);
+    GBatches = &gauge(metrics::TelemetryBlocksFlushed);
+    GSessions = &gauge(metrics::TelemetrySessionsOpened);
+    GTraceDropped = &gauge(metrics::TelemetryTraceDropped);
+    gauge(metrics::TelemetryDroppedTotal); // never set: nothing is dropped
+  }
+  if (Sessions.empty())
+    LastSeq = 0; // a new stream
+  Sessions.push_back(S);
+  ++SessionsOpened;
+  publishStreamLedger();
+  return S;
+}
+
+bool Telemetry::closeSession(const std::shared_ptr<TelemetrySession> &S) {
+  auto It = std::find(Sessions.begin(), Sessions.end(), S);
+  if (It == Sessions.end())
+    return true;
+  Sessions.erase(It);
+  bool Ok = S->close();
+  ClosedSinkDropped += S->sinkEventsDropped();
+  ClosedSinkBatches += S->sinkBatches();
+  publishStreamLedger();
+  return Ok;
+}
 
 void Telemetry::emit(TraceEvent E) {
-  if (Streamer && Streamer->active())
-    Streamer->write(std::move(E));
+  if (Sessions.empty())
+    return;
+  if (E.Tid == 0)
+    E.Tid = RunningTid;
+  E.Seq = ++LastSeq;
+  for (size_t I = 0; I + 1 < Sessions.size(); ++I)
+    Sessions[I]->append(E);
+  Sessions.back()->append(std::move(E));
+  ++Streamed;
+  publishStreamLedger();
 }
 
-TelemetryStreamer &Telemetry::streamer() {
-  if (!Streamer)
-    Streamer = std::make_unique<TelemetryStreamer>(*this);
-  return *Streamer;
+void Telemetry::publishStreamLedger() {
+  uint64_t SinkDropped = ClosedSinkDropped;
+  uint64_t Batches = ClosedSinkBatches;
+  for (const auto &S : Sessions) {
+    SinkDropped += S->sinkEventsDropped();
+    Batches += S->sinkBatches();
+  }
+  GAttempted->set(static_cast<int64_t>(Streamed));
+  GStreamed->set(static_cast<int64_t>(Streamed));
+  GBatches->set(static_cast<int64_t>(Batches));
+  GSessions->set(static_cast<int64_t>(SessionsOpened));
+  GTraceDropped->set(static_cast<int64_t>(SinkDropped));
 }
 
 WindowAggregator &Telemetry::windows() {

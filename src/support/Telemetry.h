@@ -187,22 +187,24 @@ inline constexpr const char *NetDrainMs = "net.drain_ms";
 inline constexpr const char *NetLatencyTicks = "net.latency_ticks";
 inline constexpr const char *NetResponses = "net.responses";
 // support/TelemetryStream (streaming sessions; see docs/INTERNALS.md §15)
-/// Events lost at producer buffers because a ring wrapped before the
-/// writer drained it. Every drop is counted — emitted + dropped always
-/// equals events attempted.
+/// Events emit failed to hand to the sessions. Emit delivers on the
+/// calling thread, so this stays 0: attempted == streamed + dropped.
 inline constexpr const char *TelemetryDroppedTotal =
     "telemetry.dropped_total";
+/// Events emit handed to the open sessions (attempted and streamed are
+/// the same count; both names stay for the ledger's readers).
 inline constexpr const char *TelemetryEventsAttempted =
     "telemetry.events_attempted";
 inline constexpr const char *TelemetryEventsStreamed =
     "telemetry.events_streamed";
+/// Batches the sessions' file sinks wrote.
 inline constexpr const char *TelemetryBlocksFlushed =
     "telemetry.blocks_flushed";
 inline constexpr const char *TelemetrySessionsOpened =
     "telemetry.sessions_opened";
-/// Events discarded by a TraceSink whose file never opened (or that was
-/// handed events after a write failure) — file-layer loss, distinct from
-/// the producer-buffer loss above.
+/// Events a session's TraceSink lost: its file never opened, or the
+/// write, flush or close of their batch failed. A trace file holds
+/// events_streamed - trace.dropped lines.
 inline constexpr const char *TelemetryTraceDropped =
     "telemetry.trace.dropped";
 // support/ChaosCampaign (fault-space campaigns; see docs/INTERNALS.md §17)
@@ -325,11 +327,12 @@ struct TraceEvent {
   double Ms = 0;
   int64_t Value = 0;
   std::string Detail;
-  /// Producer identity, stamped by the streaming layer: the id of the
-  /// thread buffer this event went through and its per-thread sequence
-  /// number (1-based; 0 = not streamed). A gap in Seq within one Tid is a
-  /// dropped event — never silent reordering.
+  /// The green thread the event belongs to: Telemetry::emit stamps the
+  /// thread whose quantum is running (0 outside a quantum) unless the
+  /// producer set it (a thread's spawn and exit events carry its own id).
   uint64_t Tid = 0;
+  /// Position in the stream, stamped by Telemetry::emit: 1, 2, 3, ... in
+  /// emission order (0 = not streamed).
   uint64_t Seq = 0;
 
   /// Renders one JSONL line (no trailing newline).
@@ -340,12 +343,14 @@ struct TraceEvent {
   static bool parseLine(const std::string &Line, TraceEvent &Out);
 };
 
-/// Ring-buffered JSONL writer: events accumulate in a fixed-size buffer
-/// and stream to the file whenever it fills (bounded memory, complete
-/// file). Owned by the Telemetry registry; see Telemetry::openTrace.
+/// Buffered JSONL writer: events accumulate in a fixed-size buffer and go
+/// to the file as one batch whenever it fills, on flush(), and on close()
+/// (bounded memory, complete file). A file session of the Telemetry
+/// registry writes through one; see Telemetry::openTrace.
 class TraceSink {
 public:
   explicit TraceSink(const std::string &Path, size_t BufferEvents = 4096);
+  /// Closes the file (see close()).
   ~TraceSink();
 
   TraceSink(const TraceSink &) = delete;
@@ -355,29 +360,40 @@ public:
   const std::string &path() const { return Path; }
 
   void emit(TraceEvent E);
-  /// Writes every buffered event to the file and empties the buffer.
+  /// Writes every buffered event to the file as one batch and flushes it.
   void flush();
+  /// Writes the last batch and closes the file; later events count as
+  /// dropped. \returns whether the file got every event handed to the
+  /// sink.
+  bool close();
 
   uint64_t eventsEmitted() const { return NumEmitted; }
-  /// Events handed to a sink that had no open file (or whose writes
-  /// started failing): discarded, but never silently — the count is also
-  /// published as `telemetry.trace.dropped`.
+  /// Events handed to a sink that had no open file, and every event of a
+  /// batch whose write, flush or close failed: discarded, but never
+  /// silently — the count is also published as `telemetry.trace.dropped`.
   uint64_t eventsDropped() const { return NumDropped; }
+  /// Nonempty batches handed to the file.
+  uint64_t batchesWritten() const { return NumBatches; }
 
 private:
+  /// Writes the buffer's lines; \returns false when a write failed.
+  bool writeBuffer();
+  /// Ends a batch of \p Events: counted dropped unless \p Ok.
+  void endBatch(bool Ok, size_t Events);
+
   std::string Path;
   std::FILE *Out = nullptr;
   std::vector<TraceEvent> Buffer;
   size_t BufferCap;
   uint64_t NumEmitted = 0;
   uint64_t NumDropped = 0;
+  uint64_t NumBatches = 0;
 };
 
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
 
-class TelemetryStreamer;
 class TelemetrySession;
 class WindowAggregator;
 
@@ -419,7 +435,8 @@ public:
   size_t numCounters() const { return Counters.size(); }
   size_t numHistograms() const { return Histograms.size(); }
 
-  /// Zeroes every instrument's values; registrations persist.
+  /// Zeroes every instrument's values and the stream ledger;
+  /// registrations and open sessions persist.
   void reset();
 
   //===--- Snapshots --------------------------------------------------------===//
@@ -447,27 +464,35 @@ public:
 
   Snapshot snapshot() const;
 
-  //===--- Streaming trace (support/TelemetryStream.h) ----------------------===//
+  //===--- Streaming sessions (support/TelemetryStream.h) -------------------===//
 
-  /// Opens the default streaming session writing JSONL to \p Path
-  /// (replacing any previous default session). \returns false when the
-  /// file cannot be created. Also enables telemetry: a trace without
-  /// metrics is never what the operator meant.
+  /// Opens the default session writing JSONL to \p Path (replacing any
+  /// previous default session). \returns false when the file cannot be
+  /// created. Also enables telemetry: a trace without metrics is never
+  /// what the operator meant.
   bool openTrace(const std::string &Path);
-  /// Synchronously drains every thread buffer, flushes, and closes the
-  /// default session — the file is complete when this returns.
-  void closeTrace();
-  /// True while any streaming session (default or explicit) is open.
-  bool tracing() const;
+  /// Writes out and closes the default session. \returns false when its
+  /// file did not get every event (a write, flush or close failed); true
+  /// when it did, or when no default session was open.
+  bool closeTrace();
+  /// True while any session (default or explicit) is open.
+  bool tracing() const { return !Sessions.empty(); }
 
-  /// Routes \p E into the calling thread's event buffer when a session is
-  /// open; no-op otherwise. Wait-free on the hot path.
+  /// Opens a session writing JSONL to \p Path, or an in-memory session
+  /// when \p Path is empty. \returns nullptr when the file cannot be
+  /// created.
+  std::shared_ptr<TelemetrySession> openSession(const std::string &Path = {});
+  /// Writes out \p S and detaches it. \returns whether its file got
+  /// every event.
+  bool closeSession(const std::shared_ptr<TelemetrySession> &S);
+
+  /// Stamps \p E with its tid and seq and appends it to every open
+  /// session, on the calling thread; no-op when no session is open.
   void emit(TraceEvent E);
 
-  /// The streaming buffer manager (sessions, drop accounting). Created on
-  /// first use; immortal like the registry itself.
-  TelemetryStreamer &streamer();
-  bool hasStreamer() const { return Streamer != nullptr; }
+  /// Names the green thread whose quantum is running, 0 between quanta:
+  /// the tid emit stamps. VM::run sets it around each quantum.
+  void setRunningThread(uint64_t Tid) { RunningTid = Tid; }
 
   /// The windowed event-counter aggregator (jvolve-serve --stats,
   /// jvolve-run --stats-window, canary latency baseline). VM-thread only.
@@ -480,7 +505,10 @@ public:
 private:
   Telemetry();
   ~Telemetry(); // never runs (the singleton is immortal); defined where
-                // TelemetryStreamer is complete so members destruct
+                // WindowAggregator is complete so members destruct
+
+  /// Sets the telemetry.* gauges from the stream ledger below.
+  void publishStreamLedger();
 
   static bool Enabled;
 
@@ -488,9 +516,25 @@ private:
   std::map<std::string, std::unique_ptr<TelCounter>> Counters;
   std::map<std::string, std::unique_ptr<TelGauge>> Gauges;
   std::map<std::string, std::unique_ptr<TelHistogram>> Histograms;
-  std::unique_ptr<TelemetryStreamer> Streamer;
   std::unique_ptr<WindowAggregator> Windows;
+
+  // Streaming sessions, driven from the VM's one OS thread.
+  std::vector<std::shared_ptr<TelemetrySession>> Sessions;
   std::shared_ptr<TelemetrySession> DefaultSession;
+  uint64_t RunningTid = 0;
+  uint64_t LastSeq = 0;
+  // Stream ledger (reset() zeroes it with the instruments). The sink
+  // totals of closed sessions are folded in when they close.
+  uint64_t Streamed = 0;
+  uint64_t SessionsOpened = 0;
+  uint64_t ClosedSinkDropped = 0;
+  uint64_t ClosedSinkBatches = 0;
+  // Ledger gauge handles, registered by the first openSession.
+  TelGauge *GAttempted = nullptr;
+  TelGauge *GStreamed = nullptr;
+  TelGauge *GBatches = nullptr;
+  TelGauge *GSessions = nullptr;
+  TelGauge *GTraceDropped = nullptr;
 };
 
 inline void TelCounter::add(uint64_t N) {

@@ -1,37 +1,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// EventPipe-style streaming telemetry: per-thread write buffers,
-/// sequence-numbered blocks, explicit drop accounting, session objects,
-/// and windowed event-counter aggregation.
+/// Streaming telemetry: the sessions Telemetry::emit hands events to, and
+/// windowed event-counter aggregation.
 ///
-/// The original TraceSink was one global ring behind shared state — fine
-/// for a single-threaded VM, a contention point and a blind spot the
-/// moment multiple producers (native stress threads today, scheduler
-/// workers tomorrow) emit concurrently. This module follows CoreCLR's
-/// EventPipe buffer-manager design:
+/// The VM runs every green thread on one OS thread, and every event is
+/// emitted there. Telemetry::emit therefore stamps each event and appends
+/// it to every open session on the calling thread, in the order the events
+/// happen; like the registry's maps and histogram reservoirs, nothing here
+/// is synchronized.
 ///
-///  * Every producer thread owns a ThreadEventBuffer: a fixed-capacity
-///    SPSC ring appended to without locks. Each append claims the next
-///    per-thread sequence number; when the ring is full the event is
-///    dropped, the drop counter bumps, and the sequence number is still
-///    consumed — so loss shows up as a *gap in the sequence space*, never
-///    as silent absence. Green threads (VMThread) register a buffer at
-///    birth and retire it at death; native OS threads get a thread-local
-///    buffer retired when the thread exits.
+///  * Each event carries `tid`, the id of the green thread whose quantum is
+///    running (0 outside a quantum; a thread's spawn and exit events carry
+///    that thread's own id), and `seq`, one counter for the whole stream:
+///    a trace file's lines read 1, 2, 3, ... in file order. The counter
+///    restarts when a session opens while no other is open.
 ///
-///  * A background writer thread periodically drains every buffer into
-///    sequence-numbered EventBlocks (FirstSeq/LastSeq plus the drops
-///    accumulated since the previous block) and hands each block to every
-///    open TelemetrySession. A safe-point rendezvous kicks the writer so
-///    pre-pause events are durable before the world stops.
-///
-///  * A TelemetrySession filters events by name prefix and writes them to
-///    its sink: a JSONL file (each line carries tid + seq) or an
-///    in-memory ring with a bounded buffer budget for in-band consumers
-///    (jvolve-serve --stats). A block whose drop delta is nonzero makes
-///    the session emit a `telemetry.block` gap record into the output —
-///    the loss is part of the stream.
+///  * A TelemetrySession writes JSONL through TraceSink, which writes its
+///    buffer to the file when the buffer fills, when the session closes,
+///    and at process exit; or, with no path, it keeps a bounded in-memory
+///    buffer for in-band readers.
 ///
 ///  * WindowAggregator keeps EventCounter-style per-window statistics
 ///    over every registered counter and histogram (delta, rate/ktick,
@@ -40,8 +28,12 @@
 ///    virtual-tick boundaries; jvolve-serve --stats and the canary
 ///    latency monitor read the same view.
 ///
-/// Accounting invariant (checked by tests and the tier-1 gate): for every
-/// buffer, attempted == streamed-to-sessions + dropped once flushed.
+/// Ledger: emit republishes the `telemetry.*` gauges with every event.
+/// `events_attempted` and `events_streamed` both count the events handed
+/// to the sessions and `dropped_total` stays 0, so attempted == streamed +
+/// dropped holds whenever it is read. A session's own loss is counted
+/// apart: `telemetry.trace.dropped` for events a file sink failed to write,
+/// bufferEvictions() for an in-memory session past its budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,308 +42,59 @@
 
 #include "support/Telemetry.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace jvolve {
 
 //===----------------------------------------------------------------------===//
-// Per-thread buffers
-//===----------------------------------------------------------------------===//
-
-/// A fixed-capacity single-producer single-consumer event ring owned by
-/// one producer thread. The producer is the owning thread (wait-free
-/// append, no locks, no CAS retry loops); the consumer is whoever holds
-/// the streamer's drain pass (the writer thread, or a caller inside
-/// flushAll). Sequence numbers are per-thread and consumed by *every*
-/// attempt — a dropped event leaves a visible gap.
-class ThreadEventBuffer {
-public:
-  ThreadEventBuffer(uint64_t Tid, std::string Name, size_t Capacity);
-
-  //===--- Producer side (owning thread only) ------------------------------===//
-
-  /// Appends \p E stamped with this buffer's tid and next sequence number.
-  /// \returns false when the ring was full: the event is dropped, the drop
-  /// counter bumps, and the sequence number is consumed anyway.
-  bool tryWrite(TraceEvent E);
-
-  //===--- Consumer side (single drainer at a time) ------------------------===//
-
-  /// Moves up to \p Max pending events into \p Out (in write order).
-  /// \returns the number moved.
-  size_t drainInto(std::vector<TraceEvent> &Out, size_t Max);
-
-  /// Producer declares it will never write again (thread death). The
-  /// writer frees the buffer after its final drain.
-  void markRetired() { Retired.store(true, std::memory_order_release); }
-  bool retired() const { return Retired.load(std::memory_order_acquire); }
-
-  /// Re-arms a fully drained, retired buffer for a new owner, keeping the
-  /// ring allocation (constructing a ring of TraceEvents is the dominant
-  /// cost of acquiring a buffer). Caller must hold the only reference —
-  /// no producer, no concurrent drainer.
-  void recycle(uint64_t NewTid, std::string NewName);
-
-  bool empty() const {
-    return Head.load(std::memory_order_acquire) ==
-           Tail.load(std::memory_order_acquire);
-  }
-
-  //===--- Accounting -------------------------------------------------------===//
-
-  /// Events attempted (written + dropped) == the next sequence number.
-  uint64_t attempted() const { return Seq.load(std::memory_order_relaxed); }
-  uint64_t dropped() const { return Dropped.load(std::memory_order_relaxed); }
-
-  uint64_t tid() const { return Tid; }
-  const std::string &name() const { return Name; }
-  size_t capacity() const { return Ring.size(); }
-
-  /// Consumer-side bookkeeping for gap records: drops already surfaced in
-  /// an emitted block.
-  uint64_t DroppedReported = 0;
-
-private:
-  uint64_t Tid;
-  std::string Name;
-  std::vector<TraceEvent> Ring;
-  std::atomic<uint64_t> Head{0}; ///< next write slot (producer-owned)
-  std::atomic<uint64_t> Tail{0}; ///< next read slot (consumer-owned)
-  std::atomic<uint64_t> Seq{0};
-  std::atomic<uint64_t> Dropped{0};
-  std::atomic<bool> Retired{false};
-};
-
-/// One drained run of events from one thread's buffer, cut by the writer.
-/// FirstSeq/LastSeq bound the sequence numbers inside; DroppedDelta is the
-/// number of events lost since the previous block from this thread.
-struct EventBlock {
-  uint64_t Tid = 0;
-  std::string ThreadName;
-  uint64_t FirstSeq = 0;
-  uint64_t LastSeq = 0;
-  uint64_t DroppedDelta = 0;
-  std::vector<TraceEvent> Events;
-};
-
-//===----------------------------------------------------------------------===//
 // Sessions
 //===----------------------------------------------------------------------===//
 
-/// Configuration of one telemetry consumer.
-struct TelemetrySessionConfig {
-  std::string Name = "session";
-  /// Event-name prefixes to keep; empty = every event passes.
-  std::vector<std::string> Prefixes;
-  /// JSONL sink path; empty = in-memory session (drainBuffered()).
-  std::string Path;
-  /// In-memory sessions retain at most this many events; overflow evicts
-  /// the oldest and counts into bufferEvictions() — bounded memory for a
-  /// consumer that polls slowly.
-  size_t BufferBudgetEvents = 65536;
-};
-
-/// One consumer of the event stream. Blocks arrive on the writer thread;
-/// drainBuffered() may be called from any thread.
+/// One consumer of the event stream: a JSONL file written through
+/// TraceSink or, with an empty path, a bounded in-memory buffer. Opened and
+/// closed through Telemetry::openSession / closeSession.
 class TelemetrySession {
 public:
-  explicit TelemetrySession(TelemetrySessionConfig Cfg);
-  ~TelemetrySession();
+  /// In-memory sessions keep at most this many events; each event past it
+  /// evicts the oldest and counts into bufferEvictions().
+  static constexpr size_t BufferBudgetEvents = 65536;
+
+  explicit TelemetrySession(const std::string &Path);
 
   TelemetrySession(const TelemetrySession &) = delete;
   TelemetrySession &operator=(const TelemetrySession &) = delete;
 
-  const TelemetrySessionConfig &config() const { return Cfg; }
-  bool ok() const { return Cfg.Path.empty() || (Sink && Sink->ok()); }
+  bool ok() const { return !Sink || Sink->ok(); }
 
-  /// Filters \p B against the session's prefixes and appends the
-  /// survivors to the sink. A nonzero drop delta (or a sequence gap) emits
-  /// a `telemetry.block` gap record ahead of the block's events.
-  void acceptBlock(const EventBlock &B);
+  void append(TraceEvent E);
 
-  /// Flushes the file sink (no-op for in-memory sessions).
+  /// Writes the file sink's buffered events (no-op in memory).
   void flush();
+
+  /// Writes what is buffered and closes the file. \returns whether the
+  /// file got every event appended to it (always true in memory).
+  bool close();
 
   /// In-memory sessions: moves every buffered event out, oldest first.
   std::vector<TraceEvent> drainBuffered();
 
-  uint64_t eventsWritten() const { return NumWritten; }
-  uint64_t eventsFiltered() const { return NumFiltered; }
-  /// File-layer loss (TraceSink discards); 0 for in-memory sessions.
+  /// In-memory budget evictions (this session's own loss).
+  uint64_t bufferEvictions() const { return NumEvicted; }
+  /// Events the file sink lost, and the batches it wrote; 0 in memory.
   uint64_t sinkEventsDropped() const {
     return Sink ? Sink->eventsDropped() : 0;
   }
-  /// Drops observed in accepted blocks (the producers' loss, made visible
-  /// here as gap records).
-  uint64_t gapEventsSeen() const { return NumGapDrops; }
-  /// In-memory budget evictions (this session's own loss).
-  uint64_t bufferEvictions() const { return NumEvicted; }
+  uint64_t sinkBatches() const { return Sink ? Sink->batchesWritten() : 0; }
 
 private:
-  bool passes(const TraceEvent &E) const;
-  void append(const TraceEvent &E);
-
-  TelemetrySessionConfig Cfg;
   std::unique_ptr<TraceSink> Sink; ///< file mode
-  std::mutex BufMu;                ///< in-memory mode
-  std::deque<TraceEvent> Buffered;
-  uint64_t NumWritten = 0;
-  uint64_t NumFiltered = 0;
-  uint64_t NumGapDrops = 0;
+  std::deque<TraceEvent> Buffered; ///< in-memory mode
   uint64_t NumEvicted = 0;
-};
-
-//===----------------------------------------------------------------------===//
-// Streamer (buffer manager + writer thread)
-//===----------------------------------------------------------------------===//
-
-/// Owns every thread buffer and session, and the background writer thread
-/// that moves events from the former to the latter. One per process,
-/// owned by the Telemetry registry (which passes itself in — the streamer
-/// must not call Telemetry::global() because it is constructed from
-/// inside the registry's own constructor on JVOLVE_TRACE_OUT runs).
-class TelemetryStreamer {
-public:
-  explicit TelemetryStreamer(Telemetry &Owner);
-  ~TelemetryStreamer();
-
-  //===--- Sessions ---------------------------------------------------------===//
-
-  /// Opens a session and (on the first one) starts the writer thread.
-  /// \returns nullptr when a file sink could not be created.
-  std::shared_ptr<TelemetrySession> openSession(TelemetrySessionConfig Cfg);
-
-  /// Final-drains every buffer into \p S, flushes it, and detaches it.
-  void closeSession(const std::shared_ptr<TelemetrySession> &S);
-
-  /// True while at least one session is open — the fast-path gate every
-  /// emit takes before touching any buffer.
-  bool active() const { return NumSessions.load(std::memory_order_acquire) > 0; }
-
-  size_t sessionCount() const { return NumSessions.load(std::memory_order_acquire); }
-
-  //===--- Producers --------------------------------------------------------===//
-
-  /// Appends \p E to the current producer buffer: the green thread's
-  /// buffer while the VM interpreter has one pinned (setCurrentBuffer),
-  /// otherwise the calling OS thread's thread-local buffer (created and
-  /// registered on first use, retired automatically at thread exit).
-  /// No-op when no session is open.
-  void write(TraceEvent E);
-
-  /// Registers a buffer for green thread \p Tid (scheduler birth hook).
-  ThreadEventBuffer *acquireThreadBuffer(uint64_t Tid,
-                                         const std::string &Name);
-
-  /// Marks \p Buf retired (thread death hook); the writer frees it after
-  /// the final drain, folding its counters into the retired totals.
-  void retireThreadBuffer(ThreadEventBuffer *Buf);
-
-  /// Pins/unpins the green-thread buffer events from this OS thread are
-  /// attributed to (the VM run loop brackets each quantum with this).
-  static void setCurrentBuffer(ThreadEventBuffer *Buf);
-
-  /// Ring capacity for buffers registered after this call (tests shrink it
-  /// to force drops).
-  void setThreadBufferCapacity(size_t Events);
-  size_t threadBufferCapacity() const;
-
-  //===--- Draining ---------------------------------------------------------===//
-
-  /// Wakes the writer for an immediate pass (safe-point hook).
-  void kick();
-
-  /// Runs one full drain pass on the calling thread and flushes every
-  /// session — synchronous durability for closeTrace()/atexit.
-  void flushAll();
-
-  /// Fault hook (`telemetry-writer-stall`): the next \p Passes *timed*
-  /// writer passes skip their drain, so producer rings fill and overflow
-  /// into counted drops — the degradation mode the wait-free design
-  /// promises. Durability points (flushAll, closeSession, shutdown) drain
-  /// regardless and clear the stall, so the ledger still balances at exit.
-  void injectWriterStall(uint64_t Passes) {
-    StallPasses.fetch_add(Passes, std::memory_order_relaxed);
-  }
-  uint64_t stalledPasses() const {
-    return StallsTaken.load(std::memory_order_relaxed);
-  }
-
-  //===--- Accounting -------------------------------------------------------===//
-
-  /// Sums over live and retired buffers. attempted == streamed + dropped
-  /// after a flushAll() with quiescent producers.
-  uint64_t attemptedTotal() const;
-  uint64_t droppedTotal() const;
-  /// Events moved out of buffers and offered to sessions (pre-filter).
-  uint64_t streamedTotal() const { return Streamed.load(std::memory_order_relaxed); }
-  uint64_t blocksFlushed() const { return Blocks.load(std::memory_order_relaxed); }
-
-  /// Publishes the accounting totals into the `telemetry.*` registry
-  /// gauges (done after every pass; callable any time).
-  void publishMetrics();
-
-private:
-  void writerLoop();
-  /// One drain pass over every buffer into every session. Caller holds Mu
-  /// (the single-consumer guarantee for every ring: Mu serializes drains).
-  /// A forced pass (durability points) ignores and clears an injected
-  /// writer stall; a timed pass consumes one stalled pass and skips.
-  void drainPassLocked(bool Forced = true);
-  void publishMetricsLocked();
-  ThreadEventBuffer *nativeThreadBufferLocked();
-  /// Pool-or-new buffer registration (caller holds Mu).
-  ThreadEventBuffer *takeBufferLocked(uint64_t Tid, std::string Name);
-  uint64_t attemptedTotalLocked() const;
-  uint64_t droppedTotalLocked() const;
-
-  /// Guards Buffers/Sessions and serializes drain passes. Producers never
-  /// take it — the emit hot path touches only their own ring.
-  mutable std::mutex Mu;
-  std::condition_variable Cv;
-  std::thread Writer;
-  bool WriterRunning = false;
-  bool StopRequested = false;
-  std::atomic<bool> KickPending{false};
-  std::atomic<size_t> NumSessions{0};
-
-  std::vector<std::unique_ptr<ThreadEventBuffer>> Buffers;
-  std::vector<std::shared_ptr<TelemetrySession>> Sessions;
-  /// Retired-and-drained buffers kept for reuse: short-lived threads (one
-  /// per green thread per VM) would otherwise pay ring construction on
-  /// every spawn. Bounded; recycled only at matching capacity.
-  std::vector<std::unique_ptr<ThreadEventBuffer>> FreePool;
-  size_t BufferCapacity = 2048;
-  uint64_t NextNativeTid = 1; ///< ids for OS-thread buffers (bit 63 set)
-  uint64_t NumOpened = 0;
-  uint64_t TraceDroppedRetired = 0; ///< sink drops of closed sessions
-
-  // Totals of buffers already freed (their threads died and their rings
-  // fully drained) — accounting survives the buffer.
-  std::atomic<uint64_t> RetiredAttempted{0};
-  std::atomic<uint64_t> RetiredDropped{0};
-  std::atomic<uint64_t> Streamed{0};
-  std::atomic<uint64_t> Blocks{0};
-  std::atomic<uint64_t> StallPasses{0}; ///< injected writer stalls pending
-  std::atomic<uint64_t> StallsTaken{0}; ///< timed passes actually skipped
-
-  // Registry handles cached at construction: the writer thread must never
-  // race a map registration.
-  TelGauge *GDropped;
-  TelGauge *GAttempted;
-  TelGauge *GStreamed;
-  TelGauge *GBlocks;
-  TelGauge *GSessions;
-  TelGauge *GTraceDropped;
 };
 
 //===----------------------------------------------------------------------===//

@@ -2,7 +2,6 @@
 
 #include "support/Error.h"
 #include "support/Telemetry.h"
-#include "support/TelemetryStream.h"
 
 #include <cassert>
 #include <limits>
@@ -10,8 +9,10 @@
 using namespace jvolve;
 
 Scheduler::~Scheduler() {
+  // A thread that stopped already traced its exit in VM::run.
   for (auto &T : Threads)
-    retireThreadTelemetry(*T);
+    if (!T->stopped())
+      traceThreadExit(*T);
 }
 
 void Scheduler::noteSafePointReached() {
@@ -21,10 +22,6 @@ void Scheduler::noteSafePointReached() {
   Tel.counter(metrics::SchedSafePoints).inc();
   Tel.histogram(metrics::SchedSafePointWaitTicks)
       .record(static_cast<double>(Ticks - YieldRequestTick));
-  // The world is stopped: a good moment to make the pre-pause event tail
-  // durable before GC or an update attempt mutates everything.
-  if (Tel.tracing())
-    Tel.streamer().kick();
 }
 
 VMThread &Scheduler::spawn(const std::string &Name, bool Daemon) {
@@ -33,25 +30,18 @@ VMThread &Scheduler::spawn(const std::string &Name, bool Daemon) {
   T->Name = Name;
   T->Daemon = Daemon;
   Telemetry &Tel = Telemetry::global();
-  if (Tel.tracing()) {
-    T->TelBuf = Tel.streamer().acquireThreadBuffer(T->Id, T->Name);
-    // Birth event goes through the thread's own buffer (seq 1) so the
-    // merged stream shows the registration itself.
-    T->TelBuf->tryWrite({"vm.thread", "spawn", Ticks, Ticks, 0,
-                         static_cast<int64_t>(T->Id), T->Name});
-  }
+  if (Tel.tracing())
+    Tel.emit({"vm.thread", "spawn", Ticks, Ticks, 0,
+              static_cast<int64_t>(T->Id), T->Name, T->Id});
   Threads.push_back(std::move(T));
   return *Threads.back();
 }
 
-void Scheduler::retireThreadTelemetry(VMThread &T) {
-  if (!T.TelBuf)
-    return;
-  T.TelBuf->tryWrite({"vm.thread", "exit", Ticks, Ticks, 0,
-                      static_cast<int64_t>(T.Id),
-                      threadStateName(T.State)});
-  Telemetry::global().streamer().retireThreadBuffer(T.TelBuf);
-  T.TelBuf = nullptr;
+void Scheduler::traceThreadExit(const VMThread &T) {
+  Telemetry &Tel = Telemetry::global();
+  if (Tel.tracing())
+    Tel.emit({"vm.thread", "exit", Ticks, Ticks, 0,
+              static_cast<int64_t>(T.Id), threadStateName(T.State), T.Id});
 }
 
 VMThread *Scheduler::findThread(ThreadId Id) {

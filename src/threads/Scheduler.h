@@ -23,20 +23,17 @@ namespace jvolve {
 /// Owns every thread and the virtual clock.
 class Scheduler {
 public:
-  /// Retires any telemetry buffers still registered to live threads (a VM
-  /// torn down mid-run must not leave the streamer draining from buffers
-  /// whose producers are gone).
+  /// Traces the exit of every thread still alive (a VM torn down mid-run).
   ~Scheduler();
 
   /// Creates a thread in Runnable state with an empty stack; the caller
-  /// pushes the entry frame. While a telemetry session is open the thread
-  /// gets its own event buffer and a `vm.thread`/spawn trace event.
+  /// pushes the entry frame. While a telemetry session is open this emits
+  /// a `vm.thread`/spawn event carrying the new thread's id.
   VMThread &spawn(const std::string &Name, bool Daemon = false);
 
-  /// Marks \p T dead for the streaming-telemetry layer: emits the
-  /// `vm.thread`/exit event through its buffer and retires the buffer.
-  /// Safe to call for threads that never had one.
-  void retireThreadTelemetry(VMThread &T);
+  /// Emits the `vm.thread`/exit event for \p T, carrying its id, while a
+  /// telemetry session is open. VM::run calls it once a thread stops.
+  void traceThreadExit(const VMThread &T);
 
   std::vector<std::unique_ptr<VMThread>> &threads() { return Threads; }
   const std::vector<std::unique_ptr<VMThread>> &threads() const {

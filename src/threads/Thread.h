@@ -28,8 +28,6 @@
 
 namespace jvolve {
 
-class ThreadEventBuffer;
-
 /// One activation record: a window into its thread's slot stack
 /// (VMThread::Slots). Locals occupy [Base, StackBase) and the operand stack
 /// [StackBase, Sp). A caller's Sp is its callee's Base: the arguments it
@@ -109,12 +107,6 @@ struct VMThread {
   /// thread stays Runnable and set State itself when done. NativeWork
   /// threads have no frames, so they never pin a dynamic update.
   std::function<uint64_t(VMThread &, uint64_t)> NativeWork;
-
-  /// This thread's streaming-telemetry write buffer (see
-  /// support/TelemetryStream.h): registered at spawn while a session is
-  /// open (or lazily at the first quantum after one opens), retired at
-  /// thread death. Owned by the TelemetryStreamer, never by the thread.
-  ThreadEventBuffer *TelBuf = nullptr;
 
   bool stopped() const {
     return State == ThreadState::Finished || State == ThreadState::Trapped;

@@ -229,29 +229,20 @@ VM::RunResult VM::run(uint64_t MaxTicks) {
       CodeVers->onThreadPoll(*T, Sched.ticks());
 
     uint64_t Budget = std::min<uint64_t>(Cfg.Quantum, End - Sched.ticks());
-    // Threads spawned before the session opened get their buffer at their
-    // first quantum; events emitted during the quantum (interpreter traps,
-    // DSU barriers the thread trips) are attributed to the green thread,
-    // not the OS thread hosting the VM.
-    if (Tel.tracing() && !T->TelBuf)
-      T->TelBuf = Tel.streamer().acquireThreadBuffer(T->Id, T->Name);
-    TelemetryStreamer::setCurrentBuffer(T->TelBuf);
-    uint64_t Executed;
-    if (T->NativeWork) {
-      if (Sched.yieldRequested()) {
-        // Native workers have no frames to scan; they cooperate with the
-        // stop-the-world protocol by parking until resumeAfterYield().
-        T->State = ThreadState::Parked;
-        TelemetryStreamer::setCurrentBuffer(nullptr);
-        continue;
-      }
-      Executed = T->NativeWork(*T, Budget);
-    } else {
-      Executed = Interp->runThread(*T, Budget);
+    if (T->NativeWork && Sched.yieldRequested()) {
+      // Native workers have no frames to scan; they cooperate with the
+      // stop-the-world protocol by parking until resumeAfterYield().
+      T->State = ThreadState::Parked;
+      continue;
     }
-    TelemetryStreamer::setCurrentBuffer(nullptr);
+    // Events emitted during the quantum (interpreter traps, DSU barriers
+    // the thread trips) carry the green thread's id.
+    Tel.setRunningThread(T->Id);
+    uint64_t Executed = T->NativeWork ? T->NativeWork(*T, Budget)
+                                      : Interp->runThread(*T, Budget);
+    Tel.setRunningThread(0);
     if (T->stopped())
-      Sched.retireThreadTelemetry(*T);
+      Sched.traceThreadExit(*T);
     Sched.advanceTicks(Executed);
     if (Telemetry::isEnabled() && Executed > 0)
       Telemetry::global()
@@ -488,8 +479,8 @@ void VM::onTrap(VMThread &T, const std::string &Message) {
   if (Telemetry::isEnabled())
     Tel.counter(metrics::InterpTraps).inc();
   if (Tel.tracing())
-    // Routed through the trapping green thread's buffer (the interpreter
-    // runs inside its quantum), so the merged stream attributes the trap.
+    // The interpreter runs inside the thread's quantum, so emit stamps the
+    // trapping thread's id.
     Tel.emit({"vm.thread", "trap", Sched.ticks(), Sched.ticks(), 0,
               static_cast<int64_t>(T.Id), Message});
   PrintLog.push_back("TRAP[" + T.Name + "]: " + Message);

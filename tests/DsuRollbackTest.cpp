@@ -17,8 +17,6 @@
 #include "dsu/Upt.h"
 #include "heap/HeapVerifier.h"
 #include "support/FaultInjector.h"
-#include "support/Telemetry.h"
-#include "support/TelemetryStream.h"
 
 #include <gtest/gtest.h>
 
@@ -575,52 +573,6 @@ TEST_EAGER_AND_LAZY(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {
 }
 
 //===--- Second-order faults (fault inside the rollback) -------------------===//
-
-/// A telemetry writer stall firing at the rollback's markPhase must not
-/// change the rollback's outcome, and the streaming ledger must still
-/// balance once the durability flush runs: attempted == streamed + dropped.
-TEST(DsuRollback, WriterStallDuringRollbackKeepsLedgerBalanced) {
-  Telemetry::global().setEnabled(true);
-  TelemetrySessionConfig Cfg;
-  Cfg.Name = "rollback-stall";
-  auto Session = Telemetry::global().streamer().openSession(Cfg);
-
-  // Recording pass: the trigger alone, counting telemetry-writer-stall
-  // probes before and after its first firing — the rollback window.
-  VM Rec(smallConfig());
-  Rec.loadProgram(ptVersion(false));
-  Rec.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
-  Rec.faults().arm(Site::TransformerNthObject);
-  UpdateResult RecR = Updater(Rec).applyNow(
-      Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
-  ASSERT_EQ(RecR.Status, UpdateStatus::FailedTransformer) << RecR.Message;
-  size_t Stall = static_cast<size_t>(Site::TelemetryWriterStall);
-  uint64_t Lo = Rec.faults().probesAtFirstFire()[Stall];
-  uint64_t Hi = Rec.faults().probeCounts()[Stall];
-  ASSERT_GT(Hi, Lo) << "rollback path never probes the writer-stall site";
-
-  // Aimed pass: same trigger, plus the stall at every rollback-window
-  // probe index.
-  for (uint64_t Skip = Lo; Skip < Hi; ++Skip) {
-    SCOPED_TRACE("skip=" + std::to_string(Skip));
-    VM TheVM(smallConfig());
-    TheVM.loadProgram(ptVersion(false));
-    TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
-    TheVM.faults().arm(Site::TransformerNthObject);
-    TheVM.faults().arm(Site::TelemetryWriterStall, /*Fire=*/1, Skip);
-    UpdateResult R = Updater(TheVM).applyNow(
-        Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
-    EXPECT_EQ(R.Status, UpdateStatus::FailedTransformer) << R.Message;
-    EXPECT_GT(TheVM.faults().fireCounts()[Stall], 0u);
-    expectRolledBackCleanly(TheVM, R, "after stalled rollback");
-    EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 9);
-  }
-
-  TelemetryStreamer &St = Telemetry::global().streamer();
-  St.flushAll();
-  EXPECT_EQ(St.attemptedTotal(), St.streamedTotal() + St.droppedTotal());
-  St.closeSession(Session);
-}
 
 /// A second fault landing inside the rollback itself (the nested-fault
 /// path Updater::install hardens) must still resolve to the rollback's

@@ -15,6 +15,7 @@
 
 #include <fstream>
 #include <gtest/gtest.h>
+#include <map>
 
 using namespace jvolve;
 using namespace jvolve::test;
@@ -165,7 +166,7 @@ TEST(UpdateTrace, RejectionRecorded) {
 TEST(UpdateTrace, EveryEventKindNamedAndRoundTripsThroughSink) {
   // Every kind must render a non-empty name, and a trace containing one
   // event of each kind must survive the JSONL sink byte-for-byte.
-  constexpr int NumKinds = static_cast<int>(UpdateEventKind::TimedOut) + 1;
+  constexpr int NumKinds = static_cast<int>(NumUpdateEventKinds);
   std::string Path =
       ::testing::TempDir() + "update_trace_roundtrip_test.jsonl";
   Telemetry &Tel = Telemetry::global();
@@ -196,6 +197,55 @@ TEST(UpdateTrace, EveryEventKindNamedAndRoundTripsThroughSink) {
     ++K;
   }
   EXPECT_EQ(K, NumKinds);
+  std::remove(Path.c_str());
+}
+
+TEST(UpdateTrace, StreamStampsEmittingThreadAndStreamSeq) {
+  // Two green threads park inside handle(); the update arms barriers that
+  // fire inside their quanta, then applies at a safe point, and tearing
+  // the VM down ends both threads. Every line carries the id of the
+  // thread that emitted it (0 for the updater, which runs between
+  // quanta), and seq numbers the whole stream in file order.
+  std::string Path = ::testing::TempDir() + "update_trace_tid_seq_test.jsonl";
+  Telemetry &Tel = Telemetry::global();
+  ASSERT_TRUE(Tel.openTrace(Path));
+  std::map<std::string, uint64_t> IdOf;
+  {
+    VM TheVM(smallConfig());
+    ClassSet V1 = traceVersion(1, false);
+    ClassSet V2 = traceVersion(1000, false);
+    TheVM.loadProgram(V1);
+    for (const char *Name : {"svc-a", "svc-b"})
+      IdOf[Name] = TheVM.spawnThread("Svc", "loop", "()V", {}, Name, true);
+    TheVM.run(30);
+    UpdateResult R = Updater(TheVM).applyNow(Upt::prepare(V1, V2, "v1"));
+    ASSERT_EQ(R.Status, UpdateStatus::Applied);
+  }
+  ASSERT_TRUE(Tel.closeTrace());
+  Tel.setEnabled(false);
+
+  std::ifstream In(Path);
+  ASSERT_TRUE(In.good());
+  std::string Line;
+  uint64_t Seq = 0;
+  std::map<std::string, int> Seen;
+  while (std::getline(In, Line)) {
+    TraceEvent E;
+    ASSERT_TRUE(TraceEvent::parseLine(Line, E)) << Line;
+    EXPECT_EQ(E.Seq, ++Seq) << Line;
+    ++Seen[E.Name + "/" + E.Phase];
+    if (E.Name == "vm.thread")
+      EXPECT_EQ(E.Tid, static_cast<uint64_t>(E.Value)) << Line;
+    else if (E.Phase == "barrier-fired")
+      EXPECT_EQ(E.Tid, IdOf.at(E.Detail.substr(E.Detail.find(' ') + 1)))
+          << Line;
+    else
+      EXPECT_EQ(E.Tid, 0u) << Line;
+  }
+  EXPECT_EQ(Seen["vm.thread/spawn"], 2);
+  EXPECT_EQ(Seen["vm.thread/exit"], 2);
+  EXPECT_GE(Seen["dsu.update.event/barrier-fired"], 1);
+  EXPECT_GE(Seen["dsu.update.phase/total"], 1);
   std::remove(Path.c_str());
 }
 

@@ -45,7 +45,6 @@
 #include "ToolFlags.h"
 #include "support/ChaosCampaign.h"
 #include "support/Telemetry.h"
-#include "support/TelemetryStream.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -229,13 +228,10 @@ int main(int argc, char **argv) {
       return 2;
     }
 
-  // A live streaming session gives the ledger-balance oracle something to
-  // judge: every scenario's events flow through the per-thread buffers and
-  // either stream into this in-memory session or count as drops.
+  // A live in-memory session gives the ledger-balance oracle something to
+  // judge: every scenario's events stream into it.
   Telemetry::global().setEnabled(true);
-  TelemetrySessionConfig SessCfg;
-  SessCfg.Name = "chaos";
-  auto Session = Telemetry::global().streamer().openSession(SessCfg);
+  auto Session = Telemetry::global().openSession();
 
   if (Repro) {
     // Re-parse the validated list into the spec's fault vector.
@@ -253,7 +249,7 @@ int main(int argc, char **argv) {
       ReproSpec.Faults.push_back(F);
     }
     int Rc = runRepro(ReproSpec);
-    Telemetry::global().streamer().closeSession(Session);
+    Telemetry::global().closeSession(Session);
     return Rc;
   }
 
@@ -298,7 +294,7 @@ int main(int argc, char **argv) {
     if (int RC = writeMetricsSnapshot("jvolve-chaos", MetricsOut))
       return RC;
 
-  Telemetry::global().streamer().closeSession(Session);
+  Telemetry::global().closeSession(Session);
   if (Check && (!Rep.Violations.empty() || Rep.Covered < Rep.ProbePoints))
     return 1;
   return 0;

@@ -15,7 +15,8 @@
 /// the heap verifier and registry-consistency check after execution and
 /// fails the run on any violation. --metrics enables telemetry and dumps
 /// the registry snapshot at exit (table by default, JSON with =json);
-/// --trace-out enables telemetry and streams JSONL trace events to <file>;
+/// --trace-out enables telemetry and streams JSONL trace events to <file>
+/// (exit 2 when the file cannot be created or did not get every event);
 /// --stats-window enables windowed event-counter aggregation (default
 /// 5000-tick windows) and dumps the per-window rate/percentile table at
 /// exit — the offline twin of `jvolve-serve --stats`. --inject arms one
@@ -62,6 +63,7 @@ int main(int argc, char **argv) {
   enum class MetricsMode { Off, Table, Json } Metrics = MetricsMode::Off;
   uint64_t StatsWindowTicks = 0;
   std::string InjectSpecs;
+  const char *TraceOut = nullptr;
 
   while (argc >= 2 && std::strncmp(argv[1], "--", 2) == 0) {
     std::string Flag = argv[1];
@@ -101,9 +103,10 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "jvolve-run: --trace-out requires a file\n");
         return 2;
       }
-      if (!Telemetry::global().openTrace(argv[2])) {
+      TraceOut = argv[2];
+      if (!Telemetry::global().openTrace(TraceOut)) {
         std::fprintf(stderr, "jvolve-run: cannot create trace file '%s'\n",
-                     argv[2]);
+                     TraceOut);
         return 2;
       }
       --argc;
@@ -225,7 +228,11 @@ int main(int argc, char **argv) {
     std::printf("%s", CodeVersionManager::of(TheVM)
                           .activeVersionTable()
                           .c_str());
-  Telemetry::global().closeTrace(); // drain + flush the streaming session
+  if (!Telemetry::global().closeTrace()) {
+    std::fprintf(stderr, "jvolve-run: cannot write trace file '%s'\n",
+                 TraceOut);
+    return 2;
+  }
 
   VMThread *T = TheVM.scheduler().findThread(Main);
   if (T->State == ThreadState::Trapped) {

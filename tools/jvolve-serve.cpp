@@ -71,15 +71,15 @@
 /// every update: a probe connection travels the same simulated network
 /// path as client traffic, and when the server's response comes back the
 /// per-window rate/p50/p99 table prints (support/TelemetryStream.h
-/// WindowAggregator) together with the streaming pipeline's drop
-/// accounting — the live stats surface the canary latency monitor also
-/// reads its window means from. --trace-out streams JSONL trace events
-/// (update phase spans and lifecycle events) to <file>, buffered through
-/// per-thread lock-free buffers and a background session writer.
-/// --metrics-out enables
-/// telemetry and writes the final registry snapshot as JSON to <file> at
-/// exit, the format scripts/metrics-diff.py consumes — so an eager and a
-/// --lazy run of the same release history can be diffed and gated.
+/// WindowAggregator) together with the trace session's event ledger —
+/// the live stats surface the canary latency monitor also reads its
+/// window means from. --trace-out streams JSONL trace events (update
+/// phase spans and lifecycle events) to <file>; the tool exits 2 when the
+/// file cannot be created or did not get every event. --metrics-out
+/// enables telemetry and writes the final registry snapshot as JSON to
+/// <file> at exit, the format scripts/metrics-diff.py consumes — so an
+/// eager and a --lazy run of the same release history can be diffed and
+/// gated.
 ///
 /// When an update cannot reach a safe point (the changed method never
 /// leaves the stack), the tool retries once with the operator-supplied
@@ -145,9 +145,9 @@ void addOperatorMappings(UpdateBundle &B, const AppModel &App,
 /// same simulated network path as client traffic, and the VM runs until
 /// the server's response to it comes back — so the view reflects a
 /// server that has caught up with everything ahead of the probe. Prints
-/// the windowed rate/p50/p99 table over recent windows plus the
-/// streaming pipeline's drop accounting. \returns false when the server
-/// never answered (e.g. every worker trapped).
+/// the windowed rate/p50/p99 table over recent windows plus the trace
+/// session's event ledger. \returns false when the server never answered
+/// (e.g. every worker trapped).
 bool serveStatsRequest(VM &TheVM, int Port) {
   int Conn = TheVM.injectConnection(Port, {1});
   for (int Round = 0; Round < 500; ++Round) {
@@ -164,13 +164,15 @@ bool serveStatsRequest(VM &TheVM, int Port) {
                     static_cast<unsigned long long>(W.windowsRolled()),
                     static_cast<unsigned long long>(W.windowTicks()),
                     W.table().c_str());
-        if (Tel.hasStreamer()) {
-          TelemetryStreamer &S = Tel.streamer();
-          std::printf("  telemetry: %llu event(s) attempted, %llu streamed, "
-                      "%llu dropped\n",
-                      static_cast<unsigned long long>(S.attemptedTotal()),
-                      static_cast<unsigned long long>(S.streamedTotal()),
-                      static_cast<unsigned long long>(S.droppedTotal()));
+        if (Tel.tracing()) {
+          auto Read = [&Tel](const char *Name) {
+            return static_cast<long long>(Tel.findGauge(Name)->value());
+          };
+          std::printf("  telemetry: %lld event(s) attempted, %lld streamed, "
+                      "%lld dropped\n",
+                      Read(metrics::TelemetryEventsAttempted),
+                      Read(metrics::TelemetryEventsStreamed),
+                      Read(metrics::TelemetryDroppedTotal));
         }
         return true;
       }
@@ -205,6 +207,7 @@ int main(int argc, char **argv) {
   uint64_t CanaryTicks = 0; // 0 = no canary window
   bool WantRevert = false;
   const char *MetricsOut = nullptr;
+  const char *TraceOut = nullptr;
   size_t AdmitLimit = 16;
   std::string InjectSpecs;
   for (int I = 2; I < argc; ++I) {
@@ -238,9 +241,10 @@ int main(int argc, char **argv) {
       MetricsOut = argv[++I];
       Telemetry::global().setEnabled(true);
     } else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc) {
-      if (!Telemetry::global().openTrace(argv[++I])) {
+      TraceOut = argv[++I];
+      if (!Telemetry::global().openTrace(TraceOut)) {
         std::fprintf(stderr, "jvolve-serve: cannot create trace file '%s'\n",
-                     argv[I]);
+                     TraceOut);
         return 2;
       }
     } else if (std::strcmp(argv[I], "--inject") == 0 && I + 1 < argc) {
@@ -446,10 +450,15 @@ int main(int argc, char **argv) {
     }
   }
 
-  Telemetry::global().closeTrace(); // flush any buffered JSONL events
+  bool TraceWritten = Telemetry::global().closeTrace();
   if (MetricsOut)
     if (int RC = writeMetricsSnapshot("jvolve-serve", MetricsOut))
       return RC;
+  if (!TraceWritten) {
+    std::fprintf(stderr, "jvolve-serve: cannot write trace file '%s'\n",
+                 TraceOut);
+    return 2;
+  }
   std::printf("final version: %s\n", App.versionName(Version).c_str());
   for (const std::string &F : TheVM.lazyFailureLog())
     std::printf("degraded lazy transform: %s\n", F.c_str());
