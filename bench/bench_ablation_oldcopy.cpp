@@ -3,12 +3,16 @@
 /// \file
 /// Ablation of the §3.5 old-copy-space optimization ("We could instead
 /// copy the old versions to a special block of memory and reclaim it when
-/// the collection completes"), implemented in this reproduction.
+/// the collection completes"), implemented in this reproduction and the
+/// default placement of old-version duplicates. The reference is the
+/// paper's own placement, in to-space (UseOldCopySpace = false).
 ///
 /// Compares, per update over N transformed objects:
-///   - total DSU pause (the extra block adds no measurable cost),
-///   - heap occupancy immediately after the update (the default leaves
-///     the dead duplicates in to-space until the *next* collection),
+///   - total DSU pause (the block keeps certification off the dead
+///     duplicates),
+///   - heap occupancy immediately after the update (the to-space
+///     reference leaves the dead duplicates there until the *next*
+///     collection),
 ///   - the cost of that deferred reclamation (the follow-up GC).
 ///
 //===----------------------------------------------------------------------===//
@@ -98,7 +102,8 @@ int main() {
     for (bool Mode : {false, true}) {
       Sample S = runOnce(N, Mode);
       TP.addRow({std::to_string(N),
-                 Mode ? "old-copy space" : "to-space (paper default)",
+                 Mode ? "old-copy block (default)"
+                      : "to-space (paper's placement)",
                  TablePrinter::fmt(S.PauseMs, 1),
                  TablePrinter::fmt(S.HeapAfterUpdate / 1048576.0, 1),
                  TablePrinter::fmt(S.FollowupGcMs, 1),
@@ -108,6 +113,7 @@ int main() {
   std::printf("%s\n", TP.render().c_str());
   std::printf("Shape: the dedicated block removes the dead duplicates "
               "from the heap immediately (lower post-update occupancy and "
-              "a cheaper follow-up collection) at no extra pause cost.\n");
+              "a cheaper follow-up collection) and shortens the pause, "
+              "whose certification walks only the live heap.\n");
   return 0;
 }

@@ -16,7 +16,8 @@
 # first-order fault sweep, the perfbench helper unit tests, then the
 # update-transaction (rollback), quiescence-escalation, GC-fuzz, heap
 # verifier, transformer, lazy-transform and old-copy-space suites, eager
-# and lazy, plus the interpreter, active-method, VM-behaviour,
+# and lazy, plus the collector and DSU edge-case suites (the Cheney scan
+# and its prefetch cursor), the interpreter, active-method, VM-behaviour,
 # scheduler/network, code-versioning, DSU and apps suites (the per-thread
 # slot stack and the frame remaps that move it), plus the verifier and
 # stack-shape suites (the verifier indexes one reused state arena by
@@ -218,12 +219,12 @@ python3 -m unittest discover -s perfbench/tests
 if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake -B "build-$SAN" -S . -DJVOLVE_SANITIZE="$SAN"
   cmake --build "build-$SAN" -j "$JOBS" \
-    --target dsu_rollback_test quiescence_test gc_fuzz_test \
-    heap_verifier_test transformer_test lazy_transform_test \
+    --target dsu_rollback_test quiescence_test gc_fuzz_test gc_test \
+    dsu_edge_test heap_verifier_test transformer_test lazy_transform_test \
     old_copy_space_test interpreter_test active_method_test \
     vm_behavior_test scheduler_network_test code_version_test dsu_test \
     apps_test verifier_test canary_test synthesis_test telemetry_test \
     update_trace_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|StackShapes|Canary|Synthesis|Telemetry|UpdateTrace'
+    -R 'DsuRollback|Quiescence|GcFuzz|^Gc\.|DsuEdge|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|StackShapes|Canary|Synthesis|Telemetry|UpdateTrace'
 fi

@@ -9,42 +9,26 @@
 
 using namespace jvolve;
 
-const RtField *TransformCtx::fieldOf(Ref Obj, std::string_view Field) const {
-  assert(Obj && "field access on null in transformer");
+const RtField *TransformCtx::lookupField(Ref Obj,
+                                         std::string_view Field) const {
   const RtClass &C = TheVM.registry().cls(classOf(Obj));
-  // Transformer bodies mostly walk the fields in declaration order, reading
-  // the old object and then writing the new one, so the field found last
-  // or the one after it usually matches before any scan. Field names are
-  // unique per class (the verifier rejects shadowing), so a match is the
-  // field findInstanceField would return.
-  const std::vector<RtField> &Fields = C.InstanceFields;
-  for (size_t I = LastField; I < Fields.size() && I <= LastField + 1; ++I)
-    if (Fields[I].Name == Field) {
-      LastField = I;
-      return &Fields[I];
-    }
   const RtField *F = C.findInstanceField(Field);
   if (!F)
     throw UpdateError("transform", "class " + C.Name + " has no field '" +
                                        std::string(Field) + "'");
-  LastField = static_cast<size_t>(F - Fields.data());
+  FieldCursor *Cur = nullptr;
+  for (FieldCursor &Candidate : Recent)
+    if (Candidate.Class == C.Id)
+      Cur = &Candidate;
+  if (!Cur) {
+    Cur = &Recent[NextVictim];
+    NextVictim = 1 - NextVictim;
+  }
+  uint32_t Count = static_cast<uint32_t>(C.InstanceFields.size());
+  uint32_t Index = static_cast<uint32_t>(F - C.InstanceFields.data());
+  *Cur = {C.Id, C.InstanceFields.data(), Count,
+          Index + 1 == Count ? 0 : Index + 1};
   return F;
-}
-
-int64_t TransformCtx::getInt(Ref Obj, std::string_view Field) const {
-  return getIntAt(Obj, fieldOf(Obj, Field)->Offset);
-}
-
-Ref TransformCtx::getRef(Ref Obj, std::string_view Field) const {
-  return getRefAt(Obj, fieldOf(Obj, Field)->Offset);
-}
-
-void TransformCtx::setInt(Ref Obj, std::string_view Field, int64_t Value) {
-  setIntAt(Obj, fieldOf(Obj, Field)->Offset, Value);
-}
-
-void TransformCtx::setRef(Ref Obj, std::string_view Field, Ref Value) {
-  setRefAt(Obj, fieldOf(Obj, Field)->Offset, Value);
 }
 
 static Slot *staticSlot(VM &TheVM, std::string_view Cls,
@@ -237,7 +221,6 @@ void TransformerRunner::transformEntry(size_t Index) {
   if (const ObjectTransformer *User = P.User) {
     // The body may force other entries, which can grow Plans; P is not
     // touched again.
-    TransformCtx Ctx(TheVM, this);
     (*User)(Ctx, E.NewObj, E.OldCopy);
   } else {
     copyThrough(P, E.NewObj, E.OldCopy);
@@ -264,7 +247,6 @@ void TransformerRunner::ensureTransformed(Ref NewObj) {
 double TransformerRunner::runClassTransformers() {
   Stopwatch Timer;
   // Class transformers first (paper §3.4), defaults for the rest.
-  TransformCtx Ctx(TheVM, this);
   for (const std::string &Name : Bundle.Spec.ClassUpdates) {
     auto It = Bundle.ClassTransformers.find(Name);
     if (It != Bundle.ClassTransformers.end())

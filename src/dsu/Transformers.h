@@ -8,7 +8,10 @@
 /// and final-ness (the role of the paper's JastAdd compiler extension), can
 /// allocate new objects/arrays/strings, and exposes the special VM function
 /// that forces a referenced object to be transformed before its fields are
-/// read (with cycle detection).
+/// read (with cycle detection). A by-name access that names the field after
+/// the last one accessed on a recently accessed class, as a field-by-field
+/// copy does, is one inline name compare; any other access looks the name
+/// up.
 ///
 /// TransformerRunner executes, after a DSU collection, first every class
 /// transformer and then every object transformer over the update log,
@@ -27,6 +30,7 @@
 
 #include "dsu/UpdateBundle.h"
 #include "heap/Collector.h"
+#include "runtime/ObjectModel.h"
 #include "vm/VM.h"
 
 #include <cstdint>
@@ -44,10 +48,18 @@ public:
       : TheVM(TheVM), Runner(Runner) {}
 
   //===--- Instance fields (by name; access modifiers are bypassed) -------===//
-  int64_t getInt(Ref Obj, std::string_view Field) const;
-  Ref getRef(Ref Obj, std::string_view Field) const;
-  void setInt(Ref Obj, std::string_view Field, int64_t Value);
-  void setRef(Ref Obj, std::string_view Field, Ref Value);
+  int64_t getInt(Ref Obj, std::string_view Field) const {
+    return getIntAt(Obj, fieldOf(Obj, Field)->Offset);
+  }
+  Ref getRef(Ref Obj, std::string_view Field) const {
+    return getRefAt(Obj, fieldOf(Obj, Field)->Offset);
+  }
+  void setInt(Ref Obj, std::string_view Field, int64_t Value) {
+    setIntAt(Obj, fieldOf(Obj, Field)->Offset, Value);
+  }
+  void setRef(Ref Obj, std::string_view Field, Ref Value) {
+    setRefAt(Obj, fieldOf(Obj, Field)->Offset, Value);
+  }
 
   //===--- Statics (works on renamed obsolete classes too) ----------------===//
   int64_t getStaticInt(std::string_view Cls, std::string_view Field) const;
@@ -81,13 +93,55 @@ public:
   void defaultClassTransform(const std::string &Cls);
 
 private:
+  /// The instance field \p Field of \p Obj's class. Inline when it is the
+  /// field after the one accessed last on that class (wrapping around);
+  /// otherwise lookupField.
   const RtField *fieldOf(Ref Obj, std::string_view Field) const;
+  /// The by-name lookup behind a miss; throws UpdateError("transform") when
+  /// the class has no such field, and points a cursor at the next field.
+  const RtField *lookupField(Ref Obj, std::string_view Field) const;
 
   VM &TheVM;
   class TransformerRunner *Runner;
-  /// Index in InstanceFields of the field fieldOf found last.
-  mutable size_t LastField = 0;
+
+  /// A recently accessed class and the index in its InstanceFields of the
+  /// field after the one accessed last. Fields points into the class's own
+  /// table, which lives as long as the class: a rollback unloads only the
+  /// classes its own update loaded, whose transformers ran against that
+  /// update's runner-owned context.
+  struct FieldCursor {
+    ClassId Class = InvalidClassId;
+    const RtField *Fields = nullptr;
+    uint32_t Count = 0;
+    uint32_t Next = 0;
+  };
+  /// Transformer bodies alternate between the old and the new object, so
+  /// one cursor per side; a miss on a third class replaces them in turn.
+  mutable FieldCursor Recent[2];
+  mutable uint32_t NextVictim = 0;
 };
+
+inline const RtField *TransformCtx::fieldOf(Ref Obj,
+                                            std::string_view Field) const {
+  assert(Obj && "field access on null in transformer");
+  ClassId Id = classOf(Obj);
+  for (FieldCursor &C : Recent) {
+    if (C.Class != Id)
+      continue;
+    // Field names are unique per class (the verifier rejects shadowing),
+    // so an equal name is the field findInstanceField would return. A
+    // byte loop: the names are a few characters long.
+    const RtField &F = C.Fields[C.Next];
+    if (F.Name.size() != Field.size())
+      break;
+    for (size_t I = 0; I < Field.size(); ++I)
+      if (F.Name[I] != Field[I])
+        return lookupField(Obj, Field);
+    C.Next = C.Next + 1 == C.Count ? 0 : C.Next + 1;
+    return &F;
+  }
+  return lookupField(Obj, Field);
+}
 
 /// How the instances of one new-version class are initialized from one
 /// old-version class, built once per update by matching the two runtime
@@ -115,7 +169,9 @@ class TransformerRunner {
 public:
   TransformerRunner(VM &TheVM, const UpdateBundle &Bundle,
                     std::vector<UpdateLogEntry> &UpdateLog)
-      : TheVM(TheVM), Bundle(Bundle), UpdateLog(UpdateLog) {}
+      : TheVM(TheVM), Bundle(Bundle), UpdateLog(UpdateLog), Ctx(TheVM, this) {}
+  TransformerRunner(const TransformerRunner &) = delete;
+  TransformerRunner &operator=(const TransformerRunner &) = delete;
 
   /// Executes all class transformers, then all object transformers.
   /// \returns wall-clock milliseconds spent.
@@ -164,6 +220,9 @@ private:
   std::vector<UpdateLogEntry> &UpdateLog;
   std::vector<TransformPlan> Plans; ///< indexed by new class id
   uint64_t NumTransformed = 0;
+  /// The context every transformer of this update runs against, so its
+  /// field cursors carry from one object to the next.
+  TransformCtx Ctx;
 };
 
 } // namespace jvolve

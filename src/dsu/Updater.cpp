@@ -832,6 +832,11 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
                         TheVM.scheduler().ticks(),
                         static_cast<int64_t>(Result.LazyPendingAtCommit),
                         "untransformed shells drain behind the read barrier");
+    // Nothing left to drain (no instances, or all bulk-settled): retire
+    // now, so the old-copy block is not still held when certification
+    // runs against a drained engine.
+    if (Engine->drained())
+      Engine->retire();
     TheVM.installLazyEngine(std::move(Engine));
   }
   if (Opts.CertifyAfterUpdate)
@@ -1207,10 +1212,10 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                         static_cast<int64_t>(Result.ObjectsTransformed),
                         std::to_string(Result.TransformMs) + " ms");
 
-    // Dropping the log makes the duplicate old versions unreachable: in
-    // the default configuration the next collection reclaims them, while
-    // the §3.5 old-copy space is released right now. Obsolete statics go
-    // too, so dead program state cannot keep objects alive.
+    // Dropping the log makes the duplicate old versions unreachable: the
+    // §3.5 old-copy space (the default) is released right now, while with
+    // the to-space placement the next collection reclaims them. Obsolete
+    // statics go too, so dead program state cannot keep objects alive.
     Reg.dropObsoleteStatics();
     if (Opts.UseOldCopySpace)
       TheVM.heap().releaseOldCopySpace();

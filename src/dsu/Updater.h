@@ -68,9 +68,11 @@ struct UpdateOptions {
   /// base-compiled methods (paper §3.2). Off = return barriers only.
   bool EnableOsr = true;
   /// §3.5 optimization: place old-version duplicates in a dedicated block
-  /// reclaimed right after transformation instead of to-space (where the
-  /// next collection would reclaim them).
-  bool UseOldCopySpace = false;
+  /// reclaimed right after transformation (eager) or when the lazy engine
+  /// retires. Off selects the to-space placement, where the next
+  /// collection reclaims them; it remains as the reference the old-copy
+  /// tests and bench_ablation_oldcopy compare against.
+  bool UseOldCopySpace = true;
   /// Caps the old-copy block at this many bytes (0 = worst case: the
   /// whole live heap, which can never overflow). An undersized cap makes
   /// the exhaustion path reachable: the update rolls back with a

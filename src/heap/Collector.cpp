@@ -5,25 +5,41 @@
 #include "support/Stopwatch.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 using namespace jvolve;
 
-Ref Collector::dsuAllocate(size_t Bytes, const char *What) {
+/// How far ahead of each Cheney scan pointer the prefetch cursor runs: far
+/// enough that a target's header has arrived when the scan forwards it,
+/// near enough that it is still cached.
+static constexpr size_t PrefetchDistance = 1024;
+/// The same distance inside a reference array, in elements.
+static constexpr int64_t PrefetchSlots = PrefetchDistance / SlotBytes;
+
+Ref Collector::dsuAllocate(size_t Bytes, const char *What,
+                           bool InOldCopySpace) {
+  const char *Space = InOldCopySpace ? "old-copy space" : "to-space";
   if (Faults && Faults->probe(FaultInjector::Site::GcAllocExhaustion))
-    throw UpdateError("dsu-gc", std::string("injected to-space exhaustion "
-                                            "while allocating ") +
-                                    What);
-  Ref Obj = TheHeap.tryAllocateInOtherSpace(Bytes);
-  if (!Obj)
+    throw UpdateError("dsu-gc", std::string("injected ") + Space +
+                                    " exhaustion while allocating " + What);
+  Ref Obj = InOldCopySpace ? TheHeap.tryAllocateInOldCopySpace(Bytes)
+                           : TheHeap.tryAllocateInOtherSpace(Bytes);
+  if (Obj)
+    return Obj;
+  if (InOldCopySpace)
     throw UpdateError("dsu-gc",
-                      std::string("to-space exhausted while allocating ") +
+                      std::string("old-copy space exhausted while "
+                                  "allocating ") +
                           What +
-                          "; the live heap plus duplicate old copies does "
-                          "not fit (enlarge the heap or enable the "
-                          "old-copy space)");
-  return Obj;
+                          "; raise OldCopyReserveLimitBytes or let the "
+                          "collector reserve the worst case");
+  throw UpdateError("dsu-gc",
+                    std::string("to-space exhausted while allocating ") +
+                        What +
+                        "; the live heap plus the update's copies does not "
+                        "fit (enlarge the heap)");
 }
 
 Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
@@ -46,7 +62,8 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
       assert(!NewCls.IsArray && "array classes are never remapped");
 
       // Uninitialized new-version object: new class, zeroed fields.
-      Ref NewObj = dsuAllocate(NewCls.InstanceSize, "a new-version object");
+      Ref NewObj =
+          dsuAllocate(NewCls.InstanceSize, "a new-version object", false);
       std::memset(NewObj, 0, NewCls.InstanceSize);
       ObjectHeader *NewH = header(NewObj);
       NewH->Class = NewCls.Id;
@@ -54,20 +71,10 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
           FlagUninitialized | (Remap->LazyShells ? FlagLazyPending : 0u);
 
       // Duplicate of the old version, scanned like any live object so its
-      // fields get forwarded into to-space. Placement depends on the
-      // §3.5 old-copy-space option.
-      Ref OldCopy;
-      if (Remap->OldCopiesInSeparateSpace) {
-        OldCopy = TheHeap.tryAllocateInOldCopySpace(Bytes);
-        if (!OldCopy)
-          throw UpdateError(
-              "dsu-gc",
-              "old-copy space exhausted while allocating an old-version "
-              "duplicate; raise OldCopyReserveLimitBytes or let the "
-              "collector reserve the worst case");
-      } else {
-        OldCopy = dsuAllocate(Bytes, "an old-version duplicate");
-      }
+      // fields get forwarded into to-space. It goes to the §3.5 old-copy
+      // block unless the remap asks for the to-space placement.
+      bool InBlock = Remap->OldCopiesInSeparateSpace;
+      Ref OldCopy = dsuAllocate(Bytes, "an old-version duplicate", InBlock);
       std::memcpy(OldCopy, Obj, Bytes);
       header(OldCopy)->Flags &= ~FlagForwarded;
 
@@ -79,12 +86,12 @@ Ref Collector::forward(Ref Obj, const DsuRemap *Remap,
 
       ++Stats.ObjectsRemapped;
       Stats.ObjectsCopied += 2;
-      Stats.BytesCopied += Bytes + NewCls.InstanceSize;
+      Stats.BytesCopied += NewCls.InstanceSize + (InBlock ? 0 : Bytes);
       return NewObj;
     }
   }
 
-  Ref Copy = Remap ? dsuAllocate(Bytes, "a live-object copy")
+  Ref Copy = Remap ? dsuAllocate(Bytes, "a live-object copy", false)
                    : TheHeap.allocateInOtherSpace(Bytes);
   std::memcpy(Copy, Obj, Bytes);
   H->Flags |= FlagForwarded;
@@ -115,6 +122,18 @@ CollectionStats Collector::collect(const RootEnumerator &EnumerateRoots,
       Reserve = Remap->OldCopyReserveLimitBytes;
     TheHeap.reserveOldCopySpace(Reserve);
   }
+  if (Remap) {
+    // Reserve the log once: every remapped object occupies at least the
+    // smallest remapped class's instance size of from-space, so the live
+    // bytes bound the entry count. Pages never written never become
+    // resident.
+    uint32_t MinSize = UINT32_MAX;
+    for (ClassId Old = 0; Old < Remap->OldToNew.size(); ++Old)
+      if (Remap->OldToNew[Old] != InvalidClassId)
+        MinSize = std::min(MinSize, Registry.cls(Old).InstanceSize);
+    if (MinSize != UINT32_MAX)
+      UpdateLog->reserve(UpdateLog->size() + LiveBeforeBytes / MinSize);
+  }
 
   auto Fwd = [&](Ref &Loc) {
     Loc = forward(Loc, Remap, UpdateLog, Stats);
@@ -135,6 +154,9 @@ CollectionStats Collector::collect(const RootEnumerator &EnumerateRoots,
       if (Cls.ElemIsRef) {
         int64_t Len = arrayLength(Obj);
         for (int64_t I = 0; I < Len; ++I) {
+          if (I + PrefetchSlots < Len)
+            if (Ref Ahead = getRefAt(Obj, arrayElemOffset(I + PrefetchSlots)))
+              __builtin_prefetch(Ahead);
           Ref Elem = getRefAt(Obj, arrayElemOffset(I));
           if (Elem)
             setRefAt(Obj, arrayElemOffset(I),
@@ -142,28 +164,49 @@ CollectionStats Collector::collect(const RootEnumerator &EnumerateRoots,
         }
       }
     } else {
-      for (const RtField &F : Cls.InstanceFields) {
-        if (!F.IsRef)
-          continue;
-        Ref Val = getRefAt(Obj, F.Offset);
+      for (uint32_t Offset : Cls.RefOffsets) {
+        Ref Val = getRefAt(Obj, Offset);
         if (Val)
-          setRefAt(Obj, F.Offset, forward(Val, Remap, UpdateLog, Stats));
+          setRefAt(Obj, Offset, forward(Val, Remap, UpdateLog, Stats));
       }
     }
     return (Bytes + 7) & ~size_t(7);
   };
 
+  /// Moves a region's prefetch cursor \p At to PrefetchDistance bytes past
+  /// its scan pointer \p Scan (or to the region's end), prefetching the
+  /// headers the grey objects it passes point to: the lines forward() reads
+  /// when the scan reaches those objects. Arrays are prefetched by their
+  /// own element loop.
+  auto Prefetch = [&](uint8_t *Base, size_t Scan, size_t End, size_t &At) {
+    size_t Limit = std::min(Scan + PrefetchDistance, End);
+    while (At < Limit) {
+      Ref Obj = Base + At;
+      ObjectHeader *H = header(Obj);
+      const RtClass &Cls = Registry.cls(H->Class);
+      if (!Cls.IsArray && !(H->Flags & FlagUninitialized))
+        for (uint32_t Offset : Cls.RefOffsets)
+          if (Ref Val = getRefAt(Obj, Offset))
+            __builtin_prefetch(Val);
+      At += (objectBytes(Cls, Obj) + 7) & ~size_t(7);
+    }
+  };
+
   // Cheney scan. Copies extend to-space; old duplicates may extend the
   // old-copy space; both regions are scanned to a joint fixpoint.
-  size_t ScanTo = 0, ScanOld = 0;
+  size_t ScanTo = 0, ScanOld = 0, AheadTo = 0, AheadOld = 0;
   bool Progress = true;
   while (Progress) {
     Progress = false;
     while (ScanTo < TheHeap.otherBytesAllocated()) {
+      Prefetch(TheHeap.otherSpaceStart(), ScanTo,
+               TheHeap.otherBytesAllocated(), AheadTo);
       ScanTo += ScanObject(TheHeap.otherSpaceStart() + ScanTo);
       Progress = true;
     }
     while (UseOldSpace && ScanOld < TheHeap.oldCopyBytesUsed()) {
+      Prefetch(TheHeap.oldCopyStart(), ScanOld, TheHeap.oldCopyBytesUsed(),
+               AheadOld);
       ScanOld += ScanObject(TheHeap.oldCopyStart() + ScanOld);
       Progress = true;
     }

@@ -18,8 +18,14 @@
 /// scanned normally, so its fields end up pointing at to-space
 /// (new-version) objects — exactly the state the object transformer
 /// functions expect. After the collection the DSU layer runs the
-/// transformers over the log; clearing the log makes the old copies
-/// unreachable, so the *next* collection reclaims them.
+/// transformers over the log. By default the old copies live in the
+/// heap's §3.5 old-copy block, which the DSU layer frees as soon as the
+/// transformers are done; with the to-space placement, clearing the log
+/// makes them unreachable and the *next* collection reclaims them.
+///
+/// The scan traces each class's RtClass::RefOffsets, and a cursor a fixed
+/// distance ahead of each scan pointer prefetches the headers the grey
+/// objects point to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +59,8 @@ struct DsuRemap {
   /// §3.5 optimization: place the duplicates of old-version objects in a
   /// dedicated block (Heap's old-copy space) instead of to-space, so the
   /// DSU layer can reclaim it the moment the transformers finish rather
-  /// than waiting for the next collection.
+  /// than waiting for the next collection. The updater sets it from
+  /// UpdateOptions::UseOldCopySpace (on by default).
   bool OldCopiesInSeparateSpace = false;
 
   /// Caps the old-copy block at this many bytes (0 = worst case: the whole
@@ -70,7 +77,8 @@ struct DsuRemap {
 
 /// One pending object transformation recorded during a DSU collection.
 struct UpdateLogEntry {
-  Ref OldCopy = nullptr; ///< duplicate of the old-version object (to-space)
+  /// Duplicate of the old-version object (old-copy block or to-space).
+  Ref OldCopy = nullptr;
   Ref NewObj = nullptr;  ///< uninitialized new-version object (to-space)
 
   /// Transformer progress, used for the recursive force-transform path and
@@ -84,8 +92,12 @@ struct UpdateLogEntry {
 
 /// Measurements for one collection.
 struct CollectionStats {
-  double GcMs = 0;            ///< wall-clock time of the copying phase
-  uint64_t ObjectsCopied = 0; ///< live objects moved to to-space
+  double GcMs = 0; ///< wall-clock time of the copying phase
+  /// Objects the collection copied: live objects, new-version shells and
+  /// old-version duplicates, wherever they were placed.
+  uint64_t ObjectsCopied = 0;
+  /// Bytes copied into to-space only; duplicates placed in the old-copy
+  /// block count in OldCopySpaceBytes instead.
   uint64_t BytesCopied = 0;
   uint64_t ObjectsRemapped = 0; ///< objects queued for transformation
   /// Bytes of old-version duplicates placed in the separate old-copy
@@ -114,16 +126,18 @@ public:
   /// \param EnumerateRoots visits statics, thread stacks, and VM handles.
   /// \param Remap non-null during a dynamic update.
   /// \param UpdateLog receives (old copy, new object) pairs; required when
-  ///        \p Remap is non-null. Each new object's header carries its
+  ///        \p Remap is non-null. It is reserved once, for as many entries
+  ///        as the live bytes can hold remapped objects, so it never
+  ///        regrows during the pause. Each new object's header carries its
   ///        entry's index, so the transformer runtime can force-transform a
   ///        referenced object in O(1) (the paper caches a pointer to the old
   ///        version instead of scanning the log).
   ///
   /// A DSU collection (\p Remap non-null) throws UpdateError("dsu-gc", ...)
-  /// when to-space cannot hold the live heap plus the duplicate old copies,
-  /// or when the gc-alloc-exhaustion fault site fires — the heap is left
-  /// mid-copy and the updater must txRollback. Normal collections never
-  /// throw; to-space exhaustion there is a fatal VM bug.
+  /// when to-space or the old-copy block cannot hold its copies, or when
+  /// the gc-alloc-exhaustion fault site fires — the heap is left mid-copy
+  /// and the updater must txRollback. Normal collections never throw;
+  /// to-space exhaustion there is a fatal VM bug.
   CollectionStats collect(const RootEnumerator &EnumerateRoots,
                           const DsuRemap *Remap = nullptr,
                           std::vector<UpdateLogEntry> *UpdateLog = nullptr);
@@ -132,9 +146,11 @@ private:
   Ref forward(Ref Obj, const DsuRemap *Remap,
               std::vector<UpdateLogEntry> *UpdateLog, CollectionStats &Stats);
 
-  /// Allocates \p Bytes in to-space for a DSU copy, throwing
-  /// UpdateError("dsu-gc") on exhaustion or an injected fault.
-  Ref dsuAllocate(size_t Bytes, const char *What);
+  /// Allocates \p Bytes for a DSU copy, in the old-copy block when
+  /// \p InOldCopySpace and in to-space otherwise. Either placement probes
+  /// the gc-alloc-exhaustion site first and throws UpdateError("dsu-gc")
+  /// on exhaustion or an injected fault.
+  Ref dsuAllocate(size_t Bytes, const char *What, bool InOldCopySpace);
 
   Heap &TheHeap;
   ClassRegistry &Registry;

@@ -67,9 +67,10 @@ public:
   //===--------------------------------------------------------------------===//
   // Old-copy space (paper §3.5): "We could instead copy the old versions
   // to a special block of memory and reclaim it when the collection
-  // completes." A DSU collection may place the duplicates of old-version
-  // objects here instead of to-space; the DSU layer releases the block as
-  // soon as the transformers have run, instead of waiting for the next
+  // completes." DSU collections place the duplicates of old-version
+  // objects here by default (to-space is the reference placement); the
+  // DSU layer releases the block as soon as the transformers have run, or
+  // when a lazy update's engine retires, instead of waiting for the next
   // collection to reclaim the duplicates.
   //===--------------------------------------------------------------------===//
 

@@ -17,6 +17,10 @@
 ///    of a live object in the current space;
 ///  * reference-array flags agree with the array class's element kind.
 ///
+/// While a draining lazy update legitimately holds the §3.5 old-copy
+/// block, the block is walked as a second region under the same checks,
+/// and a reference into it is valid only at one of its object starts.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JVOLVE_HEAP_HEAPVERIFIER_H
@@ -45,7 +49,8 @@ public:
   /// FlagLazyPending); anything else uninitialized is still corruption, so
   /// once the engine reports drained every leftover shell is flagged.
   /// \p AllowOldCopyReserved tolerates a still-reserved old-copy block
-  /// (the engine holds it until barrier retirement); when false a reserved
+  /// (the engine holds it until barrier retirement) and walks it: pending
+  /// entries' old copies live there and are roots. When false a reserved
   /// block is reported as leaked.
   void setLazyContext(std::function<bool(Ref)> IsPendingShell,
                       bool AllowOldCopyReserved) {

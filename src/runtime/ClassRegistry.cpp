@@ -133,6 +133,9 @@ ClassId ClassRegistry::loadClassImpl(const ClassDef &Def,
     Cls->InstanceFields.push_back(I);
   }
   Cls->InstanceSize = NextOffset;
+  for (const RtField &F : Cls->InstanceFields)
+    if (F.IsRef)
+      Cls->RefOffsets.push_back(F.Offset);
 
   // Methods and the TIB.
   for (const MethodDef &M : Def.Methods) {

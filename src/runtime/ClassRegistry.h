@@ -90,6 +90,12 @@ struct RtClass {
   /// True for renamed old versions after a dynamic update.
   bool Obsolete = false;
 
+  /// Byte offsets of the reference-typed entries of InstanceFields, in the
+  /// same order: what the collector and the heap verifier trace. Last, so
+  /// the members the interpreter reads (Statics, VTable) keep their
+  /// offsets.
+  std::vector<uint32_t> RefOffsets;
+
   /// \returns the instance field named \p Name, or nullptr.
   const RtField *findInstanceField(std::string_view Name) const;
   /// \returns the static field named \p Name declared here, or nullptr.

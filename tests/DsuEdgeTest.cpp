@@ -87,10 +87,13 @@ TEST_EAGER_AND_LAZY(DsuEdge, OldCopiesReclaimedByNextCollection) {
   TheVM.loadProgram(chainVersion(false));
   buildChain(TheVM, 100);
 
+  // The to-space placement of old duplicates (the default puts them in the
+  // old-copy block, released with the update).
+  UpdateOptions Opts = modeOptions(Lazy);
+  Opts.UseOldCopySpace = false;
   Updater U(TheVM);
   UpdateResult R = U.applyNow(
-      Upt::prepare(chainVersion(false), chainVersion(true), "v1"),
-      modeOptions(Lazy));
+      Upt::prepare(chainVersion(false), chainVersion(true), "v1"), Opts);
   ASSERT_EQ(R.Status, UpdateStatus::Applied);
 
   // Right after the update, both new versions and old duplicates occupy

@@ -378,10 +378,11 @@ TEST(DsuRollback, RealToSpaceExhaustionRollsBack) {
   TheVM.loadProgram(ptVersion(false));
   TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
 
-  // Pin live Points until ~55% of a semispace is full. The DSU collection
-  // needs a new-version copy (one int bigger) *plus* an old-version
-  // duplicate per object — over 110% of the space — so it genuinely runs
-  // out of to-space mid-collection, with no fault injection at all.
+  // Pin live Points until ~55% of a semispace is full. With the to-space
+  // placement of old duplicates, the DSU collection needs a new-version
+  // copy (one int bigger) *plus* an old-version duplicate per object —
+  // over 110% of the space — so it genuinely runs out of to-space
+  // mid-collection, with no fault injection at all.
   ClassId PointId = TheVM.registry().idOf("Point");
   TransformCtx Ctx(TheVM, nullptr);
   size_t Budget = TheVM.heap().spaceBytes() * 55 / 100;
@@ -394,8 +395,11 @@ TEST(DsuRollback, RealToSpaceExhaustionRollsBack) {
     ++NumPinned;
   }
 
+  UpdateOptions Opts;
+  Opts.UseOldCopySpace = false;
   Updater U(TheVM);
-  UpdateResult R = U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
+  UpdateResult R =
+      U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"), Opts);
   EXPECT_EQ(R.Status, UpdateStatus::RolledBack);
   EXPECT_NE(R.Message.find("dsu-gc"), std::string::npos) << R.Message;
   expectRolledBackCleanly(TheVM, R, "after real to-space exhaustion");

@@ -1,10 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the §3.5 old-copy-space optimization: correctness is
-/// unchanged, duplicates land in the dedicated block, the block is
-/// released immediately after transformation, and to-space occupancy right
-/// after an update is strictly lower than in the default configuration.
+/// Tests for the §3.5 old-copy-space optimization (the default placement
+/// of old-version duplicates): correctness matches the to-space placement,
+/// duplicates land in the dedicated block, the block is released right
+/// after transformation (or when a lazy update has nothing left to drain),
+/// to-space occupancy right after an update is strictly lower than with
+/// the to-space placement, and a block allocation is a fault point like a
+/// to-space one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -176,4 +179,107 @@ TEST_EAGER_AND_LAZY(OldCopySpace, ForceTransformWorksAcrossSpaces) {
                 .RefVal;
   Ref Last = Ctx.getElemRef(Arr, 49);
   EXPECT_EQ(Ctx.getInt(Last, "extra"), 48);
+}
+
+TEST(OldCopySpace, LazyCommitCertifiesPendingOldCopiesInBlock) {
+  // Every pending entry's old copy lives in the block and is an engine
+  // root, so commit-time certification must walk the block instead of
+  // reporting those roots as pointing outside the live heap.
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(recVersion(false));
+  populate(TheVM, 100);
+  int64_t Before = checksum(TheVM);
+
+  UpdateOptions Opts = modeOptions(/*Lazy=*/true);
+  Opts.UseOldCopySpace = true;
+  Opts.LazyDrainBatch = 1;
+  Updater U(TheVM);
+  UpdateResult R = U.applyNow(
+      Upt::prepare(recVersion(false), recVersion(true), "v1"), Opts);
+  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+  EXPECT_EQ(R.LazyPendingAtCommit, 100u);
+  EXPECT_TRUE(R.Certified) << (R.CertificationProblems.empty()
+                                   ? ""
+                                   : R.CertificationProblems.front());
+  EXPECT_EQ(checksum(TheVM), Before);
+  EXPECT_FALSE(TheVM.heap().hasOldCopySpace());
+}
+
+TEST(OldCopySpace, LazyUpdateWithNothingPendingReleasesBlockAtCommit) {
+  // A class update with no live instances: the engine is drained at
+  // commit, so it retires there and the block is gone before
+  // certification looks for a leaked one.
+  VM TheVM(smallConfig());
+  TheVM.loadProgram(recVersion(false));
+
+  UpdateOptions Opts = modeOptions(/*Lazy=*/true);
+  Opts.UseOldCopySpace = true;
+  Updater U(TheVM);
+  UpdateResult R = U.applyNow(
+      Upt::prepare(recVersion(false), recVersion(true), "v1"), Opts);
+  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+  EXPECT_EQ(R.LazyPendingAtCommit, 0u);
+  EXPECT_TRUE(R.Certified) << (R.CertificationProblems.empty()
+                                   ? ""
+                                   : R.CertificationProblems.front());
+  EXPECT_FALSE(TheVM.heap().hasOldCopySpace());
+}
+
+TEST_EAGER_AND_LAZY(OldCopySpace, BytesCopiedCountsToSpaceOnly) {
+  // The same update on the same heap moves the same bytes in either
+  // placement; BytesCopied counts only those that landed in to-space.
+  uint64_t ToSpace[2], Block[2];
+  for (int Mode = 0; Mode < 2; ++Mode) {
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(recVersion(false));
+    populate(TheVM, 300);
+    UpdateResult R = applyWithOption(TheVM, Mode == 1, Lazy);
+    ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+    ToSpace[Mode] = R.Gc.BytesCopied;
+    Block[Mode] = R.Gc.OldCopySpaceBytes;
+  }
+  EXPECT_EQ(Block[0], 0u);
+  EXPECT_GE(Block[1], 300u * 32);
+  EXPECT_EQ(ToSpace[0], ToSpace[1] + Block[1]);
+}
+
+TEST_EAGER_AND_LAZY(OldCopySpace, DuplicateAllocationProbesLikeToSpace) {
+  // Both placements probe gc-alloc-exhaustion once per allocation, so a
+  // chaos sweep enumerates the same fault points whichever is used.
+  uint64_t Probes[2];
+  for (int Mode = 0; Mode < 2; ++Mode) {
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(recVersion(false));
+    populate(TheVM, 40);
+    ASSERT_EQ(applyWithOption(TheVM, Mode == 1, Lazy).Status,
+              UpdateStatus::Applied);
+    Probes[Mode] =
+        TheVM.faults().probeCount(FaultInjector::Site::GcAllocExhaustion);
+  }
+  EXPECT_GE(Probes[0], 2u * 40);
+  EXPECT_EQ(Probes[0], Probes[1]);
+}
+
+TEST_EAGER_AND_LAZY(OldCopySpace, InjectedFaultOnDuplicateRollsBack) {
+  // Fire gc-alloc-exhaustion on successive probes until one lands on an
+  // old-version duplicate: the update rolls back, the heap keeps its
+  // values, and the block is released.
+  bool HitDuplicate = false;
+  for (uint64_t Skip = 0; Skip < 16 && !HitDuplicate; ++Skip) {
+    VM TheVM(smallConfig());
+    TheVM.loadProgram(recVersion(false));
+    populate(TheVM, 20);
+    int64_t Before = checksum(TheVM);
+    TheVM.faults().arm(FaultInjector::Site::GcAllocExhaustion, 1, Skip);
+    UpdateResult R = applyWithOption(TheVM, true, Lazy);
+    ASSERT_EQ(R.Status, UpdateStatus::RolledBack) << R.Message;
+    HitDuplicate =
+        R.Message.find("old-version duplicate") != std::string::npos;
+    EXPECT_TRUE(R.Certified) << (R.CertificationProblems.empty()
+                                     ? ""
+                                     : R.CertificationProblems.front());
+    EXPECT_EQ(checksum(TheVM), Before);
+    EXPECT_FALSE(TheVM.heap().hasOldCopySpace());
+  }
+  EXPECT_TRUE(HitDuplicate);
 }
