@@ -21,7 +21,10 @@
 # scheduler/network, code-versioning, DSU and apps suites (the per-thread
 # slot stack and the frame remaps that move it), plus the verifier and
 # stack-shape suites (the verifier indexes one reused state arena by
-# offsets), the canary suite, the synthesis suite (renames, faulted
+# offsets), the mutant corpus and the verification-reuse differential
+# suite, the class-set copy-on-write and UPT suites (shared class
+# definitions and the verification records that keep them alive), the
+# canary suite, the synthesis suite (renames, faulted
 # plans and the impact-bounded bulk-settle), and the telemetry and
 # update-trace suites (streaming sessions and the JSONL sink), under a
 # sanitizer build.
@@ -223,8 +226,8 @@ if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
     dsu_edge_test heap_verifier_test transformer_test lazy_transform_test \
     old_copy_space_test interpreter_test active_method_test \
     vm_behavior_test scheduler_network_test code_version_test dsu_test \
-    apps_test verifier_test canary_test synthesis_test telemetry_test \
-    update_trace_test
+    apps_test verifier_test class_set_test upt_test canary_test \
+    synthesis_test telemetry_test update_trace_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz|^Gc\.|DsuEdge|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|StackShapes|Canary|Synthesis|Telemetry|UpdateTrace'
+    -R 'DsuRollback|Quiescence|GcFuzz|^Gc\.|DsuEdge|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|VerifierCorpus|VerifierReuse|ClassSetCow|^Upt\.|StackShapes|Canary|Synthesis|Telemetry|UpdateTrace'
 fi

@@ -122,7 +122,7 @@ void AppModel::applyFiller(const ClassSet &Prev, ClassSet &Cur,
       TouchedByScripted.insert(M.ClassName);
   }
   std::vector<std::string> Pool;
-  for (const auto &[Name, Cls] : Cur.classes())
+  for (const auto &[Name, Def] : Cur.classes())
     if (Name.rfind(FillerPrefix, 0) == 0 && !TouchedByScripted.count(Name))
       Pool.push_back(Name);
   std::sort(Pool.begin(), Pool.end());

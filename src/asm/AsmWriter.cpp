@@ -168,7 +168,7 @@ std::string jvolve::writeProgramAsm(const ClassSet &Set) {
   for (const auto &[Name, Cls] : Set.classes()) {
     if (isBuiltinClass(Name))
       continue;
-    Out += writeClassAsm(Cls);
+    Out += writeClassAsm(*Cls);
     Out += '\n';
   }
   return Out;

@@ -5,16 +5,21 @@
 using namespace jvolve;
 
 void jvolve::ensureBuiltins(ClassSet &Set) {
-  if (!Set.contains(ObjectClassName)) {
-    ClassDef Object(ObjectClassName, "");
-    Set.add(std::move(Object));
-  }
-  if (!Set.contains(StringClassName)) {
-    ClassDef Str(StringClassName, ObjectClassName);
-    Str.Fields.push_back({StringIdField, "I", /*IsStatic=*/false,
-                          /*IsFinal=*/true, Access::Private});
-    Set.add(std::move(Str));
-  }
+  // One definition of each for the whole process: every program version
+  // shares them, so a verification record's lookups of Object and String
+  // match across versions.
+  static const ClassSet::DefPtr Object =
+      std::make_shared<ClassDef>(ObjectClassName, "");
+  static const ClassSet::DefPtr Str = [] {
+    auto Def = std::make_shared<ClassDef>(StringClassName, ObjectClassName);
+    Def->Fields.push_back({StringIdField, "I", /*IsStatic=*/false,
+                           /*IsFinal=*/true, Access::Private});
+    return Def;
+  }();
+  if (!Set.contains(ObjectClassName))
+    Set.add(Object);
+  if (!Set.contains(StringClassName))
+    Set.add(Str);
 }
 
 bool jvolve::isBuiltinClass(const std::string &Name) {

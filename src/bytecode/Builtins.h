@@ -23,8 +23,9 @@ inline const char *const StringClassName = "String";
 /// Hidden field on String holding the VM string-table index.
 inline const char *const StringIdField = "$id";
 
-/// Adds Object and String to \p Set if absent. Idempotent; the VM calls
-/// this on every program it loads, and the verifier assumes it ran.
+/// Adds Object and String to \p Set if absent, as one pair of definitions
+/// shared by every set in the process. Idempotent; the VM calls this on
+/// every program it loads, and the verifier assumes it ran.
 void ensureBuiltins(ClassSet &Set);
 
 /// \returns true if \p Name is one of the built-in class names.

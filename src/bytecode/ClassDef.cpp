@@ -28,15 +28,24 @@ MethodDef *ClassDef::findMethod(const std::string &MethodName,
 }
 
 void ClassSet::add(ClassDef Def) {
-  if (Classes.count(Def.Name))
-    fatalError("duplicate class '" + Def.Name + "' in class set");
-  std::string Name = Def.Name;
-  Classes.emplace(std::move(Name), std::move(Def));
+  add(std::make_shared<ClassDef>(std::move(Def)));
+}
+
+void ClassSet::add(DefPtr Def) {
+  auto [It, Added] = Classes.try_emplace(Def->Name, Def);
+  if (!Added)
+    fatalError("duplicate class '" + Def->Name + "' in class set");
 }
 
 void ClassSet::replace(ClassDef Def) {
-  std::string Name = Def.Name;
-  Classes[Name] = std::move(Def);
+  auto It = Classes.find(Def.Name);
+  if (It == Classes.end()) {
+    add(std::move(Def));
+  } else if (It->second.use_count() == 1) {
+    *const_cast<ClassDef *>(It->second.get()) = std::move(Def);
+  } else {
+    It->second = std::make_shared<ClassDef>(std::move(Def));
+  }
 }
 
 void ClassSet::remove(const std::string &Name) {
@@ -44,14 +53,20 @@ void ClassSet::remove(const std::string &Name) {
     fatalError("removing unknown class '" + Name + "'");
 }
 
-const ClassDef *ClassSet::find(const std::string &Name) const {
+const ClassDef *ClassSet::find(std::string_view Name) const {
   auto It = Classes.find(Name);
-  return It == Classes.end() ? nullptr : &It->second;
+  return It == Classes.end() ? nullptr : It->second.get();
 }
 
-ClassDef *ClassSet::find(const std::string &Name) {
+ClassDef *ClassSet::find(std::string_view Name) {
   auto It = Classes.find(Name);
-  return It == Classes.end() ? nullptr : &It->second;
+  if (It == Classes.end())
+    return nullptr;
+  if (It->second.use_count() != 1)
+    It->second = std::make_shared<ClassDef>(*It->second);
+  // Every definition is created non-const (see add(DefPtr)), and this set
+  // is now its only owner.
+  return const_cast<ClassDef *>(It->second.get());
 }
 
 const FieldDef *ClassSet::resolveField(const std::string &Name,

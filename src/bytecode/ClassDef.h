@@ -14,7 +14,9 @@
 #include "bytecode/Type.h"
 
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace jvolve {
@@ -91,10 +93,26 @@ public:
 };
 
 /// A complete program version: every class plus the designated entry points.
+///
+/// Each class is held as a shared, immutable definition, so copying a set
+/// copies one pointer per class and every version built by copying shares
+/// the classes it does not change. Mutation is copy-on-write: the non-const
+/// find(), replace() and remove() never change a definition that another
+/// set (or a verification record, bytecode/Verifier.h) still holds — find()
+/// clones a shared definition first and keeps the clone; a definition this
+/// set alone owns is changed in place.
 class ClassSet {
 public:
+  using DefPtr = std::shared_ptr<const ClassDef>;
+  using ClassMap = std::map<std::string, DefPtr, std::less<>>;
+
   /// Adds \p Def; aborts if a class of that name already exists.
   void add(ClassDef Def);
+  /// Adds the shared definition \p Def; aborts as add(ClassDef) does.
+  /// \p Def must have been created as a non-const ClassDef (another set's
+  /// shared(), or std::make_shared<ClassDef>): a later find() may change it
+  /// in place once this set is its only owner.
+  void add(DefPtr Def);
 
   /// Replaces or adds \p Def.
   void replace(ClassDef Def);
@@ -102,15 +120,25 @@ public:
   /// Removes the class named \p Name; aborts if absent.
   void remove(const std::string &Name);
 
-  bool contains(const std::string &Name) const {
-    return Classes.count(Name) != 0;
+  bool contains(std::string_view Name) const {
+    return Classes.find(Name) != Classes.end();
   }
 
-  const ClassDef *find(const std::string &Name) const;
-  ClassDef *find(const std::string &Name);
+  const ClassDef *find(std::string_view Name) const;
+  /// The definition of \p Name for changing, or nullptr. A definition
+  /// shared with another owner is cloned first, so the pointer is this
+  /// set's own until the set is copied; read through the const overload.
+  ClassDef *find(std::string_view Name);
+
+  /// The shared definition of \p Name, or nullptr: its identity is what
+  /// verification records (bytecode/Verifier.h) compare.
+  const DefPtr *shared(std::string_view Name) const {
+    auto It = Classes.find(Name);
+    return It == Classes.end() ? nullptr : &It->second;
+  }
 
   /// All classes, ordered by name (deterministic iteration).
-  const std::map<std::string, ClassDef> &classes() const { return Classes; }
+  const ClassMap &classes() const { return Classes; }
 
   size_t size() const { return Classes.size(); }
 
@@ -135,7 +163,7 @@ public:
   std::vector<std::string> superChain(const std::string &Name) const;
 
 private:
-  std::map<std::string, ClassDef> Classes;
+  ClassMap Classes;
 };
 
 } // namespace jvolve

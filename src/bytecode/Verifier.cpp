@@ -154,6 +154,7 @@ struct Member {
     Resolved,
   };
   Status St = Status::Malformed;
+  uint32_t NoteStamp = 0;    ///< the last class its lookups were noted for
   uint32_t Class = NoId;     ///< the class named before the '.'
   uint32_t Declaring = NoId; ///< the class resolution found the member in
   const FieldDef *Field = nullptr;
@@ -196,6 +197,11 @@ std::string_view intrinsicSig(IntrinsicId Id) {
 /// (its class, superclass chain, parsed descriptor or signature) is
 /// computed once, when first asked for. Nothing is indexed up front:
 /// computeStackShapes builds one Verification per method.
+///
+/// While verifyClass runs, every class name whose definition a check
+/// consults is noted once for that class — directly, through a cached
+/// superclass chain, or through a cached member resolution — so deps()
+/// lists what each class's verdict depends on (VerificationRecord).
 class Verification {
 public:
   Verification(const ClassSet &Set, std::vector<VerifyError> &Errs)
@@ -207,6 +213,16 @@ public:
   /// The operand-stack shape at every pc of the last method verified.
   std::vector<std::optional<StackShape>> stackShapes() const;
 
+  /// The names each verified class looked up, class after class: a
+  /// verifyClass call appends its own.
+  const std::vector<uint32_t> &deps() const { return Deps; }
+  size_t numNames() const { return Info.size(); }
+  std::string_view text(uint32_t Id) const { return Names[Id].A; }
+  /// What looked-up name \p Id resolved to (null: absent).
+  ClassSet::DefPtr def(uint32_t Id) const {
+    return Info[Id].Def ? *Info[Id].Def : nullptr;
+  }
+
 private:
   // ---- The program view --------------------------------------------------
 
@@ -214,10 +230,13 @@ private:
   struct NameInfo {
     enum class Parse : uint8_t { Pending, Valid, Invalid };
     // As a class name: its definition (nullptr when missing) and its
-    // superclass chain, ChainPool[ChainOff, ChainOff + ChainLen).
+    // superclass chain, ChainPool[ChainOff, ChainOff + ChainLen), with the
+    // serial of the last class the name itself and the names of its chain
+    // were noted for.
     bool DefLooked = false, ChainDone = false;
-    const ClassDef *Def = nullptr;
+    const ClassSet::DefPtr *Def = nullptr;
     uint32_t ChainOff = 0, ChainLen = 0;
+    uint32_t NoteStamp = 0, ChainNoteStamp = 0;
     // As a type descriptor.
     Parse DescParse = Parse::Pending;
     ParsedDesc D;
@@ -235,16 +254,25 @@ private:
       Info.emplace_back();
     return Id;
   }
-  std::string_view text(uint32_t Id) const { return Names[Id].A; }
   uint32_t objectId() { return name(ObjectClassName); }
   std::string str(uint32_t Id) const { return std::string(text(Id)); }
 
-  const ClassDef *classDef(uint32_t Id) {
-    if (!Info[Id].DefLooked) {
-      Info[Id].Def = Set.find(str(Id));
-      Info[Id].DefLooked = true;
+  /// Notes name \p Id as looked up by the class being verified.
+  void note(uint32_t Id) {
+    if (Info[Id].NoteStamp != ClassSerial) {
+      Info[Id].NoteStamp = ClassSerial;
+      Deps.push_back(Id);
     }
-    return Info[Id].Def;
+  }
+
+  const ClassDef *classDef(uint32_t Id) {
+    NameInfo &N = Info[Id];
+    if (!N.DefLooked) {
+      N.Def = Set.shared(text(Id));
+      N.DefLooked = true;
+    }
+    note(Id);
+    return N.Def ? N.Def->get() : nullptr;
   }
 
   /// The chain ClassSet::superChain returns for class \p Id, as the offset
@@ -305,6 +333,7 @@ private:
 
   const ClassSet &Set;
   std::vector<VerifyError> &Errs;
+  std::vector<uint32_t> Deps;
 
   DenseIds<TextKey> Names;
   std::vector<NameInfo> Info;
@@ -359,6 +388,12 @@ std::pair<uint32_t, uint32_t> Verification::chain(uint32_t Id) {
     Info[Id].ChainOff = Off;
     Info[Id].ChainLen = static_cast<uint32_t>(ChainPool.size()) - Off;
     Info[Id].ChainDone = true;
+    Info[Id].ChainNoteStamp = ClassSerial; // the walk noted every link
+  } else if (Info[Id].ChainNoteStamp != ClassSerial) {
+    // A chain another class walked: its links are this class's lookups too.
+    Info[Id].ChainNoteStamp = ClassSerial;
+    for (uint32_t I = 0; I < Info[Id].ChainLen; ++I)
+      note(ChainPool[Info[Id].ChainOff + I]);
   }
   return {Info[Id].ChainOff, Info[Id].ChainLen};
 }
@@ -485,11 +520,22 @@ ParsedSig Verification::sig(uint32_t Id) {
 const Member &Verification::memberRef(const Instr &I, bool IsMethod) {
   uint32_t SigId = name(I.Sig);
   uint32_t Idx = MemberIds.intern(MemberKey(name(I.Sym), SigId, IsMethod));
-  if (Idx < Members.size())
-    return Members[Idx];
+  if (Idx < Members.size()) {
+    // Resolved for an earlier class: repeat the lookups resolving made, so
+    // they count for this class too.
+    Member &R = Members[Idx];
+    if (R.NoteStamp != ClassSerial) {
+      R.NoteStamp = ClassSerial;
+      if (R.Class != NoId && classDef(R.Class) &&
+          R.St != Member::Status::BadSignature)
+        chain(R.Class);
+    }
+    return R;
+  }
   // Resolve in the order the checks report: the reference's form, its
   // class, a call's signature, then the member itself.
   Member R;
+  R.NoteStamp = ClassSerial;
   std::string_view Sym = I.Sym;
   size_t Dot = Sym.find('.');
   if (Dot != std::string_view::npos) {
@@ -1244,12 +1290,123 @@ void Verifier::verifyMethod(const ClassDef &Cls, const MethodDef &M,
   Verification(Set, Errs).verifyMethod(Cls, M);
 }
 
+/// The entry for \p Class in \p Classes (ordered by name), or nullptr.
+template <typename Entry>
+static const Entry *findEntry(const std::vector<Entry> &Classes,
+                              std::string_view Class) {
+  auto It = std::lower_bound(
+      Classes.begin(), Classes.end(), Class,
+      [](const Entry &E, std::string_view N) { return E.Name < N; });
+  return It != Classes.end() && It->Name == Class ? &*It : nullptr;
+}
+
+const ClassDef *VerificationRecord::definition(std::string_view Class) const {
+  const Entry *E = findEntry(Classes, Class);
+  return E ? E->Def.get() : nullptr;
+}
+
+std::vector<std::pair<std::string, const ClassDef *>>
+VerificationRecord::lookups(std::string_view Class) const {
+  std::vector<std::pair<std::string, const ClassDef *>> Out;
+  if (const Entry *E = findEntry(Classes, Class))
+    for (uint32_t U = 0; U < E->Count; ++U) {
+      const Lookup &L = Names[Uses[E->First + U]];
+      Out.emplace_back(L.Name, L.Def.get());
+    }
+  return Out;
+}
+
 std::vector<VerifyError> Verifier::verifyAll() const {
-  std::vector<VerifyError> Errs;
-  Verification V(Set, Errs);
-  for (const auto &[Name, Cls] : Set.classes())
-    V.verifyClass(Cls);
-  return Errs;
+  VerifyOutcome Out;
+  verify(VerificationRecord(), Out, /*KeepRecord=*/false);
+  return std::move(Out.Errors);
+}
+
+VerifyOutcome Verifier::verify(const VerificationRecord &Prior) const {
+  VerifyOutcome Out;
+  verify(Prior, Out, /*KeepRecord=*/true);
+  return Out;
+}
+
+void Verifier::verify(const VerificationRecord &Prior, VerifyOutcome &Out,
+                      bool KeepRecord) const {
+  using Record = VerificationRecord;
+
+  // The prior lookups that now resolve to a different object.
+  std::vector<uint8_t> Moved(Prior.Names.size());
+  for (size_t I = 0; I < Prior.Names.size(); ++I) {
+    const ClassSet::DefPtr *Now = Set.shared(Prior.Names[I].Name);
+    Moved[I] = (Now ? Now->get() : nullptr) != Prior.Names[I].Def.get();
+  }
+
+  // One step per class in verifyAll's order: the prior entry it reuses, or
+  // the range of Verification::deps() it noted when verified anew.
+  struct Step {
+    const std::string *Name;
+    const ClassSet::DefPtr *Def;
+    const Record::Entry *Reused;
+    size_t DepsOff, DepsEnd;
+  };
+  std::vector<Step> Steps;
+  Steps.reserve(Set.size());
+  Verification V(Set, Out.Errors);
+  auto PriorIt = Prior.Classes.begin();
+  for (const auto &[Name, Def] : Set.classes()) {
+    while (PriorIt != Prior.Classes.end() && PriorIt->Name < Name)
+      ++PriorIt;
+    const Record::Entry *E =
+        PriorIt != Prior.Classes.end() && PriorIt->Name == Name ? &*PriorIt
+                                                                 : nullptr;
+    bool Reuse = E && E->Def == Def;
+    for (uint32_t U = 0; Reuse && U < E->Count; ++U)
+      Reuse = !Moved[Prior.Uses[E->First + U]];
+    if (Reuse) {
+      ++Out.Reused;
+      Steps.push_back({&Name, &Def, E, 0, 0});
+      continue;
+    }
+    size_t Off = V.deps().size();
+    V.verifyClass(*Def);
+    Out.Verified.push_back(Def.get());
+    Steps.push_back({&Name, &Def, nullptr, Off, V.deps().size()});
+  }
+  if (!KeepRecord || !Out.Errors.empty())
+    return;
+
+  // The new record: each class's lookups, renumbered into one table of the
+  // names its entries use.
+  Record &R = Out.Record;
+  R.Classes.reserve(Steps.size());
+  R.Names.reserve(Steps.size());
+  R.Uses.reserve(Prior.Uses.size() + V.deps().size());
+  std::vector<uint32_t> FromPrior(Prior.Names.size(), NoId);
+  std::vector<uint32_t> FromView(V.numNames(), NoId);
+  auto Use = [&R](uint32_t &Slot, auto MakeLookup) {
+    if (Slot == NoId) {
+      Slot = static_cast<uint32_t>(R.Names.size());
+      R.Names.push_back(MakeLookup());
+    }
+    R.Uses.push_back(Slot);
+  };
+  for (const Step &S : Steps) {
+    Record::Entry E{*S.Name, *S.Def, static_cast<uint32_t>(R.Uses.size()),
+                    0};
+    if (S.Reused) {
+      for (uint32_t U = 0; U < S.Reused->Count; ++U) {
+        uint32_t Old = Prior.Uses[S.Reused->First + U];
+        Use(FromPrior[Old], [&] { return Prior.Names[Old]; });
+      }
+    } else {
+      for (size_t D = S.DepsOff; D < S.DepsEnd; ++D) {
+        uint32_t Id = V.deps()[D];
+        Use(FromView[Id], [&] {
+          return Record::Lookup{std::string(V.text(Id)), V.def(Id)};
+        });
+      }
+    }
+    E.Count = static_cast<uint32_t>(R.Uses.size()) - E.First;
+    R.Classes.push_back(std::move(E));
+  }
 }
 
 bool jvolve::verifies(const ClassSet &Set) {

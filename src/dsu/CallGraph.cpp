@@ -7,7 +7,7 @@ using namespace jvolve;
 CallGraph::CallGraph(const ClassSet &Set) {
   // Pass 1: one node per declared method.
   for (const auto &[ClassName, Cls] : Set.classes()) {
-    for (const MethodDef &M : Cls.Methods) {
+    for (const MethodDef &M : Cls->Methods) {
       MethodRef Ref{ClassName, M.Name, M.Sig};
       CallGraphNode &N = Nodes[Ref.key()];
       N.Ref = Ref;
@@ -72,7 +72,7 @@ CallGraph::CallGraph(const ClassSet &Set) {
       for (const auto &[SubName, SubCls] : Set.classes()) {
         if (SubName == Declaring || !Set.isSubclassOf(SubName, ClassName))
           continue;
-        if (SubCls.findMethod(MethodName, I.Sig))
+        if (SubCls->findMethod(MethodName, I.Sig))
           All.insert(MethodRef{SubName, MethodName, I.Sig}.key());
       }
     }

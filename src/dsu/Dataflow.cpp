@@ -209,7 +209,7 @@ std::set<std::string> Engine::chaTargets(const std::string &ClassName,
   for (const auto &[SubName, SubCls] : Set.classes()) {
     if (SubName == Declaring || !Set.isSubclassOf(SubName, ClassName))
       continue;
-    if (SubCls.findMethod(MethodName, Sig))
+    if (SubCls->findMethod(MethodName, Sig))
       Targets.insert(MethodRef{SubName, MethodName, Sig}.key());
   }
   return Targets;
@@ -605,10 +605,10 @@ DataflowResult Engine::run() {
 
   // Pass 1: nodes and allocation sites over the whole program.
   for (const auto &[ClassName, Cls] : Set.classes()) {
-    for (const MethodDef &M : Cls.Methods) {
+    for (const MethodDef &M : Cls->Methods) {
       std::string Key = MethodRef{ClassName, M.Name, M.Sig}.key();
       MethodInfo &MI = Methods[Key];
-      MI.Cls = &Cls;
+      MI.Cls = Cls.get();
       MI.Def = &M;
       for (size_t Pc = 0; Pc < M.Code.size(); ++Pc) {
         const Instr &I = M.Code[Pc];

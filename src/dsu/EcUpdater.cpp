@@ -23,13 +23,16 @@ bool EcUpdater::apply(const ClassSet &NewProgram, const UpdateSpec &Spec,
 
   ClassSet Program = NewProgram;
   ensureBuiltins(Program);
-  if (!verifies(Program))
+  VerifyOutcome V = Verifier(Program).verify(TheVM.verificationRecord());
+  if (!V.Errors.empty())
     return Fail("new version fails verification");
-  return installVerified(std::move(Program), Spec, WhyNot, Trace, VersionTag);
+  return installVerified(std::move(Program), std::move(V.Record), Spec, WhyNot,
+                         Trace, VersionTag);
 }
 
-bool EcUpdater::installVerified(ClassSet Program, const UpdateSpec &Spec,
-                                std::string *WhyNot, UpdateTrace *Trace,
+bool EcUpdater::installVerified(ClassSet Program, VerificationRecord Record,
+                                const UpdateSpec &Spec, std::string *WhyNot,
+                                UpdateTrace *Trace,
                                 const std::string &VersionTag) {
   // Route every swap through the per-method version chains: the manager
   // archives the superseded bodies (so a later install of the parent body
@@ -49,7 +52,7 @@ bool EcUpdater::installVerified(ClassSet Program, const UpdateSpec &Spec,
   }
   if (Why.empty() && CodeVersionManager::of(TheVM).installBodySet(
                          Updates, VersionTag, Trace, &Why)) {
-    TheVM.setProgram(std::move(Program));
+    TheVM.setProgram(std::move(Program), std::move(Record));
     return true;
   }
   if (WhyNot)

@@ -53,11 +53,12 @@ public:
 
   /// apply() for a strictly body-only \p Spec whose \p Program the caller
   /// already completed with the built-ins and verified (the Updater's
-  /// admission gate): moved in, neither copied nor verified again. A spec
-  /// entry that does not resolve fails with the pipeline's install message.
-  bool installVerified(ClassSet Program, const UpdateSpec &Spec,
-                       std::string *WhyNot, UpdateTrace *Trace,
-                       const std::string &VersionTag);
+  /// admission gate), producing \p Record: both moved into the VM on
+  /// success, neither copied nor verified again. A spec entry that does
+  /// not resolve fails with the pipeline's install message.
+  bool installVerified(ClassSet Program, VerificationRecord Record,
+                       const UpdateSpec &Spec, std::string *WhyNot,
+                       UpdateTrace *Trace, const std::string &VersionTag);
 
 private:
   VM &TheVM;

@@ -18,6 +18,7 @@
 #include <cassert>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 using namespace jvolve;
 
@@ -78,9 +79,14 @@ Updater::~Updater() {
 }
 
 /// Detects class-hierarchy permutations (e.g. reversing a superclass
-/// relationship), which Jvolve does not support (§2.2).
-static bool hierarchyPermuted(const ClassSet &Old, const ClassSet &New) {
-  for (const auto &[Name, Cls] : New.classes()) {
+/// relationship), which Jvolve does not support (§2.2), among \p Classes of
+/// \p New: those admission verified anew. A class whose prior record held
+/// has the superclass chain it had in \p Old, which verified without a
+/// cycle, so it cannot take part in a permutation.
+static bool hierarchyPermuted(const ClassSet &Old, const ClassSet &New,
+                              const std::vector<const ClassDef *> &Classes) {
+  for (const ClassDef *Cls : Classes) {
+    const std::string &Name = Cls->Name;
     if (isBuiltinClass(Name) || !Old.contains(Name))
       continue;
     for (const std::string &NewAncestor : New.superChain(Name)) {
@@ -141,11 +147,17 @@ void Updater::schedule(UpdateBundle InBundle, UpdateOptions InOpts) {
   // drain running.
   //
   // Safety gate 1: the complete new program version must verify (§2.2).
+  // Classes whose definition and recorded lookups are the running
+  // program's reuse its verification record; the rest verify again.
   Stopwatch VerifyClock;
-  std::vector<VerifyError> Errs = Verifier(Bundle.NewProgram).verifyAll();
+  VerifyOutcome Verified =
+      Verifier(Bundle.NewProgram).verify(TheVM.verificationRecord());
   Result.VerifyMs = VerifyClock.elapsedMs();
-  if (!Errs.empty()) {
-    std::string Msg = "new version fails verification: " + Errs.front().str();
+  Result.ClassesVerified = static_cast<int>(Verified.Verified.size());
+  Result.ClassesReused = static_cast<int>(Verified.Reused);
+  if (!Verified.Errors.empty()) {
+    std::string Msg =
+        "new version fails verification: " + Verified.Errors.front().str();
     Result.Trace.record(UpdateEventKind::Rejected,
                         TheVM.scheduler().ticks(), 0, Msg);
     bumpDsuCounter(metrics::DsuUpdatesRejected);
@@ -153,7 +165,8 @@ void Updater::schedule(UpdateBundle InBundle, UpdateOptions InOpts) {
     return;
   }
   // Safety gate 2: no hierarchy permutations.
-  if (hierarchyPermuted(TheVM.program(), Bundle.NewProgram)) {
+  if (hierarchyPermuted(TheVM.program(), Bundle.NewProgram,
+                        Verified.Verified)) {
     Result.Trace.record(UpdateEventKind::Rejected,
                         TheVM.scheduler().ticks(), 0,
                         "hierarchy permutation");
@@ -193,6 +206,8 @@ void Updater::schedule(UpdateBundle InBundle, UpdateOptions InOpts) {
       return;
     }
   }
+
+  AdmittedRecord = std::move(Verified.Record);
 
   if (ForeignWindow)
     Canary->settle("superseded by stacked update '" + Bundle.VersionTag +
@@ -433,8 +448,9 @@ void Updater::rescue(uint64_t Now) {
       MethodRef Ref{Reg.cls(M.Owner).Name, M.Name, M.Sig};
       if (Bundle.ActiveMappings.count(Ref.key()))
         continue;
-      const MethodDef *NewBody =
-          Bundle.NewProgram.find(Ref.ClassName)->findMethod(Ref.Name, Ref.Sig);
+      const MethodDef *NewBody = std::as_const(Bundle.NewProgram)
+                                     .find(Ref.ClassName)
+                                     ->findMethod(Ref.Name, Ref.Sig);
       Bundle.addActiveMapping(
           ActiveMethodMapping::identity(Ref, NewBody->Code.size()));
       ++Mapped;
@@ -482,7 +498,8 @@ bool Updater::degrade(uint64_t Now) {
       if (Cls == InvalidClassId ||
           Reg.resolveMethod(Cls, R.Name, R.Sig) == InvalidMethodId)
         continue;
-      const ClassDef *NewCls = Bundle.NewProgram.find(R.ClassName);
+      const ClassDef *NewCls =
+          std::as_const(Bundle.NewProgram).find(R.ClassName);
       if (!NewCls || !NewCls->findMethod(R.Name, R.Sig))
         continue;
       if (!TheVM.program().find(R.ClassName))
@@ -503,7 +520,9 @@ bool Updater::degrade(uint64_t Now) {
     ClassSet Degraded = TheVM.program();
     for (const MethodRef &R : Subset)
       *Degraded.find(R.ClassName)->findMethod(R.Name, R.Sig) =
-          *Bundle.NewProgram.find(R.ClassName)->findMethod(R.Name, R.Sig);
+          *std::as_const(Bundle.NewProgram)
+               .find(R.ClassName)
+               ->findMethod(R.Name, R.Sig);
     UpdateSpec Spec;
     Spec.MethodBodyUpdates = Subset;
     return EcUpdater(TheVM).apply(Degraded, Spec, Why);
@@ -812,9 +831,10 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
   TheVM.setTransformationInProgress(false);
   // Moved, not copied: nothing reads Bundle.NewProgram after commit (the
   // lazy engine and the canary keep the bundle for its transformers, spec
-  // and mappings). The replaced version is destroyed here, inside the
-  // pause.
-  TheVM.setProgram(std::move(Bundle.NewProgram));
+  // and mappings). The replaced version goes here, inside the pause, but
+  // it shares every unchanged class with the new one, so only what it
+  // alone owned is freed. Admission's record describes the new version.
+  TheVM.setProgram(std::move(Bundle.NewProgram), std::move(AdmittedRecord));
   if (LazyCommitPending) {
     // Point of no return for lazy mode: build the engine over the update
     // log, arm the read barrier on all compiled code, and hand the engine
@@ -864,12 +884,13 @@ void Updater::installVersioned() {
   Result.Trace.record(UpdateEventKind::Scheduled, ScheduleTick, 0,
                       "body-only bundle: versioned install, no safe point");
 
-  // Admission already completed and verified Bundle.NewProgram; it moves
-  // into the VM on success, and nothing reads it after a failure.
+  // Admission already completed and verified Bundle.NewProgram; it and its
+  // verification record move into the VM on success, and nothing reads
+  // them after a failure.
   std::string Why;
-  bool Ok = EcUpdater(TheVM).installVerified(std::move(Bundle.NewProgram),
-                                             Bundle.Spec, &Why, &Result.Trace,
-                                             Bundle.VersionTag);
+  bool Ok = EcUpdater(TheVM).installVerified(
+      std::move(Bundle.NewProgram), std::move(AdmittedRecord), Bundle.Spec,
+      &Why, &Result.Trace, Bundle.VersionTag);
   markPhase("codeversion",
             static_cast<int64_t>(Bundle.Spec.MethodBodyUpdates.size()),
             Ok ? "active-version switch committed" : Why);
@@ -1000,7 +1021,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     if (TheVM.faults().probe(FaultInjector::Site::ClassLoad))
       throw UpdateError("class-load",
                         "injected class-load failure for '" + Name + "'");
-    Reg.loadClass(Def, Bundle.NewProgram);
+    Reg.loadClass(*Def, Bundle.NewProgram);
   }
 
   // --- Step 4c: method-body updates on otherwise-unchanged classes. ------
@@ -1255,6 +1276,7 @@ void Updater::finish(UpdateStatus Status, const std::string &Message) {
         .record(static_cast<double>(Result.RetriesUsed));
   if (DrainActive)
     endDrain();
+  AdmittedRecord = VerificationRecord();
   // Release only hooks this updater still owns: a canary's revert updater
   // claimed them for itself when it scheduled, and finishing a stale
   // foreign updater must not strip them from under it.

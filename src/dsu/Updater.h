@@ -164,10 +164,15 @@ struct UpdateResult {
   double GcMs = 0;         ///< DSU collection (copying phase)
   double TransformMs = 0;  ///< running class + object transformers
   double TotalPauseMs = 0; ///< full disruption: install + GC + transform
-  /// Wall time of the admission verification gate, which verifies the
-  /// complete new version. 0 when the update was refused before reaching
-  /// it (a truncated bundle, a canary revert in flight).
+  /// Wall time of the admission verification gate. 0 when the update was
+  /// refused before reaching it (a truncated bundle, a canary revert in
+  /// flight).
   double VerifyMs = 0;
+  /// How the gate split the new version's classes: verified again (their
+  /// definition or a recorded lookup changed, or the VM held no
+  /// verification record) or reused from the running program's record.
+  int ClassesVerified = 0;
+  int ClassesReused = 0;
   uint64_t ObjectsTransformed = 0;
   CollectionStats Gc;
 
@@ -393,6 +398,9 @@ private:
   UpdateBundle Bundle;
   UpdateOptions Opts;
   UpdateResult Result;
+  /// The admitted new version's verification record, handed to the VM
+  /// with the program at commit.
+  VerificationRecord AdmittedRecord;
 
   uint64_t ScheduleTick = 0;
   uint64_t DeadlineTick = 0;

@@ -136,12 +136,10 @@ static void summarizeMethodDiff(const ClassDef &OldCls,
   }
 }
 
-UpdateSpec Upt::computeSpec(const ClassSet &Old0, const ClassSet &New0,
+UpdateSpec Upt::computeSpec(const ClassSet &Old, const ClassSet &New,
                             const std::vector<MethodRef> &Blacklist) {
-  ClassSet Old = Old0, New = New0;
-  ensureBuiltins(Old);
-  ensureBuiltins(New);
-
+  // Every loop below skips the built-ins, so whether either set holds them
+  // does not matter.
   UpdateSpec S;
   S.Blacklist = Blacklist;
 
@@ -162,18 +160,19 @@ UpdateSpec Upt::computeSpec(const ClassSet &Old0, const ClassSet &New0,
     }
   }
 
-  // Per-class diffs.
+  // Per-class diffs. A class both versions share as one definition is
+  // unchanged: there is nothing to compare.
   for (const auto &[Name, NewCls] : New.classes()) {
     if (isBuiltinClass(Name))
       continue;
     const ClassDef *OldCls = Old.find(Name);
-    if (!OldCls)
+    if (!OldCls || OldCls == NewCls.get())
       continue;
 
-    bool SigChanged = classSignatureChanged(*OldCls, NewCls);
+    bool SigChanged = classSignatureChanged(*OldCls, *NewCls);
     bool AnyChange = SigChanged;
 
-    for (const MethodDef &M : NewCls.Methods) {
+    for (const MethodDef &M : NewCls->Methods) {
       const MethodDef *OM = OldCls->findMethod(M.Name, M.Sig);
       if (OM && OM->IsStatic == M.IsStatic && !OM->codeEquals(M)) {
         S.MethodBodyUpdates.push_back({Name, M.Name, M.Sig});
@@ -187,22 +186,22 @@ UpdateSpec Upt::computeSpec(const ClassSet &Old0, const ClassSet &New0,
     if (AnyChange)
       ++S.Summary.ClassesChanged;
 
-    summarizeFieldDiff(*OldCls, NewCls, S.Summary);
-    summarizeMethodDiff(*OldCls, NewCls, S.Summary);
+    summarizeFieldDiff(*OldCls, *NewCls, S.Summary);
+    summarizeMethodDiff(*OldCls, *NewCls, S.Summary);
   }
 
   // Transitive subclass closure over the *new* hierarchy: an updated parent
   // changes the layout of every descendant.
   std::set<std::string> Updated(S.DirectClassUpdates.begin(),
                                 S.DirectClassUpdates.end());
-  bool Grew = true;
+  bool Grew = !Updated.empty();
   while (Grew) {
     Grew = false;
     for (const auto &[Name, Cls] : New.classes()) {
       if (isBuiltinClass(Name) || Updated.count(Name) ||
           !Old.contains(Name))
         continue;
-      if (!Cls.Super.empty() && Updated.count(Cls.Super)) {
+      if (!Cls->Super.empty() && Updated.count(Cls->Super)) {
         Updated.insert(Name);
         Grew = true;
       }
@@ -230,16 +229,21 @@ UpdateSpec Upt::computeSpec(const ClassSet &Old0, const ClassSet &New0,
 
   // Category (2): unchanged methods whose bytecode references an updated
   // class (their compiled form hard-codes offsets that are about to move).
+  // Without an updated class there are none.
+  if (Updated.empty())
+    return S;
   for (const auto &[Name, NewCls] : New.classes()) {
     if (isBuiltinClass(Name))
       continue;
     const ClassDef *OldCls = Old.find(Name);
     if (!OldCls)
       continue;
-    for (const MethodDef &M : NewCls.Methods) {
-      const MethodDef *OM = OldCls->findMethod(M.Name, M.Sig);
-      if (!OM || OM->IsStatic != M.IsStatic || !OM->codeEquals(M))
-        continue; // changed methods are category (1), handled above
+    for (const MethodDef &M : NewCls->Methods) {
+      if (OldCls != NewCls.get()) {
+        const MethodDef *OM = OldCls->findMethod(M.Name, M.Sig);
+        if (!OM || OM->IsStatic != M.IsStatic || !OM->codeEquals(M))
+          continue; // changed methods are category (1), handled above
+      }
       for (const std::string &RefName : referencedClasses(M)) {
         if (Updated.count(RefName)) {
           S.IndirectMethods.push_back({Name, M.Name, M.Sig});

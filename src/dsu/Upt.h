@@ -24,8 +24,10 @@ namespace jvolve {
 /// Computes the diff between two program versions.
 class Upt {
 public:
-  /// Diffs \p Old against \p New (built-ins are added to copies as needed)
-  /// and returns the spec. \p Blacklist adds category-(3) restrictions.
+  /// Diffs \p Old against \p New (with or without the built-ins, which
+  /// never count as changes) and returns the spec. A class both versions
+  /// share as one definition is unchanged without a comparison. \p Blacklist
+  /// adds category-(3) restrictions.
   static UpdateSpec
   computeSpec(const ClassSet &Old, const ClassSet &New,
               const std::vector<MethodRef> &Blacklist = {});

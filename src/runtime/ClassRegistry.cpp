@@ -39,16 +39,6 @@ ClassId ClassRegistry::idOf(const std::string &Name) const {
   return It == ByName.end() ? InvalidClassId : It->second;
 }
 
-RtClass &ClassRegistry::cls(ClassId Id) {
-  assert(Id < Classes.size() && "invalid class id");
-  return *Classes[Id];
-}
-
-const RtClass &ClassRegistry::cls(ClassId Id) const {
-  assert(Id < Classes.size() && "invalid class id");
-  return *Classes[Id];
-}
-
 RtMethod &ClassRegistry::method(MethodId Id) {
   assert(Id < Methods.size() && "invalid method id");
   return *Methods[Id];
@@ -172,7 +162,7 @@ ClassId ClassRegistry::loadClassImpl(const ClassDef &Def,
 void ClassRegistry::loadAll(const ClassSet &Set) {
   for (const auto &[Name, Def] : Set.classes())
     if (idOf(Name) == InvalidClassId)
-      loadClass(Def, Set);
+      loadClass(*Def, Set);
 }
 
 ClassId ClassRegistry::arrayClassOf(const Type &Elem) {

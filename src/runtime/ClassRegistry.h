@@ -19,6 +19,7 @@
 #include "runtime/Ids.h"
 #include "runtime/Slot.h"
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <string>
@@ -117,8 +118,16 @@ public:
   /// \returns the id bound to \p Name, or InvalidClassId.
   ClassId idOf(const std::string &Name) const;
 
-  RtClass &cls(ClassId Id);
-  const RtClass &cls(ClassId Id) const;
+  // Inline: every DSU copy, certification step and transformed object
+  // looks its class up here.
+  RtClass &cls(ClassId Id) {
+    assert(Id < Classes.size() && "invalid class id");
+    return *Classes[Id];
+  }
+  const RtClass &cls(ClassId Id) const {
+    assert(Id < Classes.size() && "invalid class id");
+    return *Classes[Id];
+  }
   RtMethod &method(MethodId Id);
   const RtMethod &method(MethodId Id) const;
 

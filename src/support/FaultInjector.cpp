@@ -150,9 +150,8 @@ bool FaultInjector::armed(Site S) const {
   return state(S).M != SiteState::Mode::Off;
 }
 
-bool FaultInjector::probe(Site S) {
+bool FaultInjector::probeArmed(Site S) {
   SiteState &St = state(S);
-  ++St.Probes;
   bool Fail = false;
   switch (St.M) {
   case SiteState::Mode::Off:

@@ -136,8 +136,13 @@ public:
   bool armed(Site S) const;
 
   /// Probes \p S from production code. \returns true when the site should
-  /// fail now. Always counts, even when disarmed.
-  bool probe(Site S);
+  /// fail now. Always counts, even when disarmed. The disarmed path is
+  /// inline: DSU allocation and the transformers probe once per object.
+  bool probe(Site S) {
+    SiteState &St = state(S);
+    ++St.Probes;
+    return St.M != SiteState::Mode::Off && probeArmed(S);
+  }
 
   uint64_t probeCount(Site S) const;
   uint64_t fireCount(Site S) const;
@@ -171,6 +176,9 @@ private:
     uint64_t Probes = 0;
     uint64_t Fires = 0;
   };
+
+  /// probe() on an armed site, after counting the probe.
+  bool probeArmed(Site S);
 
   SiteState &state(Site S) { return Sites[static_cast<size_t>(S)]; }
   const SiteState &state(Site S) const {

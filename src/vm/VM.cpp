@@ -104,13 +104,14 @@ void VM::loadProgram(const ClassSet &InputProgram) {
   ensureBuiltins(Program);
 
   if (Cfg.Verify) {
-    std::vector<VerifyError> Errs = Verifier(Program).verifyAll();
-    if (!Errs.empty()) {
+    VerifyOutcome V = Verifier(Program).verify(VerificationRecord());
+    if (!V.Errors.empty()) {
       std::string Msg = "program failed verification:";
-      for (const VerifyError &E : Errs)
+      for (const VerifyError &E : V.Errors)
         Msg += "\n  " + E.str();
       fatalError(Msg);
     }
+    Record = std::move(V.Record);
   }
 
   Registry.loadAll(Program);

@@ -13,6 +13,7 @@
 #define JVOLVE_VM_VM_H
 
 #include "bytecode/ClassDef.h"
+#include "bytecode/Verifier.h"
 #include "exec/Compiler.h"
 #include "heap/Collector.h"
 #include "heap/Heap.h"
@@ -166,14 +167,24 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Loads the initial program version. Adds built-ins, verifies (unless
-  /// disabled), and loads every class. Call exactly once.
+  /// disabled, which leaves the VM without a verification record), and
+  /// loads every class. Call exactly once.
   void loadProgram(const ClassSet &Program);
 
   /// Bytecode of the running program version (the UPT diffs against this).
   const ClassSet &program() const { return Program; }
 
-  /// Replaces the recorded program version after a dynamic update.
-  void setProgram(ClassSet NewProgram) { Program = std::move(NewProgram); }
+  /// What verifying the running program looked up, for update admission to
+  /// reuse (bytecode/Verifier.h); empty when the program was not verified.
+  const VerificationRecord &verificationRecord() const { return Record; }
+
+  /// Replaces the running program version after a dynamic update; \p Rec
+  /// is the record of \p NewProgram's admission verification, and replaces
+  /// the old program's.
+  void setProgram(ClassSet NewProgram, VerificationRecord Rec) {
+    Program = std::move(NewProgram);
+    Record = std::move(Rec);
+  }
 
   /// Spawns a thread whose entry point is the static method
   /// \p ClassName.\p MethodName with signature \p Sig, passing \p Args.
@@ -408,6 +419,7 @@ private:
 
   Config Cfg;
   ClassSet Program;
+  VerificationRecord Record;
   ClassRegistry Registry;
   std::unique_ptr<Heap> TheHeap;
   std::unique_ptr<Collector> Gc;

@@ -138,6 +138,49 @@ TEST_EAGER_AND_LAZY(Apps, JettyFirstUpdateAppliesUnderLoad) {
     EXPECT_NE(T->State, ThreadState::Trapped) << T->TrapMessage;
 }
 
+TEST(Apps, JettyUpdateReverifiesOnlyWhatItChanged) {
+  // 5.1.5 -> 5.1.6 changes four classes; HttpHandler calls one of them.
+  // Every other class reuses the running program's verification record,
+  // and the way back does the same against the record the commit left.
+  AppModel App = makeJettyApp();
+  VM TheVM(appConfig());
+  TheVM.loadProgram(App.version(5));
+  size_t Classes = TheVM.program().size();
+  ASSERT_EQ(TheVM.verificationRecord().size(), Classes);
+  startJettyThreads(TheVM);
+  TheVM.run(5'000);
+
+  Updater U(TheVM);
+  for (auto [From, To] : {std::pair{5, 6}, std::pair{6, 5}}) {
+    UpdateResult R = U.applyNow(Upt::prepare(TheVM.program(), App.version(To),
+                                             "u" + std::to_string(To)));
+    ASSERT_EQ(R.Status, UpdateStatus::Applied) << From << ": " << R.Message;
+    EXPECT_EQ(R.ClassesVerified, 5) << From;
+    EXPECT_EQ(R.ClassesReused, static_cast<int>(Classes) - 5) << From;
+    EXPECT_EQ(TheVM.verificationRecord().size(), Classes);
+  }
+}
+
+TEST(Apps, UpdateOfAnUnverifiedProgramVerifiesEveryClass) {
+  AppModel App = makeJettyApp();
+  VM::Config C = appConfig();
+  C.Verify = false;
+  VM TheVM(C);
+  TheVM.loadProgram(App.version(5));
+  ASSERT_TRUE(TheVM.verificationRecord().empty());
+  startJettyThreads(TheVM);
+  TheVM.run(5'000);
+
+  Updater U(TheVM);
+  UpdateResult R =
+      U.applyNow(Upt::prepare(TheVM.program(), App.version(6), "u6"));
+  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
+  EXPECT_EQ(R.ClassesVerified, static_cast<int>(TheVM.program().size()));
+  EXPECT_EQ(R.ClassesReused, 0);
+  // The commit leaves the admitted version's record behind.
+  EXPECT_EQ(TheVM.verificationRecord().size(), TheVM.program().size());
+}
+
 TEST(Apps, Jetty513TimesOut) {
   AppModel App = makeJettyApp();
   VM TheVM(appConfig());

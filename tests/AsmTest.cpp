@@ -224,7 +224,7 @@ void expectRoundTrip(const ClassSet &Set, const std::string &Tag) {
       continue;
     const ClassDef *Re = Again->find(Name);
     ASSERT_NE(Re, nullptr) << Tag << ": lost class " << Name;
-    EXPECT_EQ(Cls, *Re) << Tag << ": class " << Name
+    EXPECT_EQ(*Cls, *Re) << Tag << ": class " << Name
                         << " changed in round trip";
   }
   // And the reparsed program still verifies.

@@ -381,7 +381,9 @@ int main(int argc, char **argv) {
         std::printf("  rolled back in %.2f ms: %s\n", R.RollbackMs,
                     R.Message.c_str());
     }
-    std::printf("  admission verification: %.3f ms\n", R.VerifyMs);
+    std::printf("  admission verification: %.3f ms (%d classes verified, "
+                "%d reused)\n",
+                R.VerifyMs, R.ClassesVerified, R.ClassesReused);
     if (R.Quiescence.diagnosed() && R.Status != UpdateStatus::Applied)
       std::printf("  escalation resolved at rung '%s'\n",
                   quiescenceRungName(R.ResolvedRung));
