@@ -9,11 +9,13 @@
 # ledger-balance check on a traced serve run (every event attempted is
 # either streamed or counted dropped, and the trace file holds every
 # streamed event its sink did not drop), the analysis runtime budget, the
-# bench_lazy_pause trade-off gate, the streaming-telemetry overhead gate
-# (bench_telemetry --check + a coarse metrics-diff backstop), the canary
-# pause and revert-convergence gates (an injected health breach must
-# auto-revert and leave zero residual), the chaos-report summary of the
-# first-order fault sweep, the perfbench helper unit tests, then the
+# bench_lazy_pause trade-off gate, the updates-forever gate (registry
+# bookkeeping flat over 300 stacked updates), the streaming-telemetry
+# overhead gate (bench_telemetry --check + a coarse metrics-diff
+# backstop), the canary pause and revert-convergence gates (an injected
+# health breach must auto-revert and leave zero residual), the
+# chaos-report summary of the first-order fault sweep, the perfbench
+# helper unit tests, then the
 # update-transaction (rollback), quiescence-escalation, GC-fuzz, heap
 # verifier, transformer, lazy-transform and old-copy-space suites, eager
 # and lazy, plus the collector and DSU edge-case suites (the Cheney scan
@@ -25,9 +27,10 @@
 # suite, the class-set copy-on-write and UPT suites (shared class
 # definitions and the verification records that keep them alive), the
 # canary suite, the synthesis suite (renames, faulted
-# plans and the impact-bounded bulk-settle), and the telemetry and
-# update-trace suites (streaming sessions and the JSONL sink), under a
-# sanitizer build.
+# plans and the impact-bounded bulk-settle), the telemetry and
+# update-trace suites (streaming sessions and the JSONL sink), and the
+# registry (the update log's undo, the scoped-check parity corpus) and
+# chaos-campaign suites, under a sanitizer build.
 #
 #   scripts/tier1.sh [sanitizer]
 #
@@ -123,6 +126,11 @@ rm -f "$TEL_JSON" "$TEL_TRACE"
 # overhead decaying to no-update parity after the barrier retires, and
 # indirection overhead staying flat. Exit 1 on any violated relation.
 build/bench/bench_lazy_pause --check
+
+# Updates forever: 300 stacked Jetty updates on one server. The registry
+# bookkeeping in the pause (snapshot + certify) must stay flat while the
+# registry grows (last 50 updates <= 1.25x the first 50 + 0.005 ms).
+build/bench/bench_updates_forever --check
 
 # Lazy steady-state convergence: serve the same release history eagerly
 # and lazily; the final snapshots must agree on updates applied, and the
@@ -227,7 +235,8 @@ if [ "${JVOLVE_SKIP_SANITIZE:-0}" != "1" ]; then
     old_copy_space_test interpreter_test active_method_test \
     vm_behavior_test scheduler_network_test code_version_test dsu_test \
     apps_test verifier_test class_set_test upt_test canary_test \
-    synthesis_test telemetry_test update_trace_test
+    synthesis_test telemetry_test update_trace_test registry_test \
+    chaos_campaign_test
   ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" \
-    -R 'DsuRollback|Quiescence|GcFuzz|^Gc\.|DsuEdge|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|VerifierCorpus|VerifierReuse|ClassSetCow|^Upt\.|StackShapes|Canary|Synthesis|Telemetry|UpdateTrace'
+    -R 'DsuRollback|Quiescence|GcFuzz|^Gc\.|DsuEdge|HeapVerifier|Transformer|LazyTransform|OldCopySpace|Interpreter|ActiveMethod|VmBehavior|Scheduler|Network|CodeVersion|^Dsu\.|^Apps|Verifier|VerifierCorpus|VerifierReuse|ClassSetCow|^Upt\.|StackShapes|Canary|Synthesis|Telemetry|UpdateTrace|^Registry\.|^ChaosCampaign\.'
 fi

@@ -17,7 +17,7 @@ CodeVersionManager &CodeVersionManager::of(VM &TheVM) {
   return *static_cast<CodeVersionManager *>(TheVM.codeVersions());
 }
 
-std::pair<MethodId, const MethodDef *>
+std::pair<MethodId, std::shared_ptr<const MethodDef>>
 CodeVersionManager::resolve(const ClassRegistry &Reg,
                             const ClassSet &NewProgram, const MethodRef &R) {
   ClassId Cls = Reg.idOf(R.ClassName);
@@ -27,14 +27,14 @@ CodeVersionManager::resolve(const ClassRegistry &Reg,
   MethodId Id = Reg.resolveMethod(Cls, R.Name, R.Sig);
   if (Id == InvalidMethodId)
     throw UpdateError("install", "body update on unknown method " + R.key());
-  const ClassDef *NewCls = NewProgram.find(R.ClassName);
+  const ClassSet::DefPtr *NewCls = NewProgram.shared(R.ClassName);
   const MethodDef *NewBody =
-      NewCls ? NewCls->findMethod(R.Name, R.Sig) : nullptr;
+      NewCls ? (*NewCls)->findMethod(R.Name, R.Sig) : nullptr;
   if (!NewBody)
     throw UpdateError("install", "spec references " + R.key() +
                                      ", which is missing from the new "
                                      "version");
-  return {Id, NewBody};
+  return {Id, std::shared_ptr<const MethodDef>(*NewCls, NewBody)};
 }
 
 bool CodeVersionManager::installBodySet(const std::vector<BodyUpdate> &Updates,
@@ -63,9 +63,8 @@ bool CodeVersionManager::installBodySet(const std::vector<BodyUpdate> &Updates,
   auto Unwind = [&] {
     for (auto It = AppliedOps.rbegin(); It != AppliedOps.rend(); ++It) {
       RtMethod &M = Reg.method(It->Method);
-      M.Def = It->PrevDef;
-      M.Code = It->PrevCode;
-      M.InvokeCount = It->PrevInvokeCount;
+      Reg.setMethodState(It->Method, It->PrevDef, It->PrevCode,
+                         It->PrevInvokeCount);
       if (M.Code)
         M.Code->Superseded = false;
       MethodVersionChain &VC = Chains[It->Method];
@@ -127,9 +126,8 @@ bool CodeVersionManager::installBodySet(const std::vector<BodyUpdate> &Updates,
       if (M.Code)
         M.Code->Superseded = true;
       CodeVersionNode &Parent = VC.Chain.back();
-      M.Def = Parent.Def;
-      M.Code = Parent.Code;
-      M.InvokeCount = Parent.InvokeCount;
+      Reg.setMethodState(U.Method, Parent.Def, Parent.Code,
+                         Parent.InvokeCount);
       if (M.Code)
         M.Code->Superseded = false;
       Parent.Code = nullptr;
@@ -143,11 +141,10 @@ bool CodeVersionManager::installBodySet(const std::vector<BodyUpdate> &Updates,
       Top.InvokeCount = M.InvokeCount;
       if (M.Code)
         M.Code->Superseded = true;
-      Reg.setMethodBody(U.Method, *U.NewBody);
-      // setMethodBody re-profiles from zero; a versioned install keeps the
-      // heat so ensureCompiledForInvoke repromotes a hot method straight
-      // at the opt tier on its next invocation.
-      M.InvokeCount = Op.PrevInvokeCount;
+      // A versioned install keeps the heat (setMethodBody would re-profile
+      // from zero) so ensureCompiledForInvoke repromotes a hot method
+      // straight at the opt tier on its next invocation.
+      Reg.setMethodState(U.Method, U.NewBody, nullptr, Op.PrevInvokeCount);
       VC.Chain.push_back(
           {Top.VersionId + 1, Tag, M.Def, nullptr, 0, Now});
       Op.PushedNode = true;

@@ -94,7 +94,9 @@ public:
   /// One method's new body within a batch install.
   struct BodyUpdate {
     MethodId Method = InvalidMethodId;
-    const MethodDef *NewBody = nullptr;
+    /// Shares the new program version's definition (an alias into its
+    /// ClassDef), as the registry's method bodies do.
+    std::shared_ptr<const MethodDef> NewBody;
     std::string Display; ///< "Class.name(sig)" for traces and diagnostics
   };
 
@@ -103,7 +105,7 @@ public:
   /// UpdateError("install") naming an unknown class or method, or a body
   /// \p NewProgram lacks — the same outcome on the versioned and the
   /// safe-point install paths.
-  static std::pair<MethodId, const MethodDef *>
+  static std::pair<MethodId, std::shared_ptr<const MethodDef>>
   resolve(const ClassRegistry &Reg, const ClassSet &NewProgram,
           const MethodRef &R);
 

@@ -31,8 +31,10 @@ const RtField *TransformCtx::lookupField(Ref Obj,
   return F;
 }
 
-static Slot *staticSlot(VM &TheVM, std::string_view Cls,
-                        std::string_view Field) {
+/// The class that owns the storage of static \p Field of \p Cls, and the
+/// field's slot index there.
+static std::pair<ClassId, uint32_t>
+staticSlot(VM &TheVM, std::string_view Cls, std::string_view Field) {
   std::string ClsName(Cls);
   ClassId Id = TheVM.registry().idOf(ClsName);
   if (Id == InvalidClassId)
@@ -42,31 +44,39 @@ static Slot *staticSlot(VM &TheVM, std::string_view Cls,
   if (!F)
     throw UpdateError("transform", "class " + ClsName + " has no static '" +
                                        std::string(Field) + "'");
-  return &TheVM.registry().cls(Declaring).Statics[F->Offset];
+  return {Declaring, F->Offset};
 }
 
 int64_t TransformCtx::getStaticInt(std::string_view Cls,
                                    std::string_view Field) const {
-  return staticSlot(TheVM, Cls, Field)->IntVal;
+  auto [Id, Index] = staticSlot(TheVM, Cls, Field);
+  return TheVM.registry().cls(Id).Statics[Index].IntVal;
 }
 
 Ref TransformCtx::getStaticRef(std::string_view Cls,
                                std::string_view Field) const {
-  return staticSlot(TheVM, Cls, Field)->RefVal;
+  auto [Id, Index] = staticSlot(TheVM, Cls, Field);
+  return TheVM.registry().cls(Id).Statics[Index].RefVal;
 }
 
+// Writes go through the registry: its update log records the old value, so
+// a rolled-back update restores it.
 void TransformCtx::setStaticInt(std::string_view Cls, std::string_view Field,
                                 int64_t Value) {
-  Slot *S = staticSlot(TheVM, Cls, Field);
-  S->IntVal = Value;
-  S->IsRef = false;
+  auto [Id, Index] = staticSlot(TheVM, Cls, Field);
+  Slot S = TheVM.registry().cls(Id).Statics[Index];
+  S.IntVal = Value;
+  S.IsRef = false;
+  TheVM.registry().setStatic(Id, Index, S);
 }
 
 void TransformCtx::setStaticRef(std::string_view Cls, std::string_view Field,
                                 Ref Value) {
-  Slot *S = staticSlot(TheVM, Cls, Field);
-  S->RefVal = Value;
-  S->IsRef = true;
+  auto [Id, Index] = staticSlot(TheVM, Cls, Field);
+  Slot S = TheVM.registry().cls(Id).Statics[Index];
+  S.RefVal = Value;
+  S.IsRef = true;
+  TheVM.registry().setStatic(Id, Index, S);
 }
 
 Ref TransformCtx::allocate(const std::string &ClassName) {
@@ -187,13 +197,13 @@ void TransformerRunner::applyDefaultStatics(const std::string &Name) {
   ClassId OldId = Reg.idOf(Bundle.renamedOldClass(Name));
   if (NewId == InvalidClassId || OldId == InvalidClassId)
     return;
-  RtClass &New = Reg.cls(NewId);
-  RtClass &Old = Reg.cls(OldId);
+  const RtClass &New = Reg.cls(NewId);
+  const RtClass &Old = Reg.cls(OldId);
   for (const RtField &NF : New.StaticFields) {
     const RtField *OF = Old.findStaticField(NF.Name);
     if (!OF || OF->Ty != NF.Ty)
       continue;
-    New.Statics[NF.Offset] = Old.Statics[OF->Offset];
+    Reg.setStatic(NewId, NF.Offset, Old.Statics[OF->Offset]);
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -734,7 +735,7 @@ void Updater::clearForwardingMarks() {
   }
 }
 
-void Updater::certify() {
+void Updater::certify(bool Committed) {
   Stopwatch Timer;
   HeapVerifier Verifier(TheVM.heap(), TheVM.registry());
   // While a lazy engine drains, untransformed shells and the reserved
@@ -754,7 +755,9 @@ void Updater::certify() {
       Verifier.verify([this](const std::function<void(Ref &)> &Visit) {
         TheVM.visitRoots(Visit);
       });
-  for (std::string &P : TheVM.registry().checkConsistency())
+  ClassRegistry &Reg = TheVM.registry();
+  for (std::string &P : Committed ? Reg.checkLoggedConsistency()
+                                  : Reg.checkConsistency())
     Problems.push_back("registry: " + P);
   Result.CertifyMs = Timer.elapsedMs();
   Result.Certified = Problems.empty();
@@ -787,11 +790,14 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
   PhaseClock.reset();
   LastPhaseMark = 0;
 
-  // ---- Begin the transaction: snapshot everything install can mutate ----
-  // (registry contents, heap spaces, and every root location), and hold
-  // off ordinary collection: a mutator- or transformer-triggered GC would
-  // flip the semi-spaces and destroy the undo log.
-  ClassRegistry::RegistrySnapshot RegSnap = TheVM.registry().snapshot();
+  // ---- Begin the transaction: snapshot the heap spaces and every root
+  // location, open the registry's update log (install records what it
+  // overwrites there), and hold off ordinary collection: a mutator- or
+  // transformer-triggered GC would flip the semi-spaces and destroy the
+  // heap's undo log.
+  if (Opts.OnRegistryEdge)
+    Opts.OnRegistryEdge(TheVM.registry(), /*Restored=*/false);
+  TheVM.registry().beginUpdateLog();
   Heap::TxSnapshot HeapSnap = TheVM.heap().txSnapshot();
   RootSnapshot Roots = snapshotRoots();
   TheVM.setTransformationInProgress(true);
@@ -807,7 +813,7 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
     // non-allocating; anything after them may fail without voiding the
     // restored image.
     try {
-      rollback(RegSnap, HeapSnap, Roots, E);
+      rollback(HeapSnap, Roots, E);
     } catch (const UpdateError &Nested) {
       TheVM.setTransformationInProgress(false);
       for (auto &T : TheVM.scheduler().threads())
@@ -828,6 +834,9 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
   }
 
   // ---- Commit. ----------------------------------------------------------
+  // The log stops recording (certification's root visit must not count as
+  // a write) and keeps what install touched for certification.
+  TheVM.registry().closeUpdateLog();
   TheVM.setTransformationInProgress(false);
   // Moved, not copied: nothing reads Bundle.NewProgram after commit (the
   // lazy engine and the canary keep the bundle for its transformers, spec
@@ -860,7 +869,8 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
     TheVM.installLazyEngine(std::move(Engine));
   }
   if (Opts.CertifyAfterUpdate)
-    certify(); // reported in Result; an applied update is never undone here
+    certify(/*Committed=*/true); // an applied update is never undone here
+  TheVM.registry().releaseUpdateLog();
 
   Result.TotalPauseMs = PhaseClock.elapsedMs();
   Result.TicksToSafePoint = TheVM.scheduler().ticks() - ScheduleTick;
@@ -886,24 +896,33 @@ void Updater::installVersioned() {
 
   // Admission already completed and verified Bundle.NewProgram; it and its
   // verification record move into the VM on success, and nothing reads
-  // them after a failure.
+  // them after a failure. The registry's update log records which methods
+  // the swap touched, for certification; the manager unwinds a failed
+  // batch itself.
+  ClassRegistry &Reg = TheVM.registry();
+  if (Opts.OnRegistryEdge)
+    Opts.OnRegistryEdge(Reg, /*Restored=*/false);
+  Reg.beginUpdateLog();
   std::string Why;
   bool Ok = EcUpdater(TheVM).installVerified(
       std::move(Bundle.NewProgram), std::move(AdmittedRecord), Bundle.Spec,
       &Why, &Result.Trace, Bundle.VersionTag);
+  Reg.closeUpdateLog();
   markPhase("codeversion",
             static_cast<int64_t>(Bundle.Spec.MethodBodyUpdates.size()),
             Ok ? "active-version switch committed" : Why);
 
   // A versioned commit never touches the heap — no allocation, no moved
   // objects, no transformed fields — so certification checks the structure
-  // it did mutate: the registry's class/method metadata. The full-heap
-  // walk stays with the pipeline whose collection and transformers need
-  // it; that walk is precisely the heap-scaling pause component a
-  // body-only update exists to avoid.
+  // it did mutate: the registry's class/method metadata, the entries the
+  // update log saw after a commit and all of it after an unwind. The
+  // full-heap walk stays with the pipeline whose collection and
+  // transformers need it; that walk is precisely the heap-scaling pause
+  // component a body-only update exists to avoid.
   auto CertifyRegistry = [&] {
     Stopwatch Timer;
-    std::vector<std::string> Problems = TheVM.registry().checkConsistency();
+    std::vector<std::string> Problems =
+        Ok ? Reg.checkLoggedConsistency() : Reg.checkConsistency();
     Result.CertifyMs = Timer.elapsedMs();
     Result.Certified = Problems.empty();
     Result.CertificationProblems = Problems;
@@ -923,6 +942,8 @@ void Updater::installVersioned() {
     Result.Trace.record(UpdateEventKind::InstallFailed,
                         TheVM.scheduler().ticks(), 0, Why);
     bumpDsuCounter(metrics::DsuUpdatesRolledBack);
+    if (Opts.OnRegistryEdge)
+      Opts.OnRegistryEdge(Reg, /*Restored=*/true);
     if (Opts.CertifyAfterUpdate)
       CertifyRegistry();
     Result.TotalPauseMs = PhaseClock.elapsedMs();
@@ -938,6 +959,7 @@ void Updater::installVersioned() {
       static_cast<int>(Bundle.Spec.MethodBodyUpdates.size());
   if (Opts.CertifyAfterUpdate)
     CertifyRegistry();
+  Reg.releaseUpdateLog();
   Result.TotalPauseMs = PhaseClock.elapsedMs();
   Result.TicksToSafePoint = 0; // no safe point was ever sought
   Result.Trace.record(UpdateEventKind::Applied, TheVM.scheduler().ticks(), 0,
@@ -950,8 +972,7 @@ void Updater::installVersioned() {
   finish(UpdateStatus::Applied, "update applied (code-versioned)");
 }
 
-void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
-                       const Heap::TxSnapshot &HeapSnap,
+void Updater::rollback(const Heap::TxSnapshot &HeapSnap,
                        const RootSnapshot &Roots, const UpdateError &E) {
   Stopwatch Timer;
   Result.Trace.record(UpdateEventKind::InstallFailed,
@@ -968,11 +989,14 @@ void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
   // image is the current space again), then registry metadata, then the
   // forwarding marks the aborted collection left in that image, then every
   // root location. From-space was never mutated beyond object headers, so
-  // it serves as the undo log.
+  // it serves as the heap's undo log; the registry replays its own, which
+  // also puts back the static roots the collection forwarded.
   TheVM.heap().txRollback(HeapSnap);
-  TheVM.registry().restore(RegSnap);
+  TheVM.registry().rollbackUpdateLog();
   clearForwardingMarks();
   restoreRoots(Roots);
+  if (Opts.OnRegistryEdge)
+    Opts.OnRegistryEdge(TheVM.registry(), /*Restored=*/true);
   // The update is over; no barrier may stay armed.
   for (auto &T : TheVM.scheduler().threads())
     for (Frame &F : T->Frames)
@@ -983,7 +1007,7 @@ void Updater::rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
   bumpDsuCounter(metrics::DsuUpdatesRolledBack);
 
   if (Opts.CertifyAfterUpdate)
-    certify();
+    certify(/*Committed=*/false);
 
   UpdateStatus Status = E.phase() == "transform"
                             ? UpdateStatus::FailedTransformer
@@ -1015,8 +1039,19 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     RenameOld(Name);
 
   // --- Step 4b: load added and replacement classes. ----------------------
-  for (const auto &[Name, Def] : Bundle.NewProgram.classes()) {
-    if (Reg.idOf(Name) != InvalidClassId)
+  // Those are the names the spec adds or updates; every other class of the
+  // new version is loaded already. Both lists are sorted, and merging them
+  // keeps the load order (and so the class ids) of a walk over the whole
+  // new version.
+  std::vector<std::string> ToLoad;
+  ToLoad.reserve(Bundle.Spec.AddedClasses.size() +
+                 Bundle.Spec.ClassUpdates.size());
+  std::merge(Bundle.Spec.AddedClasses.begin(), Bundle.Spec.AddedClasses.end(),
+             Bundle.Spec.ClassUpdates.begin(), Bundle.Spec.ClassUpdates.end(),
+             std::back_inserter(ToLoad));
+  for (const std::string &Name : ToLoad) {
+    const ClassSet::DefPtr *Def = Bundle.NewProgram.shared(Name);
+    if (!Def || Reg.idOf(Name) != InvalidClassId)
       continue;
     if (TheVM.faults().probe(FaultInjector::Site::ClassLoad))
       throw UpdateError("class-load",
@@ -1031,7 +1066,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
       continue; // the freshly loaded replacement class already has it
     auto [Id, NewBody] =
         CodeVersionManager::resolve(Reg, Bundle.NewProgram, R);
-    Reg.setMethodBody(Id, *NewBody);
+    Reg.setMethodBody(Id, std::move(NewBody));
     BodyChangedIds.insert(Id);
   }
 
@@ -1086,7 +1121,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     }
     RtMethod &NM = Reg.method(NewId);
     if (!NM.Code || NM.Code->T != Tier::Baseline)
-      NM.Code = TheVM.compiler().compile(NewId, Tier::Baseline);
+      Reg.setCode(NewId, TheVM.compiler().compile(NewId, Tier::Baseline));
     assert(NM.Code->Code.size() == F->Code->Code.size() &&
            NM.Code->NumLocals == F->Code->NumLocals &&
            "OSR requires identical bytecode (1:1 pc mapping, same window)");
@@ -1125,7 +1160,7 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                                        "version");
     RtMethod &NM = Reg.method(NewId);
     if (!NM.Code || NM.Code->T != Tier::Baseline)
-      NM.Code = TheVM.compiler().compile(NewId, Tier::Baseline);
+      Reg.setCode(NewId, TheVM.compiler().compile(NewId, Tier::Baseline));
 
     uint32_t NewPc = Mapping->PcMap.at(F->Pc);
     assert(NewPc < NM.Code->Code.size() && "pc map leaves the new body");
@@ -1218,7 +1253,8 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
                               " ms (object transforms deferred)");
       LazyLog = std::move(UpdateLog);
       LazyCommitPending = true;
-      Reg.dropObsoleteStatics();
+      for (const auto &[OldId, Name] : OldIdToName)
+        Reg.dropObsoleteStatics(OldId);
       return;
     }
     Result.TransformMs = Runner.runAll();
@@ -1236,8 +1272,11 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
     // Dropping the log makes the duplicate old versions unreachable: the
     // §3.5 old-copy space (the default) is released right now, while with
     // the to-space placement the next collection reclaims them. Obsolete
-    // statics go too, so dead program state cannot keep objects alive.
-    Reg.dropObsoleteStatics();
+    // statics go too (those of the classes this update made obsolete;
+    // earlier updates cleared theirs), so dead program state cannot keep
+    // objects alive.
+    for (const auto &[OldId, Name] : OldIdToName)
+      Reg.dropObsoleteStatics(OldId);
     if (Opts.UseOldCopySpace)
       TheVM.heap().releaseOldCopySpace();
   } else if (Opts.CanaryWindow.enabled()) {

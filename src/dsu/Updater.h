@@ -29,6 +29,7 @@
 #include "support/Stopwatch.h"
 #include "vm/VM.h"
 
+#include <functional>
 #include <set>
 #include <string>
 
@@ -96,7 +97,15 @@ struct UpdateOptions {
   bool ImpactBoundedDrain = false;
   /// Run HeapVerifier plus a registry-consistency check after every applied
   /// *or rolled-back* update (certification). Benchmarks can turn it off.
+  /// An applied update's registry check covers what install wrote (the
+  /// registry's update log); a rollback's covers the whole registry.
   bool CertifyAfterUpdate = true;
+  /// Observes the registry at the edges of the install transaction: with
+  /// Restored = false as the pause begins, before install writes anything,
+  /// and with Restored = true once a failed install put the registry back,
+  /// before any thread resumes. The chaos campaign's registry-restored
+  /// oracle fingerprints it there. Unset by default.
+  std::function<void(const ClassRegistry &, bool Restored)> OnRegistryEdge;
   /// Safe-point timeouts retry up to this many times before resolving
   /// TimedOut; each retry extends the deadline by TimeoutTicks scaled by
   /// BackoffFactor^retry, so transient starvation no longer immediately
@@ -345,7 +354,7 @@ private:
   /// Value snapshot of every root location the DSU collection rewrites:
   /// thread frames (including code pointers OSR replaces and windows an
   /// active remap moves) with their live slots, exit values, and pinned
-  /// handles. Statics live in the registry snapshot.
+  /// handles. Statics are in the registry's update log.
   struct ThreadSnapshot {
     VMThread *Thread = nullptr;
     std::vector<Frame> Frames;
@@ -369,20 +378,21 @@ private:
   void installSteps(const std::vector<Frame *> &OsrFrames,
                     const std::vector<MappedFrame> &MappedFrames);
 
-  /// Restores all three snapshots, clears forwarding marks left in the
-  /// surviving from-space, certifies, and resolves the update to
-  /// RolledBack or FailedTransformer.
-  void rollback(const ClassRegistry::RegistrySnapshot &RegSnap,
-                const Heap::TxSnapshot &HeapSnap, const RootSnapshot &Roots,
+  /// Restores the heap and root snapshots, undoes the registry's update
+  /// log, clears forwarding marks left in the surviving from-space,
+  /// certifies, and resolves the update to RolledBack or
+  /// FailedTransformer.
+  void rollback(const Heap::TxSnapshot &HeapSnap, const RootSnapshot &Roots,
                 const UpdateError &E);
 
   /// Clears FlagForwarded from every object in the (restored) current
   /// space; the aborted collection left marks on everything it visited.
   void clearForwardingMarks();
 
-  /// Runs HeapVerifier + ClassRegistry::checkConsistency and records the
-  /// outcome in Result and the trace.
-  void certify();
+  /// Runs HeapVerifier plus the registry check and records the outcome in
+  /// Result and the trace. \p Committed selects the registry check over
+  /// what the update log saw; otherwise the whole registry is checked.
+  void certify(bool Committed);
 
   /// Records the telemetry span for the phase ending now. Phases are
   /// delimited by consecutive marks against one clock (PhaseClock, started

@@ -5,44 +5,64 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
 
 using namespace jvolve;
 
-std::vector<std::string> Upt::referencedClasses(const MethodDef &M) {
-  std::set<std::string> Names;
-  for (const Instr &I : M.Code) {
-    switch (I.Op) {
-    case Opcode::New:
-    case Opcode::InstanceOf:
-    case Opcode::CheckCast:
-      Names.insert(I.Sym);
-      break;
-    case Opcode::GetField: case Opcode::PutField:
-    case Opcode::GetStatic: case Opcode::PutStatic:
-    case Opcode::InvokeVirtual: case Opcode::InvokeStatic:
-    case Opcode::InvokeSpecial: {
-      size_t Dot = I.Sym.find('.');
-      if (Dot != std::string::npos)
-        Names.insert(I.Sym.substr(0, Dot));
-      break;
-    }
-    case Opcode::NewArray: {
-      // The element descriptor can itself be an array ("[[LFoo;"): peel to
-      // the base class.
-      if (Type::isValidDescriptor(I.Sig) && I.Sig != "V") {
-        Type T = Type::parse(I.Sig);
-        while (T.isArray())
-          T = T.elementType();
-        if (T.isRef())
-          Names.insert(T.className());
-      }
-      break;
-    }
-    default:
-      break;
-    }
+/// The class \p I references, if any, into \p Name: a view of the
+/// instruction's own symbol, so nothing is copied. Array allocations name
+/// their element's base class ("[[LFoo;" references Foo).
+static bool referencedClass(const Instr &I, std::string_view &Name) {
+  switch (I.Op) {
+  case Opcode::New:
+  case Opcode::InstanceOf:
+  case Opcode::CheckCast:
+    Name = I.Sym;
+    return true;
+  case Opcode::GetField: case Opcode::PutField:
+  case Opcode::GetStatic: case Opcode::PutStatic:
+  case Opcode::InvokeVirtual: case Opcode::InvokeStatic:
+  case Opcode::InvokeSpecial: {
+    size_t Dot = I.Sym.find('.');
+    if (Dot == std::string::npos)
+      return false;
+    Name = std::string_view(I.Sym).substr(0, Dot);
+    return true;
   }
+  case Opcode::NewArray: {
+    if (!Type::isValidDescriptor(I.Sig) || I.Sig == "V")
+      return false;
+    std::string_view Desc = I.Sig;
+    while (Desc.front() == '[')
+      Desc.remove_prefix(1);
+    if (Desc.front() != 'L')
+      return false;
+    Name = Desc.substr(1, Desc.size() - 2);
+    return true;
+  }
+  default:
+    return false;
+  }
+}
+
+std::vector<std::string> Upt::referencedClasses(const MethodDef &M) {
+  std::set<std::string, std::less<>> Names;
+  std::string_view Name;
+  for (const Instr &I : M.Code)
+    if (referencedClass(I, Name))
+      Names.emplace(Name);
   return {Names.begin(), Names.end()};
+}
+
+/// True when \p M references a class of \p Classes; stops at the first
+/// such reference and allocates nothing.
+static bool referencesAny(const MethodDef &M,
+                          const std::set<std::string, std::less<>> &Classes) {
+  std::string_view Name;
+  for (const Instr &I : M.Code)
+    if (referencedClass(I, Name) && Classes.count(Name))
+      return true;
+  return false;
 }
 
 bool Upt::classSignatureChanged(const ClassDef &OldCls,
@@ -192,8 +212,8 @@ UpdateSpec Upt::computeSpec(const ClassSet &Old, const ClassSet &New,
 
   // Transitive subclass closure over the *new* hierarchy: an updated parent
   // changes the layout of every descendant.
-  std::set<std::string> Updated(S.DirectClassUpdates.begin(),
-                                S.DirectClassUpdates.end());
+  std::set<std::string, std::less<>> Updated(S.DirectClassUpdates.begin(),
+                                             S.DirectClassUpdates.end());
   bool Grew = !Updated.empty();
   while (Grew) {
     Grew = false;
@@ -244,12 +264,8 @@ UpdateSpec Upt::computeSpec(const ClassSet &Old, const ClassSet &New,
         if (!OM || OM->IsStatic != M.IsStatic || !OM->codeEquals(M))
           continue; // changed methods are category (1), handled above
       }
-      for (const std::string &RefName : referencedClasses(M)) {
-        if (Updated.count(RefName)) {
-          S.IndirectMethods.push_back({Name, M.Name, M.Sig});
-          break;
-        }
-      }
+      if (referencesAny(M, Updated))
+        S.IndirectMethods.push_back({Name, M.Name, M.Sig});
     }
   }
 

@@ -50,7 +50,11 @@ struct RtMethod {
   std::string Sig;
   bool IsStatic = false;
   Access Visibility = Access::Public;
-  std::shared_ptr<const MethodDef> Def; ///< bytecode (owned copy)
+  /// Bytecode: an alias into the program version's shared ClassDef, so
+  /// loading copies no instructions. The alias holds a reference to the
+  /// definition, so a ClassSet editing it clones it first (copy-on-write)
+  /// and the running method keeps its body.
+  std::shared_ptr<const MethodDef> Def;
   /// Quickened code; null means "compile on next invoke" — the invalidation
   /// hook the DSU layer uses.
   std::shared_ptr<CompiledMethod> Code;
@@ -109,8 +113,8 @@ class ClassRegistry {
 public:
   /// Loads \p Def (and, recursively, its superclass from \p Context if not
   /// yet loaded). \returns the new class id. Aborts if a class of the same
-  /// name is already loaded.
-  ClassId loadClass(const ClassDef &Def, const ClassSet &Context);
+  /// name is already loaded. Methods share their bytecode with \p Def.
+  ClassId loadClass(const ClassSet::DefPtr &Def, const ClassSet &Context);
 
   /// Loads every class in \p Set (which must include the built-ins).
   void loadAll(const ClassSet &Set);
@@ -165,66 +169,162 @@ public:
 
   /// Replaces the bytecode of \p Id with \p NewBody and invalidates its
   /// compiled code (method-body update).
-  void setMethodBody(MethodId Id, const MethodDef &NewBody);
+  void setMethodBody(MethodId Id, std::shared_ptr<const MethodDef> NewBody);
+
+  /// Installs \p Code as the compiled code of \p Id.
+  void setCode(MethodId Id, std::shared_ptr<CompiledMethod> Code);
 
   /// Drops compiled code for \p Id so the JIT recompiles on next invoke.
-  void invalidateCode(MethodId Id);
+  void invalidateCode(MethodId Id) { setCode(Id, nullptr); }
 
-  /// Clears static storage of obsolete classes so dead program state does
-  /// not keep objects alive after transformers ran.
-  void dropObsoleteStatics();
+  /// Sets the bytecode, compiled code and invoke count of \p Id at once
+  /// (the code-version manager's chain pops and unwinds).
+  void setMethodState(MethodId Id, std::shared_ptr<const MethodDef> Def,
+                      std::shared_ptr<CompiledMethod> Code,
+                      uint64_t InvokeCount);
 
-  /// Enumerates every static reference slot of every non-obsolete-or-
-  /// obsolete class as GC roots. \p Visit is called with each ref location.
+  /// Writes static slot \p Index of class \p Id (an open update log
+  /// records the old value first). A reference written into a class that
+  /// held none makes it a static root owner.
+  void setStatic(ClassId Id, uint32_t Index, Slot Value);
+
+  /// Clears the static reference storage of the obsolete class \p Id, so
+  /// dead program state does not keep objects alive after transformers
+  /// ran.
+  void dropObsoleteStatics(ClassId Id);
+
+  /// Enumerates every static reference slot as a GC root, walking only
+  /// the classes that own one. \p Visit is called with each ref location;
+  /// an open update log records the value first, since the DSU collection
+  /// forwards it.
   void visitStaticRoots(const std::function<void(Ref &)> &Visit);
 
   //===--------------------------------------------------------------------===//
   // Update transaction support. Installing an update appends classes and
   // methods, rebinds names, marks old versions obsolete, swaps method
-  // bodies, and drops compiled code. A RegistrySnapshot taken before step
-  // (4) captures everything install can touch; restore() truncates the
-  // appended entries and puts every pre-existing class and method back,
-  // so a failed update leaves the registry exactly as it was.
+  // bodies and compiled code, and writes statics. Between beginUpdateLog()
+  // and closeUpdateLog() or rollbackUpdateLog(), every such write records
+  // what it overwrote, so undoing a failed install and certifying a
+  // committed one cost what the update changed, not what the registry
+  // holds.
   //===--------------------------------------------------------------------===//
 
-  struct RegistrySnapshot {
-    size_t NumClasses = 0;
-    size_t NumMethods = 0;
-    std::unordered_map<std::string, ClassId> ByName;
+  /// Starts recording into an emptied log.
+  void beginUpdateLog();
+  /// Stops recording; the entries stay for checkLoggedConsistency() until
+  /// releaseUpdateLog().
+  void closeUpdateLog();
+  /// Drops the closed log's entries, and with them its references to the
+  /// replaced bytecode and compiled code.
+  void releaseUpdateLog() { Log.Entries.clear(); }
+  /// Undoes every logged write, newest first, and empties the log: the
+  /// registry is exactly as beginUpdateLog() found it.
+  void rollbackUpdateLog();
 
-    struct ClassState {
+  /// Structural self-check of the whole registry (rollback certification
+  /// and the oracles): name map and class/method tables agree, ids are in
+  /// range, superclass chains are acyclic, TIBs point at real methods,
+  /// statics match their field lists. \returns a human-readable
+  /// description of every violation (empty when the registry is
+  /// consistent).
+  std::vector<std::string> checkConsistency() const;
+
+  /// checkConsistency's per-class, per-method and per-name checks over the
+  /// classes, methods and names the update log touched, plus two global
+  /// checks: every class bound to exactly one name (the name map is as
+  /// large as the class table), and the tables grown by exactly the logged
+  /// appends. A write the log never saw is outside its view.
+  std::vector<std::string> checkLoggedConsistency() const;
+
+  /// What a rolled-back update must leave as it found it: per class its
+  /// name, obsolete bit, superclass and static values; per method its
+  /// bytecode and compiled-code identity, obsolete bit and invoke count.
+  struct Fingerprint {
+    struct ClassPrint {
       std::string Name;
       bool Obsolete = false;
+      ClassId Super = InvalidClassId;
       std::vector<Slot> Statics;
     };
-    std::vector<ClassState> ClassStates;
-
-    struct MethodState {
+    struct MethodPrint {
       std::shared_ptr<const MethodDef> Def;
       std::shared_ptr<CompiledMethod> Code;
       bool Obsolete = false;
       uint64_t InvokeCount = 0;
     };
-    std::vector<MethodState> MethodStates;
+    std::vector<ClassPrint> Classes;
+    std::vector<MethodPrint> Methods;
   };
-
-  RegistrySnapshot snapshot() const;
-  void restore(const RegistrySnapshot &S);
-
-  /// Structural self-check used by post-update certification: name map and
-  /// class/method tables agree, ids are in range, superclass chains are
-  /// acyclic, TIBs point at real methods, statics match their field lists.
-  /// \returns a human-readable description of every violation (empty when
-  /// the registry is consistent).
-  std::vector<std::string> checkConsistency() const;
+  Fingerprint fingerprint() const;
+  /// \returns one line per difference between the registry now and
+  /// \p Before (empty when they agree).
+  std::vector<std::string> fingerprintDiff(const Fingerprint &Before) const;
 
 private:
-  ClassId loadClassImpl(const ClassDef &Def, const ClassSet &Context,
+  /// Test seam: the registry parity corpus plants name-map corruptions.
+  friend struct RegistryCorruption;
+
+  ClassId loadClassImpl(const ClassSet::DefPtr &Def, const ClassSet &Context,
                         std::vector<std::string> &Loading);
+
+  /// Appends to the log when it records.
+  void logBinding(const std::string &Name);
+  void logMethod(MethodId Id);
+  void logStatic(ClassId Id, uint32_t Index);
+
+  /// The per-name, per-class and per-method checks both consistency checks
+  /// share.
+  void checkName(const std::string &Name, ClassId Id,
+                 std::vector<std::string> &Problems) const;
+  void checkClass(size_t I, std::vector<std::string> &Problems) const;
+  void checkMethod(size_t I, std::vector<std::string> &Problems) const;
+
+  /// What install overwrote, in write order: appended class and method
+  /// ids (one entry each, so a free list could hand a rolled-back id out
+  /// again), name bindings, a class's name and obsolete bit before a
+  /// rename, a method's bytecode, compiled code, invoke count and obsolete
+  /// bit before each write, and static slot values (INTERNALS.md §9).
+  struct UndoLog {
+    enum class Kind : uint8_t {
+      AppendClass,  ///< class Id was appended
+      AppendMethod, ///< method Id was appended
+      Binding,      ///< Name was bound to Id (Flag) or unbound
+      Class,        ///< class Id had Name and obsolete bit Flag
+      Method,       ///< method Id had Def, Code, Count, obsolete bit Flag
+      Static,       ///< static slot Index of class Id held Value
+    };
+    struct Entry {
+      Kind K = Kind::AppendClass;
+      bool Flag = false;
+      uint32_t Id = 0;
+      uint32_t Index = 0;
+      uint64_t Count = 0;
+      Slot Value;
+      std::string Name;
+      std::shared_ptr<const MethodDef> Def;
+      std::shared_ptr<CompiledMethod> Code;
+    };
+    Entry &add(Kind K, uint32_t Id) {
+      Entry &E = Entries.emplace_back();
+      E.K = K;
+      E.Id = Id;
+      return E;
+    }
+    std::vector<Entry> Entries;
+    bool Recording = false;
+    /// Table sizes when the log began.
+    size_t ClassesBefore = 0;
+    size_t MethodsBefore = 0;
+  };
+  UndoLog Log;
 
   std::vector<std::unique_ptr<RtClass>> Classes;
   std::vector<std::unique_ptr<RtMethod>> Methods;
   std::unordered_map<std::string, ClassId> ByName;
+  /// Ascending ids of the classes with a reference static slot: the static
+  /// root scan's walk, as long as the live classes with such slots, plus
+  /// their obsolete versions (a transformer may still write one).
+  std::vector<ClassId> StaticRootOwners;
 };
 
 } // namespace jvolve

@@ -149,6 +149,12 @@ ScenarioResult
 jvolve::runScenario(const ScenarioSpec &Spec,
                     const std::vector<std::unique_ptr<Oracle>> &Oracles) {
   const AppModel &App = appFor(Spec.Stream);
+  // The registry as each install's pause began, and what every rollback
+  // left different from it (declared before the VM, whose updaters hold
+  // the observer).
+  ClassRegistry::Fingerprint PauseStart;
+  int Restores = 0;
+  std::vector<std::string> RestoreDiffs;
   VM::Config Cfg;
   Cfg.HeapSpaceBytes = 16u << 20;
   VM TheVM(Cfg);
@@ -190,6 +196,15 @@ jvolve::runScenario(const ScenarioSpec &Spec,
     TransformerSynthesis::installTransformers(B, SynthRep);
   }
   UpdateOptions Opts;
+  Opts.OnRegistryEdge = [&](const ClassRegistry &Reg, bool Restored) {
+    if (!Restored) {
+      PauseStart = Reg.fingerprint();
+      return;
+    }
+    ++Restores;
+    for (std::string &D : Reg.fingerprintDiff(PauseStart))
+      RestoreDiffs.push_back(std::move(D));
+  };
   Opts.TimeoutTicks = 20'000;
   Opts.LazyTransform = Spec.Lazy;
   Opts.CodeVersioning = Spec.CodeVersion;
@@ -226,6 +241,8 @@ jvolve::runScenario(const ScenarioSpec &Spec,
   Ctx.OldProgram = &App.version(Ver - 1);
   Ctx.NewProgram = &App.version(Ver);
   Ctx.AnyFired = Res.AnyFired;
+  Ctx.RegistryRestores = Restores;
+  Ctx.RegistryRestoreDiffs = std::move(RestoreDiffs);
   if (auto *Canary = static_cast<CanaryController *>(TheVM.canary())) {
     CanaryReport Rep = Canary->report();
     Ctx.CanaryState = canaryStateName(Rep.State);
@@ -412,6 +429,22 @@ public:
   }
 };
 
+class RegistryRestoredOracle : public Oracle {
+public:
+  const char *name() const override { return "registry-restored"; }
+  void check(const ScenarioContext &Ctx,
+             std::vector<std::string> &Out) override {
+    for (const std::string &D : Ctx.RegistryRestoreDiffs)
+      Out.push_back(std::string(name()) + ": " + D);
+    bool RolledBack = Ctx.Result.Status == UpdateStatus::RolledBack ||
+                      Ctx.Result.Status == UpdateStatus::FailedTransformer;
+    if (RolledBack && Ctx.RegistryRestores == 0)
+      Out.push_back(std::string(name()) + ": " +
+                    updateStatusName(Ctx.Result.Status) +
+                    " without a restored registry to compare");
+  }
+};
+
 } // namespace
 
 std::vector<std::string> jvolve::checkStateInvariants(VM &TheVM) {
@@ -433,6 +466,7 @@ std::vector<std::unique_ptr<Oracle>> jvolve::standardOracles() {
   Suite.push_back(std::make_unique<ResidualPendingOracle>());
   Suite.push_back(std::make_unique<UndoRootsOracle>());
   Suite.push_back(std::make_unique<LedgerBalanceOracle>());
+  Suite.push_back(std::make_unique<RegistryRestoredOracle>());
   return Suite;
 }
 

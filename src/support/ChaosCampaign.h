@@ -131,6 +131,12 @@ struct ScenarioContext {
   uint64_t LedgerAttempted = 0;
   uint64_t LedgerStreamed = 0;
   uint64_t LedgerDropped = 0;
+  /// Registry fingerprints taken at the install transaction's edges
+  /// (UpdateOptions::OnRegistryEdge): how many failed installs restored
+  /// the registry, and every difference between a restored registry and
+  /// the one its pause began with.
+  int RegistryRestores = 0;
+  std::vector<std::string> RegistryRestoreDiffs;
 };
 
 /// One invariant, checked after every faulted execution. Implementations
@@ -161,6 +167,11 @@ public:
 ///   undo-roots          a settled canary window holds no undo-log GC
 ///                       roots (the leak the window could otherwise pin)
 ///   ledger-balance      telemetry attempted == streamed + dropped
+///   registry-restored   a rolled-back or failed-transformer update left
+///                       the registry's fingerprint (tables, names,
+///                       obsolete bits, superclasses, statics, method
+///                       bodies, code and invoke counts) as its pause
+///                       found it
 std::vector<std::unique_ptr<Oracle>> standardOracles();
 
 /// Runs one scenario on a fresh VM and applies \p Oracles.

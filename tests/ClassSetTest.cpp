@@ -4,13 +4,16 @@
 /// ClassSet sharing and copy-on-write: copies share every definition, and
 /// mutating a copy through find(), replace() or remove() never changes
 /// what the original holds — neither its values nor the identity of its
-/// definitions. A definition one set alone owns is mutated in place.
+/// definitions. A definition one set alone owns is mutated in place. The
+/// registry's methods share their bytecode with the definitions they were
+/// loaded from, as one more owner.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Builder.h"
 #include "bytecode/Builtins.h"
 #include "bytecode/Verifier.h"
+#include "runtime/ClassRegistry.h"
 
 #include <gtest/gtest.h>
 #include <utility>
@@ -146,4 +149,26 @@ TEST(ClassSetCow, VerificationRecordKeepsItsDefinitionsUnchanged) {
   Mutable->Fields.push_back({"z", "I"});
   EXPECT_EQ(O.Record.definition("A"), A0);
   EXPECT_EQ(A0->Fields.size(), 1u);
+}
+
+TEST(ClassSetCow, RunningMethodsKeepTheirBytecodeWhileTheSetIsEdited) {
+  // Loading shares each method's bytecode with its definition instead of
+  // copying it. The share is one more owner of the definition, so editing
+  // the set through find() clones it, and the loaded methods keep the
+  // bytecode they were loaded with.
+  ClassSet Set = twoClasses();
+  ensureBuiltins(Set);
+  ClassRegistry Reg;
+  Reg.loadAll(Set);
+  const ClassDef *A0 = identity(Set, "A");
+  MethodId Get = Reg.resolveMethod(Reg.idOf("A"), "get", "()I");
+  ASSERT_NE(Get, InvalidMethodId);
+  EXPECT_EQ(Reg.method(Get).Def.get(), &A0->Methods.front());
+
+  ClassDef *Mutable = Set.find("A");
+  EXPECT_NE(Mutable, A0);
+  Mutable->findMethod("get")->Code.front().IVal = 7;
+  EXPECT_EQ(Reg.method(Get).Def.get(), &A0->Methods.front());
+  EXPECT_EQ(Reg.method(Get).Def->Code.front().IVal, 1);
+  EXPECT_EQ(Reg.checkConsistency(), std::vector<std::string>());
 }

@@ -201,9 +201,12 @@ void expectHealthy(VM &TheVM, const char *Where) {
 }
 
 /// Common assertions for any rolled-back update: certification ran clean,
-/// the terminal trace event is the rollback, and the VM still certifies.
+/// the terminal trace event is the rollback, the VM still certifies, and
+/// the registry is exactly as \p Before, taken just before the update
+/// (no thread runs in these tests, so nothing else writes it).
 void expectRolledBackCleanly(VM &TheVM, const UpdateResult &R,
-                             const char *Where) {
+                             const char *Where,
+                             const ClassRegistry::Fingerprint &Before) {
   EXPECT_TRUE(R.Certified) << Where;
   EXPECT_TRUE(R.CertificationProblems.empty())
       << Where << ": "
@@ -214,6 +217,10 @@ void expectRolledBackCleanly(VM &TheVM, const UpdateResult &R,
   EXPECT_GE(R.Trace.count(UpdateEventKind::InstallFailed), 1);
   EXPECT_EQ(R.Trace.count(UpdateEventKind::Certified), 1);
   expectHealthy(TheVM, Where);
+  std::vector<std::string> Diff = TheVM.registry().fingerprintDiff(Before);
+  EXPECT_TRUE(Diff.empty()) << Where << ": " << Diff.size()
+                            << " registry difference(s), first: "
+                            << (Diff.empty() ? "" : Diff.front());
 }
 
 } // namespace
@@ -227,11 +234,12 @@ TEST_EAGER_AND_LAZY(DsuRollback, ClassLoadFailureRollsBack) {
 
   TheVM.faults().arm(Site::ClassLoad);
   Updater U(TheVM);
+  ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
   UpdateResult R = U.applyNow(
       Upt::prepare(ptVersion(false), ptVersion(true), "v1"), modeOptions(Lazy));
   EXPECT_EQ(R.Status, UpdateStatus::RolledBack);
   EXPECT_NE(R.Message.find("class-load"), std::string::npos) << R.Message;
-  expectRolledBackCleanly(TheVM, R, "after class-load rollback");
+  expectRolledBackCleanly(TheVM, R, "after class-load rollback", Before);
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 9);
 
   // With the fault disarmed the very same update applies cleanly.
@@ -254,11 +262,12 @@ TEST(DsuRollback, TransformerFaultOnNthObjectRollsBack) {
   // the transaction aborts, so rollback must undo partial progress.
   TheVM.faults().arm(Site::TransformerNthObject, /*Fire=*/1, /*Skip=*/3);
   Updater U(TheVM);
+  ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
   UpdateResult R =
       U.applyNow(Upt::prepare(arrVersion(false), arrVersion(true), "v1"));
   EXPECT_EQ(R.Status, UpdateStatus::FailedTransformer);
   EXPECT_NE(R.Message.find("transform"), std::string::npos) << R.Message;
-  expectRolledBackCleanly(TheVM, R, "after nth-object rollback");
+  expectRolledBackCleanly(TheVM, R, "after nth-object rollback", Before);
   EXPECT_EQ(TheVM.callStatic("ArrProbe", "sum", "()I").IntVal, 28);
 
   TheVM.faults().reset();
@@ -279,9 +288,10 @@ TEST(DsuRollback, ThrowingCustomTransformerRollsBack) {
     Ctx.getInt(From, "nope"); // no such field: UpdateError("transform")
   };
   Updater U(TheVM);
+  ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
   UpdateResult R = U.applyNow(std::move(B));
   EXPECT_EQ(R.Status, UpdateStatus::FailedTransformer);
-  expectRolledBackCleanly(TheVM, R, "after throwing transformer");
+  expectRolledBackCleanly(TheVM, R, "after throwing transformer", Before);
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 9);
 }
 
@@ -294,10 +304,11 @@ TEST(DsuRollback, InjectedTransformerCycleRollsBack) {
 
   TheVM.faults().arm(Site::TransformerCycle);
   Updater U(TheVM);
+  ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
   UpdateResult R = U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
   EXPECT_EQ(R.Status, UpdateStatus::FailedTransformer);
   EXPECT_NE(R.Message.find("cycle"), std::string::npos) << R.Message;
-  expectRolledBackCleanly(TheVM, R, "after injected cycle");
+  expectRolledBackCleanly(TheVM, R, "after injected cycle", Before);
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 9);
 }
 
@@ -314,10 +325,11 @@ TEST(DsuRollback, RealTransformerCycleRollsBack) {
     Ctx.ensureTransformed(To);
   };
   Updater U(TheVM);
+  ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
   UpdateResult R = U.applyNow(std::move(B));
   EXPECT_EQ(R.Status, UpdateStatus::FailedTransformer);
   EXPECT_NE(R.Message.find("cycle"), std::string::npos) << R.Message;
-  expectRolledBackCleanly(TheVM, R, "after real cycle");
+  expectRolledBackCleanly(TheVM, R, "after real cycle", Before);
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 9);
 }
 
@@ -366,10 +378,11 @@ TEST(DsuRollback, InjectedGcExhaustionRollsBack) {
 
   TheVM.faults().arm(Site::GcAllocExhaustion);
   Updater U(TheVM);
+  ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
   UpdateResult R = U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"));
   EXPECT_EQ(R.Status, UpdateStatus::RolledBack);
   EXPECT_NE(R.Message.find("dsu-gc"), std::string::npos) << R.Message;
-  expectRolledBackCleanly(TheVM, R, "after injected gc exhaustion");
+  expectRolledBackCleanly(TheVM, R, "after injected gc exhaustion", Before);
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 9);
 }
 
@@ -398,11 +411,12 @@ TEST(DsuRollback, RealToSpaceExhaustionRollsBack) {
   UpdateOptions Opts;
   Opts.UseOldCopySpace = false;
   Updater U(TheVM);
+  ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
   UpdateResult R =
       U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"), Opts);
   EXPECT_EQ(R.Status, UpdateStatus::RolledBack);
   EXPECT_NE(R.Message.find("dsu-gc"), std::string::npos) << R.Message;
-  expectRolledBackCleanly(TheVM, R, "after real to-space exhaustion");
+  expectRolledBackCleanly(TheVM, R, "after real to-space exhaustion", Before);
 
   // Old version intact: the static probe and every pinned object survived.
   EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, 9);
@@ -544,6 +558,7 @@ TEST_EAGER_AND_LAZY(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {
       Updater U(TheVM);
       UpdateOptions Opts = modeOptions(Lazy);
       Opts.TimeoutTicks = 20'000;
+      ClassRegistry::Fingerprint Before = TheVM.registry().fingerprint();
       UpdateResult R =
           U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"), Opts);
 
@@ -559,6 +574,11 @@ TEST_EAGER_AND_LAZY(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {
           << updateStatusName(R.Status) << ": " << R.Message;
 
       expectHealthy(TheVM, "post-update certification");
+      if (R.Status == UpdateStatus::RolledBack ||
+          R.Status == UpdateStatus::FailedTransformer) {
+        EXPECT_EQ(TheVM.registry().fingerprintDiff(Before),
+                  std::vector<std::string>());
+      }
       int64_t Expect = R.Status == UpdateStatus::Applied ? 900 : 9;
       EXPECT_EQ(TheVM.callStatic("Probe", "check", "()I").IntVal, Expect);
 
