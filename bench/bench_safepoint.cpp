@@ -11,7 +11,7 @@
 ///   - changed transient method     -> return barrier, then applied
 ///   - category-(2) infinite loop   -> OSR applies it; without OSR it
 ///                                     times out
-///   - changed infinite loop        -> retry-only: timeout (no mechanism
+///   - changed infinite loop        -> no rescue: timeout (no mechanism
 ///                                     suffices); rescue rung: identity
 ///                                     remap admits the same-size body
 ///
@@ -155,7 +155,7 @@ int main() {
                       Opts);
   }});
 
-  Scenarios.push_back({"changed infinite loop, retry-only", [] {
+  Scenarios.push_back({"changed infinite loop, no rescue", [] {
     VM TheVM(benchConfig());
     TheVM.loadProgram(serverProgram(1, false));
     TheVM.spawnThread("Server", "loop", "()V", {}, "srv", true);
@@ -203,9 +203,9 @@ int main() {
               "on-stack dependence is category (2); a changed method that "
               "never leaves the stack defeats both (the paper's two "
               "unsupported updates). The rung column shows where the "
-              "escalation ladder resolved each attempt: retry-only leaves "
-              "the infinite-loop update at 'abort', while the rescue rung "
-              "synthesizes an identity stack map for the same-size body "
-              "and reaches quiescence anyway.\n");
+              "escalation ladder resolved each attempt: without rescue "
+              "the infinite-loop update ends at 'abort', while the rescue "
+              "rung synthesizes an identity stack map for the same-size "
+              "body and reaches quiescence anyway.\n");
   return 0;
 }

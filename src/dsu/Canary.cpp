@@ -165,13 +165,12 @@ void CanaryController::beginRevert(uint64_t Now) {
 
   // The revert runs through the same pipeline with the forward update's
   // pause/drain discipline, but always eagerly and to completion: no
-  // nested canary, no lazy shells to monitor afterwards, and no degraded
-  // half-revert — the old version comes back whole or not at all.
+  // nested canary and no lazy shells to monitor afterwards — the old
+  // version comes back whole or not at all.
   UpdateOptions ROpts = ForwardOpts;
   ROpts.LazyTransform = false;
   ROpts.CanaryWindow = CanaryPolicy();
   ROpts.AnalyzeFirst = false;
-  ROpts.AllowDegraded = false;
 
   RevertUpd = std::make_unique<Updater>(TheVM);
   RevertUpd->schedule(std::move(RB), ROpts);

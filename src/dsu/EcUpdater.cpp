@@ -1,34 +1,9 @@
 #include "dsu/EcUpdater.h"
 
-#include "bytecode/Builtins.h"
-#include "bytecode/Verifier.h"
 #include "dsu/CodeVersion.h"
 #include "support/Error.h"
 
 using namespace jvolve;
-
-bool EcUpdater::apply(const ClassSet &NewProgram, const UpdateSpec &Spec,
-                      std::string *WhyNot, UpdateTrace *Trace,
-                      const std::string &VersionTag) {
-  auto Fail = [&](const std::string &Msg) {
-    if (WhyNot)
-      *WhyNot = Msg;
-    return false;
-  };
-
-  if (!Spec.ClassUpdates.empty())
-    return Fail("class signature changes are not supported");
-  if (!Spec.AddedClasses.empty() || !Spec.DeletedClasses.empty())
-    return Fail("class additions/deletions are not supported");
-
-  ClassSet Program = NewProgram;
-  ensureBuiltins(Program);
-  VerifyOutcome V = Verifier(Program).verify(TheVM.verificationRecord());
-  if (!V.Errors.empty())
-    return Fail("new version fails verification");
-  return installVerified(std::move(Program), std::move(V.Record), Spec, WhyNot,
-                         Trace, VersionTag);
-}
 
 bool EcUpdater::installVerified(ClassSet Program, VerificationRecord Record,
                                 const UpdateSpec &Spec, std::string *WhyNot,

@@ -8,7 +8,8 @@
 /// type changes and no method signature changes. This module reproduces
 /// both halves of the paper's comparison: the support *decision* used for
 /// the "method-body-only systems support 9 of the 22 updates" headline, and
-/// an actual body-swapping updater for the updates it does support.
+/// the body-swapping commit the Updater's code-versioning path uses for
+/// strictly body-only bundles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,20 +43,14 @@ public:
   /// lands in the method's version chain and one atomic active-version
   /// switch commits the batch — no safe point, no DSU collection. Active
   /// invocations keep running the old bodies (stale frames of the prior
-  /// version). \returns false (with \p WhyNot) when the spec is outside
-  /// even this restricted model, or when the codeversion-install fault
-  /// fired (the prior active versions keep serving). \p Trace, when
+  /// version). The caller already completed \p Program with the built-ins
+  /// and verified it (the Updater's admission gate), producing \p Record:
+  /// both move into the VM on success, neither copied nor verified again.
+  /// \returns false (with \p WhyNot) when a spec entry does not resolve
+  /// (the pipeline's install message) or the codeversion-install fault
+  /// fired; the prior active versions keep serving. \p Trace, when
   /// non-null, receives the manager's codeversion-* events; \p VersionTag
   /// labels the installed chain nodes.
-  bool apply(const ClassSet &NewProgram, const UpdateSpec &Spec,
-             std::string *WhyNot = nullptr, UpdateTrace *Trace = nullptr,
-             const std::string &VersionTag = "ec");
-
-  /// apply() for a strictly body-only \p Spec whose \p Program the caller
-  /// already completed with the built-ins and verified (the Updater's
-  /// admission gate), producing \p Record: both moved into the VM on
-  /// success, neither copied nor verified again. A spec entry that does
-  /// not resolve fails with the pipeline's install message.
   bool installVerified(ClassSet Program, VerificationRecord Record,
                        const UpdateSpec &Spec, std::string *WhyNot,
                        UpdateTrace *Trace, const std::string &VersionTag);

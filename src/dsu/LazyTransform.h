@@ -32,8 +32,8 @@
 /// cannot roll the update back. The affected entries settle as Failed
 /// (their shells stay valid default-initialized objects), the touching
 /// thread receives a structured LazyTransformError diagnostic, and the
-/// update is reported degraded — mirroring the quiescence ladder's
-/// graceful-degradation reporting.
+/// update is reported degraded: the failed transforms are counted
+/// (dsu.lazy.failed_transforms) and named by the engine.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,6 +15,7 @@ const char *jvolve::quiescenceBlockCauseName(QuiescenceBlockCause C) {
   case QuiescenceBlockCause::Blacklisted: return "blacklisted";
   case QuiescenceBlockCause::InlinedRestricted: return "inlined-restricted";
   case QuiescenceBlockCause::OptimizedIndirect: return "optimized-indirect";
+  case QuiescenceBlockCause::OsrDisabled: return "osr-disabled";
   }
   unreachable("bad quiescence block cause");
 }
@@ -22,9 +23,7 @@ const char *jvolve::quiescenceBlockCauseName(QuiescenceBlockCause C) {
 const char *jvolve::quiescenceRungName(QuiescenceRung R) {
   switch (R) {
   case QuiescenceRung::None: return "none";
-  case QuiescenceRung::Retry: return "retry";
   case QuiescenceRung::Rescue: return "rescue";
-  case QuiescenceRung::Degrade: return "degrade";
   case QuiescenceRung::Abort: return "abort";
   }
   unreachable("bad quiescence rung");
@@ -63,6 +62,8 @@ static std::string causeText(const QuiescenceFrameInfo &F) {
     return "caller inlined a restricted method body";
   case QuiescenceBlockCause::OptimizedIndirect:
     return "opt-compiled code references an updated class (no OSR)";
+  case QuiescenceBlockCause::OsrDisabled:
+    return "base-compiled code references an updated class (OSR disabled)";
   }
   unreachable("bad quiescence block cause");
 }
@@ -98,22 +99,71 @@ std::string QuiescenceReport::str() const {
   return Out;
 }
 
-/// Replicates Updater::mappingFor: an operator-supplied mapping that covers
-/// the frame's current pc releases it, so it must not be reported.
-static const ActiveMethodMapping *mappingFor(const VM &TheVM,
-                                             const UpdateBundle &Bundle,
-                                             const Frame &F) {
+const ActiveMethodMapping *
+QuiescenceWatchdog::mappingFor(const Frame &F) const {
   if (Bundle.ActiveMappings.empty())
     return nullptr;
+  // Active replacement needs the 1:1 pc mapping of baseline code.
   if (F.Code->T != Tier::Baseline || !F.Code->Inlined.empty())
     return nullptr;
-  const ClassRegistry &Reg = const_cast<VM &>(TheVM).registry();
+  const ClassRegistry &Reg = TheVM.registry();
   const RtMethod &M = Reg.method(F.Method);
   MethodRef Ref{Reg.cls(M.Owner).Name, M.Name, M.Sig};
   auto It = Bundle.ActiveMappings.find(Ref.key());
+  // The thread must be parked at a mapped program counter.
   if (It == Bundle.ActiveMappings.end() || !It->second.PcMap.count(F.Pc))
     return nullptr;
   return &It->second;
+}
+
+FrameKind QuiescenceWatchdog::classify(const Frame &F) const {
+  if (RestrictedMethodIds.count(F.Method))
+    return mappingFor(F) ? FrameKind::MappedOsr : FrameKind::Restricted;
+
+  const CompiledMethod &Code = *F.Code;
+  // Inlining closure: code that inlined a restricted method must be
+  // restricted too, or old bodies would keep running after the update.
+  for (MethodId Inl : Code.Inlined)
+    if (RestrictedMethodIds.count(Inl))
+      return FrameKind::Restricted;
+
+  bool RefsUpdated = false;
+  for (ClassId C : Code.ReferencedClasses)
+    if (UpdatedOldClassIds.count(C)) {
+      RefsUpdated = true;
+      break;
+    }
+  if (!RefsUpdated)
+    return FrameKind::Free;
+
+  // Category (2). OSR applies only to base-compiled code with no inlined
+  // bodies (paper §3.2); everything else waits behind a return barrier.
+  if (OsrEnabled && Code.T == Tier::Baseline && Code.Inlined.empty())
+    return FrameKind::OsrNeeded;
+  return FrameKind::Restricted;
+}
+
+QuiescenceBlockCause
+QuiescenceWatchdog::causeOf(const Frame &F, const MethodRef &Method) const {
+  if (RestrictedMethodIds.count(F.Method)) {
+    if (methodNeverReturns(*F.Code))
+      return QuiescenceBlockCause::InfiniteLoop;
+    if (std::count(Bundle.Spec.RemovedMethods.begin(),
+                   Bundle.Spec.RemovedMethods.end(), Method))
+      return QuiescenceBlockCause::RemovedMethod;
+    if (std::count(Bundle.Spec.Blacklist.begin(), Bundle.Spec.Blacklist.end(),
+                   Method))
+      return QuiescenceBlockCause::Blacklisted;
+    return QuiescenceBlockCause::ChangedMethod;
+  }
+  for (MethodId Inl : F.Code->Inlined)
+    if (RestrictedMethodIds.count(Inl))
+      return QuiescenceBlockCause::InlinedRestricted;
+  // Category (2) that OSR did not lift: code OSR cannot replace, or
+  // base-compiled code with OSR turned off.
+  return F.Code->T == Tier::Baseline && F.Code->Inlined.empty()
+             ? QuiescenceBlockCause::OsrDisabled
+             : QuiescenceBlockCause::OptimizedIndirect;
 }
 
 bool QuiescenceWatchdog::rescuableBodySwap(const Frame &F) const {
@@ -160,6 +210,8 @@ QuiescenceReport QuiescenceWatchdog::diagnose(uint64_t ScheduleTick,
 
     for (size_t I = 0; I < T->Frames.size(); ++I) {
       const Frame &F = T->Frames[I];
+      if (classify(F) != FrameKind::Restricted)
+        continue;
       QuiescenceFrameInfo FI;
       FI.FrameIndex = I;
       FI.Pc = F.Pc;
@@ -169,51 +221,8 @@ QuiescenceReport QuiescenceWatchdog::diagnose(uint64_t ScheduleTick,
       // Class-qualified so the report (and the abort message built from it)
       // names the method unambiguously, e.g. "PoolThread.run(I)V".
       FI.QualifiedName = Reg.cls(M.Owner).Name + "." + M.qualifiedName();
-
-      if (RestrictedMethodIds.count(F.Method)) {
-        if (mappingFor(TheVM, Bundle, F))
-          continue; // an operator mapping releases this frame
-        if (methodNeverReturns(*F.Code)) {
-          FI.Cause = QuiescenceBlockCause::InfiniteLoop;
-        } else if (std::count(Bundle.Spec.RemovedMethods.begin(),
-                              Bundle.Spec.RemovedMethods.end(), FI.Method)) {
-          FI.Cause = QuiescenceBlockCause::RemovedMethod;
-        } else if (std::count(Bundle.Spec.Blacklist.begin(),
-                              Bundle.Spec.Blacklist.end(), FI.Method)) {
-          FI.Cause = QuiescenceBlockCause::Blacklisted;
-        } else {
-          FI.Cause = QuiescenceBlockCause::ChangedMethod;
-        }
-        FI.RescuableBodySwap = rescuableBodySwap(F);
-        TI.PinningFrames.push_back(std::move(FI));
-        continue;
-      }
-
-      bool InlinedRestricted = false;
-      for (MethodId Inl : F.Code->Inlined)
-        if (RestrictedMethodIds.count(Inl)) {
-          InlinedRestricted = true;
-          break;
-        }
-      if (InlinedRestricted) {
-        FI.Cause = QuiescenceBlockCause::InlinedRestricted;
-        TI.PinningFrames.push_back(std::move(FI));
-        continue;
-      }
-
-      bool RefsUpdated = false;
-      for (ClassId C : F.Code->ReferencedClasses)
-        if (UpdatedOldClassIds.count(C)) {
-          RefsUpdated = true;
-          break;
-        }
-      if (!RefsUpdated)
-        continue;
-      // Category (2): OSR lifts base-compiled frames with nothing inlined;
-      // only the rest pin the update.
-      if (OsrEnabled && F.Code->T == Tier::Baseline && F.Code->Inlined.empty())
-        continue;
-      FI.Cause = QuiescenceBlockCause::OptimizedIndirect;
+      FI.Cause = causeOf(F, FI.Method);
+      FI.RescuableBodySwap = rescuableBodySwap(F);
       TI.PinningFrames.push_back(std::move(FI));
     }
 

@@ -13,10 +13,12 @@
 /// restricted — including the statically detectable "this method can never
 /// return" case behind both of the updates Jvolve cannot apply.
 ///
-/// The report feeds the updater's escalation ladder (Retry -> Rescue ->
-/// Degrade -> Abort, see Updater.h) and is returned in UpdateResult so
-/// tools and benches can print why an update failed instead of just that
-/// it timed out.
+/// The report feeds the updater's escalation ladder (Rescue -> Abort, see
+/// Updater.h) and is returned in UpdateResult so tools and benches can
+/// print why an update failed instead of just that it timed out. The
+/// watchdog's frame classifier is the one the updater's safe-point
+/// attempts and its Rescue rung use, so the report names exactly the
+/// frames that kept the update from installing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +45,7 @@ enum class QuiescenceBlockCause : uint8_t {
   Blacklisted,      ///< category (3): user-restricted method
   InlinedRestricted, ///< caller inlined a restricted body
   OptimizedIndirect, ///< opt-compiled category (2): OSR cannot lift it
+  OsrDisabled,       ///< base-compiled category (2) with OSR turned off
 };
 
 const char *quiescenceBlockCauseName(QuiescenceBlockCause C);
@@ -51,11 +54,9 @@ const char *quiescenceBlockCauseName(QuiescenceBlockCause C);
 /// safe-point deadline expires; UpdateResult records the highest rung the
 /// update climbed to.
 enum class QuiescenceRung : uint8_t {
-  None,    ///< deadline never expired
-  Retry,   ///< deadline extended with backoff (existing behavior)
-  Rescue,  ///< force-yields + synthesized identity remaps
-  Degrade, ///< method-body-only subset applied via EcUpdater
-  Abort,   ///< clean abort; report returned to the caller
+  None,   ///< deadline never expired
+  Rescue, ///< force-yields + synthesized identity remaps
+  Abort,  ///< clean abort; report returned to the caller
 };
 
 const char *quiescenceRungName(QuiescenceRung R);
@@ -109,9 +110,18 @@ struct QuiescenceReport {
 /// on it will never fire (the paper's two inapplicable updates).
 bool methodNeverReturns(const CompiledMethod &Code);
 
-/// Walks the scheduler's threads against a pending update's restriction
-/// sets and produces the report. Stateless beyond the borrowed references;
-/// construct one per diagnosis.
+/// How one frame stands against a pending update.
+enum class FrameKind : uint8_t {
+  Free,       ///< may keep running its current compiled code
+  OsrNeeded,  ///< base-compiled category (2): replace on stack
+  MappedOsr,  ///< changed method with an ActiveMethodMapping (§3.5)
+  Restricted, ///< pins the update until it returns
+};
+
+/// Classifies frames against a pending update's restriction sets, and
+/// walks the scheduler's threads to produce the report. Stateless beyond
+/// the borrowed references, so the updater builds one wherever it needs
+/// one.
 class QuiescenceWatchdog {
 public:
   QuiescenceWatchdog(VM &TheVM, const UpdateBundle &Bundle,
@@ -121,6 +131,18 @@ public:
       : TheVM(TheVM), Bundle(Bundle), RestrictedMethodIds(RestrictedMethodIds),
         UpdatedOldClassIds(UpdatedOldClassIds), OsrEnabled(OsrEnabled) {}
 
+  /// Decides whether \p F may keep running (Free), is lifted at install
+  /// (OsrNeeded, MappedOsr), or pins the update (Restricted): categories
+  /// (1) and (3), code that inlined a restricted body, and category (2)
+  /// code OSR cannot replace.
+  FrameKind classify(const Frame &F) const;
+
+  /// \returns the operator mapping that replaces \p F in place: one for
+  /// its method that covers the frame's pc, in base-compiled code with
+  /// nothing inlined. nullptr otherwise.
+  const ActiveMethodMapping *mappingFor(const Frame &F) const;
+
+  /// Reports every frame classify() calls Restricted, with its cause.
   QuiescenceReport diagnose(uint64_t ScheduleTick, uint64_t DeadlineTick,
                             int Attempts, bool Forced) const;
 
@@ -130,6 +152,9 @@ public:
   bool rescuableBodySwap(const Frame &F) const;
 
 private:
+  /// Why a frame classify() calls Restricted pins the update.
+  QuiescenceBlockCause causeOf(const Frame &F, const MethodRef &Method) const;
+
   VM &TheVM;
   const UpdateBundle &Bundle;
   const std::set<MethodId> &RestrictedMethodIds;

@@ -29,13 +29,10 @@ const char *jvolve::updateEventKindName(UpdateEventKind K) {
   case UpdateEventKind::InstallFailed: return "install-failed";
   case UpdateEventKind::RolledBack: return "rolled-back";
   case UpdateEventKind::Certified: return "certified";
-  case UpdateEventKind::RetryScheduled: return "retry-scheduled";
   case UpdateEventKind::Applied: return "applied";
   case UpdateEventKind::TimedOut: return "timed-out";
   case UpdateEventKind::WatchdogExpired: return "watchdog-expired";
   case UpdateEventKind::Rescued: return "rescued";
-  case UpdateEventKind::Degraded: return "degraded";
-  case UpdateEventKind::DeferredResumed: return "deferred-resumed";
   case UpdateEventKind::DrainStarted: return "drain-started";
   case UpdateEventKind::DrainEnded: return "drain-ended";
   case UpdateEventKind::LazyCommitted: return "lazy-committed";

@@ -39,13 +39,10 @@ enum class UpdateEventKind : uint8_t {
   InstallFailed,    ///< a step of the install transaction threw UpdateError
   RolledBack,       ///< snapshot restored; VM serves the old version again
   Certified,        ///< post-update heap + registry certification ran
-  RetryScheduled,   ///< safe-point timeout; retrying with a longer deadline
   Applied,          ///< update complete
   TimedOut,         ///< safe point never reached
   WatchdogExpired,  ///< quiescence watchdog fired; threads diagnosed
   Rescued,          ///< rescue rung: forced yields / synthesized remaps
-  Degraded,         ///< method-body subset applied; remainder deferred
-  DeferredResumed,  ///< a degraded update's full bundle rescheduled
   DrainStarted,     ///< network drain began for the pending update
   DrainEnded,       ///< network drain lifted after the update resolved
   LazyCommitted,    ///< lazy mode: committed with untransformed shells
@@ -62,7 +59,7 @@ enum class UpdateEventKind : uint8_t {
 };
 
 /// Total number of UpdateEventKind values (for exhaustive round-trip tests).
-inline constexpr size_t NumUpdateEventKinds = 33;
+inline constexpr size_t NumUpdateEventKinds = 30;
 
 const char *updateEventKindName(UpdateEventKind K);
 

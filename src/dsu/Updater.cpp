@@ -53,7 +53,6 @@ const char *jvolve::updateStatusName(UpdateStatus S) {
   case UpdateStatus::RejectedHierarchy: return "rejected (hierarchy)";
   case UpdateStatus::RolledBack: return "rolled-back";
   case UpdateStatus::FailedTransformer: return "failed-transformer";
-  case UpdateStatus::Degraded: return "degraded";
   case UpdateStatus::RejectedByAnalysis: return "rejected (analysis)";
   case UpdateStatus::Reverted: return "reverted";
   case UpdateStatus::RevertFailed: return "revert-failed";
@@ -252,9 +251,6 @@ void Updater::schedule(UpdateBundle InBundle, UpdateOptions InOpts) {
   Result.Trace.record(UpdateEventKind::Scheduled, ScheduleTick, 0,
                       "timeout in " + std::to_string(Opts.TimeoutTicks) +
                           " ticks");
-  if (ResumingDeferred)
-    Result.Trace.record(UpdateEventKind::DeferredResumed, ScheduleTick, 0,
-                        "resuming deferred remainder of a degraded update");
   if (Opts.DrainNetwork)
     beginDrain();
 
@@ -301,50 +297,6 @@ void Updater::resolveIdSets() {
       UpdatedOldClassIds.insert(Id);
 }
 
-const ActiveMethodMapping *Updater::mappingFor(const Frame &F) const {
-  if (Bundle.ActiveMappings.empty())
-    return nullptr;
-  // Active replacement needs the 1:1 pc mapping of baseline code.
-  if (F.Code->T != Tier::Baseline || !F.Code->Inlined.empty())
-    return nullptr;
-  const RtMethod &M = TheVM.registry().method(F.Method);
-  MethodRef Ref{TheVM.registry().cls(M.Owner).Name, M.Name, M.Sig};
-  auto It = Bundle.ActiveMappings.find(Ref.key());
-  if (It == Bundle.ActiveMappings.end())
-    return nullptr;
-  // The thread must be parked at a mapped program counter.
-  if (!It->second.PcMap.count(F.Pc))
-    return nullptr;
-  return &It->second;
-}
-
-Updater::FrameKind Updater::classifyFrame(const Frame &F) const {
-  if (RestrictedMethodIds.count(F.Method))
-    return mappingFor(F) ? FrameKind::MappedOsr : FrameKind::Restricted;
-
-  const CompiledMethod &Code = *F.Code;
-  // Inlining closure: code that inlined a restricted method must be
-  // restricted too, or old bodies would keep running after the update.
-  for (MethodId Inl : Code.Inlined)
-    if (RestrictedMethodIds.count(Inl))
-      return FrameKind::Restricted;
-
-  bool RefsUpdated = false;
-  for (ClassId C : Code.ReferencedClasses)
-    if (UpdatedOldClassIds.count(C)) {
-      RefsUpdated = true;
-      break;
-    }
-  if (!RefsUpdated)
-    return FrameKind::Free;
-
-  // Category (2). OSR applies only to base-compiled code with no inlined
-  // bodies (paper §3.2); everything else waits behind a return barrier.
-  if (Opts.EnableOsr && Code.T == Tier::Baseline && Code.Inlined.empty())
-    return FrameKind::OsrNeeded;
-  return FrameKind::Restricted;
-}
-
 void Updater::onTick(uint64_t Now) {
   if (!pending())
     return;
@@ -366,40 +318,16 @@ void Updater::onTick(uint64_t Now) {
 void Updater::escalate(uint64_t Now, bool Forced, const char *AbortReason) {
   // Diagnose first: every rung (and the final result) gets the freshest
   // picture of what pins the update.
-  Result.Quiescence =
-      QuiescenceWatchdog(TheVM, Bundle, RestrictedMethodIds,
-                         UpdatedOldClassIds, Opts.EnableOsr)
-          .diagnose(ScheduleTick, DeadlineTick, Result.SafePointAttempts,
-                    Forced);
+  Result.Quiescence = watchdog().diagnose(ScheduleTick, DeadlineTick,
+                                          Result.SafePointAttempts, Forced);
   bumpDsuCounter(metrics::DsuQuiescenceExpiries);
   Result.Trace.record(
       UpdateEventKind::WatchdogExpired, Now,
       static_cast<int64_t>(Result.Quiescence.Threads.size()),
       Forced ? "injected expiry" : "deadline expired");
 
-  // Rung 1 — Retry: extend the deadline with backoff instead of failing on
-  // the first transient starvation.
-  if (Result.RetriesUsed < Opts.MaxRetries) {
-    Result.ResolvedRung = QuiescenceRung::Retry;
-    ++Result.RetriesUsed;
-    double Scale = 1.0;
-    for (int I = 0; I < Result.RetriesUsed; ++I)
-      Scale *= Opts.BackoffFactor;
-    uint64_t Extension =
-        std::max<uint64_t>(1, static_cast<uint64_t>(
-                                  static_cast<double>(Opts.TimeoutTicks) *
-                                  Scale));
-    DeadlineTick = Now + Extension;
-    Result.Trace.record(UpdateEventKind::RetryScheduled, Now,
-                        Result.RetriesUsed,
-                        "deadline extended by " + std::to_string(Extension) +
-                            " ticks");
-    TheVM.requestYield();
-    return;
-  }
-
-  // Rung 2 — Rescue: act on what the diagnosis found, once, then grant one
-  // more full deadline for the rescued threads to reach their barriers.
+  // Rescue: act on what the diagnosis found, once, then grant one more
+  // full deadline for the rescued threads to reach their barriers.
   if (Opts.EnableRescue && !RescueTried) {
     RescueTried = true;
     Result.ResolvedRung = QuiescenceRung::Rescue;
@@ -409,11 +337,7 @@ void Updater::escalate(uint64_t Now, bool Forced, const char *AbortReason) {
     return;
   }
 
-  // Rung 3 — Degrade: land the method-body-only subset now, defer the rest.
-  if (Opts.AllowDegraded && degrade(Now))
-    return;
-
-  // Rung 4 — Abort, naming the reason the report found.
+  // Abort, naming the reason the report found.
   Result.ResolvedRung = QuiescenceRung::Abort;
   std::string Message = AbortReason;
   std::vector<std::string> Looping = Result.Quiescence.loopingMethods();
@@ -427,8 +351,7 @@ void Updater::escalate(uint64_t Now, bool Forced, const char *AbortReason) {
 }
 
 void Updater::rescue(uint64_t Now) {
-  QuiescenceWatchdog Watchdog(TheVM, Bundle, RestrictedMethodIds,
-                              UpdatedOldClassIds, Opts.EnableOsr);
+  QuiescenceWatchdog Watchdog = watchdog();
   ClassRegistry &Reg = TheVM.registry();
   int Mapped = 0, Yanked = 0;
   for (auto &T : TheVM.scheduler().threads()) {
@@ -436,7 +359,7 @@ void Updater::rescue(uint64_t Now) {
       continue;
     bool Pinned = false;
     for (Frame &F : T->Frames) {
-      if (classifyFrame(F) != FrameKind::Restricted)
+      if (Watchdog.classify(F) != FrameKind::Restricted)
         continue;
       Pinned = true;
       if (!Watchdog.rescuableBodySwap(F))
@@ -482,103 +405,6 @@ void Updater::rescue(uint64_t Now) {
   }
 }
 
-bool Updater::degrade(uint64_t Now) {
-  ClassRegistry &Reg = TheVM.registry();
-
-  // Candidate body swaps: every changed body whose method still resolves
-  // under its original name and signature. Bodies on class-updated classes
-  // are included — only the class-shape changes themselves must wait — but
-  // when one of those bodies fails whole-program verification against the
-  // old class shapes, fall back to the conservative subset.
-  auto Collect = [&](bool IncludeClassUpdated) {
-    std::vector<MethodRef> Out;
-    for (const MethodRef &R : Bundle.Spec.MethodBodyUpdates) {
-      if (!IncludeClassUpdated && Bundle.Spec.isClassUpdated(R.ClassName))
-        continue;
-      ClassId Cls = Reg.idOf(R.ClassName);
-      if (Cls == InvalidClassId ||
-          Reg.resolveMethod(Cls, R.Name, R.Sig) == InvalidMethodId)
-        continue;
-      const ClassDef *NewCls =
-          std::as_const(Bundle.NewProgram).find(R.ClassName);
-      if (!NewCls || !NewCls->findMethod(R.Name, R.Sig))
-        continue;
-      if (!TheVM.program().find(R.ClassName))
-        continue;
-      Out.push_back(R);
-    }
-    return Out;
-  };
-
-  auto TryApply = [&](const std::vector<MethodRef> &Subset,
-                      std::string *Why) {
-    if (Subset.empty()) {
-      *Why = "no method-body-only subset exists";
-      return false;
-    }
-    // The degraded program is the *running* program with only the subset's
-    // bodies swapped in — never the full new version.
-    ClassSet Degraded = TheVM.program();
-    for (const MethodRef &R : Subset)
-      *Degraded.find(R.ClassName)->findMethod(R.Name, R.Sig) =
-          *std::as_const(Bundle.NewProgram)
-               .find(R.ClassName)
-               ->findMethod(R.Name, R.Sig);
-    UpdateSpec Spec;
-    Spec.MethodBodyUpdates = Subset;
-    return EcUpdater(TheVM).apply(Degraded, Spec, Why);
-  };
-
-  std::string Why;
-  std::vector<MethodRef> Subset = Collect(true);
-  if (!TryApply(Subset, &Why)) {
-    Subset = Collect(false);
-    if (!TryApply(Subset, &Why)) {
-      Result.Trace.record(UpdateEventKind::Degraded, Now, 0,
-                          "degrade impossible: " + Why);
-      return false;
-    }
-  }
-
-  Result.ResolvedRung = QuiescenceRung::Degrade;
-  for (const MethodRef &R : Subset)
-    Result.DegradedApplied.push_back(R.key());
-  for (const std::string &C : Bundle.Spec.ClassUpdates)
-    Result.DegradedDeferred.push_back("class update " + C);
-  for (const std::string &C : Bundle.Spec.AddedClasses)
-    Result.DegradedDeferred.push_back("added class " + C);
-  for (const std::string &C : Bundle.Spec.DeletedClasses)
-    Result.DegradedDeferred.push_back("deleted class " + C);
-  for (const MethodRef &R : Bundle.Spec.RemovedMethods)
-    Result.DegradedDeferred.push_back("removed method " + R.key());
-  for (const MethodRef &R : Bundle.Spec.MethodBodyUpdates)
-    if (std::find(Subset.begin(), Subset.end(), R) == Subset.end())
-      Result.DegradedDeferred.push_back("method body " + R.key());
-
-  bumpDsuCounter(metrics::DsuQuiescenceDegraded);
-  Result.Trace.record(UpdateEventKind::Degraded, Now,
-                      static_cast<int64_t>(Subset.size()),
-                      std::to_string(Subset.size()) +
-                          " body swap(s) applied via EcUpdater, " +
-                          std::to_string(Result.DegradedDeferred.size()) +
-                          " change(s) deferred");
-
-  // The full bundle stays resumable; its body swaps are idempotent over
-  // the degraded state, so resuming simply reschedules it whole.
-  DeferredBundle = std::move(Bundle);
-  HasDeferredUpdate = true;
-
-  for (auto &T : TheVM.scheduler().threads())
-    for (Frame &F : T->Frames)
-      F.ReturnBarrier = false;
-  finish(UpdateStatus::Degraded,
-         "degraded: method-body subset applied; " +
-             std::to_string(Result.DegradedDeferred.size()) +
-             " change(s) deferred");
-  TheVM.resumeAfterYield();
-  return true;
-}
-
 void Updater::onReturnBarrier(VMThread &T) {
   if (!pending())
     return;
@@ -603,8 +429,8 @@ void Updater::attempt() {
 
   if (TheVM.faults().probe(FaultInjector::Site::SafePointStarvation)) {
     // Simulated park failure: some thread refused to reach its yield point
-    // in time. Resume the application and reattempt shortly; the timeout /
-    // retry policy decides when to give up.
+    // in time. Resume the application and reattempt shortly; the deadline
+    // decides when to give up.
     Result.Trace.record(UpdateEventKind::SafePointAttempt,
                         TheVM.scheduler().ticks(), 0,
                         "injected safe-point starvation; backing off");
@@ -614,8 +440,8 @@ void Updater::attempt() {
     return;
   }
 
+  QuiescenceWatchdog Watchdog = watchdog();
   int RestrictedFrames = 0;
-
   bool AnyRestricted = false;
   std::vector<Frame *> OsrFrames;
   std::vector<MappedFrame> MappedFrames;
@@ -627,14 +453,14 @@ void Updater::attempt() {
     // Bottom to top; the last restricted hit is topmost.
     for (size_t I = 0; I < T->Frames.size(); ++I) {
       Frame &F = T->Frames[I];
-      switch (classifyFrame(F)) {
+      switch (Watchdog.classify(F)) {
       case FrameKind::Free:
         break;
       case FrameKind::OsrNeeded:
         OsrFrames.push_back(&F);
         break;
       case FrameKind::MappedOsr:
-        MappedFrames.push_back({T.get(), I, mappingFor(F)});
+        MappedFrames.push_back({T.get(), I, Watchdog.mappingFor(F)});
         break;
       case FrameKind::Restricted:
         TopRestricted = &F;
@@ -1303,16 +1129,6 @@ void Updater::abortUpdate(UpdateStatus Status, const std::string &Message) {
 void Updater::finish(UpdateStatus Status, const std::string &Message) {
   Result.Status = Status;
   Result.Message = Message;
-  // The retry histogram samples only outcomes that actually sought a safe
-  // point to the end: applied, timed-out, or degraded. A rollback abort
-  // happens *after* quiescence was reached — counting its attempt here
-  // used to skew the retry distribution.
-  if (Telemetry::isEnabled() &&
-      (Status == UpdateStatus::Applied || Status == UpdateStatus::TimedOut ||
-       Status == UpdateStatus::Degraded))
-    Telemetry::global()
-        .histogram(metrics::DsuUpdateRetries)
-        .record(static_cast<double>(Result.RetriesUsed));
   if (DrainActive)
     endDrain();
   AdmittedRecord = VerificationRecord();
@@ -1365,8 +1181,8 @@ UpdateResult Updater::applyNow(UpdateBundle InBundle, UpdateOptions InOpts,
       // Every thread is blocked for good below an armed barrier; the
       // deadline will never arrive on its own because the clock has
       // stopped. Run the escalation ladder now: rescue can wake the
-      // blocked threads, degrade can land the body subset, and an abort
-      // carries the diagnosis of what pinned the update.
+      // blocked threads, and an abort carries the diagnosis of what pinned
+      // the update.
       escalate(TheVM.scheduler().ticks(), /*Forced=*/false,
                "VM idle with restricted methods still on stack");
     }
@@ -1402,18 +1218,6 @@ UpdateResult Updater::applyNow(UpdateBundle InBundle, UpdateOptions InOpts,
           .add(TheVM.lazyEngine()->transformedCount());
   }
   return Result;
-}
-
-UpdateResult Updater::resumeDeferred(UpdateOptions InOpts,
-                                     uint64_t MaxDriveTicks) {
-  if (!HasDeferredUpdate)
-    fatalError("resumeDeferred: no degraded update left a deferred bundle");
-  HasDeferredUpdate = false;
-  ResumingDeferred = true;
-  UpdateResult R =
-      applyNow(std::move(DeferredBundle), InOpts, MaxDriveTicks);
-  ResumingDeferred = false;
-  return R;
 }
 
 void Updater::stageCanaryUndo(TransformerRunner *Runner) {

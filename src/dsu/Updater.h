@@ -45,7 +45,6 @@ enum class UpdateStatus {
   RejectedHierarchy,     ///< class hierarchy permutation (unsupported, §2.2)
   RolledBack,            ///< install failed; snapshot restored, old version runs
   FailedTransformer,     ///< a transformer failed; rolled back to old version
-  Degraded,              ///< method-body subset applied; remainder deferred
   RejectedByAnalysis,    ///< static analysis predicted the update impossible
   Reverted,              ///< canary window reverted; old version reinstalled
   RevertFailed,          ///< canary revert could not be applied
@@ -53,7 +52,7 @@ enum class UpdateStatus {
 };
 
 /// Total number of UpdateStatus values (for exhaustive round-trip tests).
-inline constexpr size_t NumUpdateStatuses = 13;
+inline constexpr size_t NumUpdateStatuses = 12;
 
 const char *updateStatusName(UpdateStatus S);
 
@@ -106,25 +105,13 @@ struct UpdateOptions {
   /// before any thread resumes. The chaos campaign's registry-restored
   /// oracle fingerprints it there. Unset by default.
   std::function<void(const ClassRegistry &, bool Restored)> OnRegistryEdge;
-  /// Safe-point timeouts retry up to this many times before resolving
-  /// TimedOut; each retry extends the deadline by TimeoutTicks scaled by
-  /// BackoffFactor^retry, so transient starvation no longer immediately
-  /// fails the update. 0 (the default) keeps the paper's single-deadline
-  /// behavior: a busy server times out rather than waiting it out.
-  int MaxRetries = 0;
-  double BackoffFactor = 2.0;
-  /// Escalation ladder rung 2: when the deadline expires, force-yield
-  /// sleeping/blocked threads pinned by restricted frames and synthesize
-  /// identity ActiveMethodMappings for changed-but-body-compatible methods
-  /// (same instruction count, base-compiled, nothing inlined), then grant
-  /// one more deadline. Off by default: the paper's protocol never touches
-  /// a thread it cannot park.
+  /// Escalation ladder's Rescue rung: when the deadline expires,
+  /// force-yield sleeping/blocked threads pinned by restricted frames and
+  /// synthesize identity ActiveMethodMappings for changed-but-body-
+  /// compatible methods (same instruction count, base-compiled, nothing
+  /// inlined), then grant one more deadline. Off by default: the paper's
+  /// protocol never touches a thread it cannot park.
   bool EnableRescue = false;
-  /// Escalation ladder rung 3: when rescue is exhausted, apply the
-  /// method-body-only subset of the bundle via EcUpdater (HotSwap-style),
-  /// record the deferred class/field changes, and leave the full update
-  /// resumable via resumeDeferred(). Off by default.
-  bool AllowDegraded = false;
   /// Put the VM's network into drain mode while the update is pending:
   /// accepts are gated, in-flight connections run to request boundaries,
   /// and jvolve-serve-style admission limits shed the overflow. Off by
@@ -192,9 +179,8 @@ struct UpdateResult {
   double CertifyMs = 0;
 
   /// Transaction bookkeeping: time spent restoring the snapshot after a
-  /// failed install, and safe-point deadline extensions consumed.
+  /// failed install.
   double RollbackMs = 0;
-  int RetriesUsed = 0;
 
   /// Watchdog findings from the last deadline expiry (empty when the
   /// update quiesced before the deadline), and the highest escalation
@@ -205,10 +191,6 @@ struct UpdateResult {
   /// mappings, and sleeping/blocked threads whose wake was cut short.
   int RescuedFrames = 0;
   int ForcedYields = 0;
-  /// Degrade rung bookkeeping: method bodies the EcUpdater swapped, and a
-  /// description of every change that was deferred.
-  std::vector<std::string> DegradedApplied;
-  std::vector<std::string> DegradedDeferred;
   /// Drain bookkeeping (DrainNetwork option): requests shed while this
   /// update held the network in drain mode, and the wall-clock duration of
   /// the drain window.
@@ -266,17 +248,6 @@ public:
     return applyNow(std::move(Bundle), UpdateOptions());
   }
 
-  /// True when a degraded update left its full bundle pending-and-
-  /// resumable: the method-body subset is live, the class/field remainder
-  /// waits for quieter conditions.
-  bool hasDeferred() const { return HasDeferredUpdate; }
-
-  /// Reschedules the deferred remainder of a degraded update (the original
-  /// full bundle — its body swaps are idempotent over the degraded state)
-  /// and drives the VM until it resolves.
-  UpdateResult resumeDeferred(UpdateOptions Opts,
-                              uint64_t MaxDriveTicks = 50'000'000);
-
   /// Explicit operator revert: asks the VM's open canary window (if any)
   /// to revert now and drives the VM until the revert resolves. \returns
   /// the revert's result — Reverted on success, RevertFailed when there is
@@ -285,18 +256,11 @@ public:
                       uint64_t MaxDriveTicks = 50'000'000);
 
 private:
-  /// Frame classification relative to the pending update.
-  enum class FrameKind {
-    Free,       ///< may keep running its current compiled code
-    OsrNeeded,  ///< base-compiled category (2): replace on stack
-    MappedOsr,  ///< changed method with an ActiveMethodMapping (§3.5)
-    Restricted, ///< category (1)/(3), inlined restricted code, or
-                ///< opt-compiled category (2)
-  };
-  FrameKind classifyFrame(const Frame &F) const;
-
-  /// \returns the mapping applicable to \p F, or nullptr.
-  const ActiveMethodMapping *mappingFor(const Frame &F) const;
+  /// The frame classifier and diagnosis for the pending update.
+  QuiescenceWatchdog watchdog() const {
+    return {TheVM, Bundle, RestrictedMethodIds, UpdatedOldClassIds,
+            Opts.EnableOsr};
+  }
 
   void onSafePoint();
   void onTick(uint64_t Now);
@@ -322,19 +286,15 @@ private:
 
   /// The escalation ladder, entered when the safe-point deadline expires
   /// (or the quiescence-watchdog-expiry fault forces it): diagnose, then
-  /// Retry -> Rescue -> Degrade -> Abort, taking the first rung whose
-  /// preconditions hold.
+  /// Rescue (opt-in, once) -> Abort. The update installs whole or not at
+  /// all.
   void escalate(uint64_t Now, bool Forced,
                 const char *AbortReason =
                     "no DSU safe point reached within the timeout");
-  /// Rung 2: synthesize identity mappings for changed-but-body-compatible
-  /// pinned frames and cut short the waits of pinned sleeping/blocked-recv
-  /// threads so their barriers can fire.
+  /// The Rescue rung: synthesize identity mappings for changed-but-body-
+  /// compatible pinned frames and cut short the waits of pinned
+  /// sleeping/blocked-recv threads so their barriers can fire.
   void rescue(uint64_t Now);
-  /// Rung 3: apply the method-body-only subset via EcUpdater. \returns
-  /// false when no applicable subset exists (the ladder falls through to
-  /// Abort).
-  bool degrade(uint64_t Now);
   /// Code-versioning fast path (CodeVersioning option): commits a strictly
   /// body-only bundle through the CodeVersionManager, synchronously inside
   /// schedule() — no safe-point hunt, no hooks, no snapshot. Resolves the
@@ -426,10 +386,6 @@ private:
   Stopwatch DrainWatch;
   uint64_t DrainStartTick = 0;
   uint64_t ShedAtDrainStart = 0;
-  /// A degraded update's full bundle, kept resumable.
-  UpdateBundle DeferredBundle;
-  bool HasDeferredUpdate = false;
-  bool ResumingDeferred = false;
 
   /// Lazy-mode handoff from installSteps (which owns the DSU collection's
   /// update log) to the commit point in install(), where the engine is

@@ -314,7 +314,7 @@ public:
       Expect = Ctx.OldProgram;
       Why = "canary reverted: program must be identical to never-updated";
     } else if (Ctx.Result.Status == UpdateStatus::Applied) {
-      // Degraded/RevertFailed leave defined-but-mixed programs; only the
+      // A failed revert leaves a defined-but-mixed program; only the
       // clean outcomes promise version identity.
       if (Ctx.CanaryState.empty() || Ctx.CanaryState == "retired") {
         Expect = Ctx.NewProgram;

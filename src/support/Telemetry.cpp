@@ -558,6 +558,6 @@ void Telemetry::publishStreamLedger() {
 
 WindowAggregator &Telemetry::windows() {
   if (!Windows)
-    Windows = std::make_unique<WindowAggregator>();
+    Windows = std::make_unique<WindowAggregator>(*this);
   return *Windows;
 }

@@ -90,10 +90,6 @@ inline constexpr const char *DsuObjectsTransformed =
 inline constexpr const char *DsuCodeInvalidated = "dsu.code.invalidated";
 inline constexpr const char *DsuTotalPauseMs =
     "dsu.update.phase_ms{phase=total}";
-/// Safe-point deadline extensions per resolved update; samples only
-/// quiescence-path outcomes (applied / timed-out / degraded), never
-/// rollback aborts, which consume no retries.
-inline constexpr const char *DsuUpdateRetries = "dsu.update.retries";
 // dsu/Analysis (static update-safety analyzer)
 inline constexpr const char *DsuAnalysisRuns = "dsu.analysis.runs";
 inline constexpr const char *DsuAnalysisRejected = "dsu.analysis.rejected";
@@ -143,8 +139,6 @@ inline constexpr const char *DsuQuiescenceRescuedFrames =
     "dsu.quiescence.rescued_frames";
 inline constexpr const char *DsuQuiescenceForcedYields =
     "dsu.quiescence.forced_yields";
-inline constexpr const char *DsuQuiescenceDegraded =
-    "dsu.quiescence.degraded";
 // dsu/Canary (post-commit canary windows)
 inline constexpr const char *DsuCanaryWindows = "dsu.canary.windows";
 inline constexpr const char *DsuCanaryChecks = "dsu.canary.checks";

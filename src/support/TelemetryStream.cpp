@@ -60,28 +60,37 @@ void WindowAggregator::configure(uint64_t InWindowTicks,
   CounterBind.clear();
   HistBind.clear();
   BoundCounters = BoundHists = 0;
+  if (WindowTicks == 0)
+    return;
+  // Without an anchor the first roll would count everything recorded
+  // since the process started as this window's: a giant first delta, and
+  // a sort of every sample each histogram retains.
+  rebind();
+  for (auto &[C, PC] : CounterBind)
+    PC->PrevValue = C->value();
+  for (auto &[H, PH] : HistBind)
+    PH->PrevSeen = H->samplesSeen();
 }
 
-void WindowAggregator::rebind(Telemetry &Tel) {
+void WindowAggregator::rebind() {
   CounterBind.clear();
-  for (auto &[Name, C] : Tel.allCounters())
+  for (auto &[Name, C] : Owner.allCounters())
     CounterBind.emplace_back(C, &Counters[Name]);
   HistBind.clear();
-  for (auto &[Name, H] : Tel.allHistograms())
+  for (auto &[Name, H] : Owner.allHistograms())
     HistBind.emplace_back(H, &Hists[Name]);
-  BoundCounters = Tel.numCounters();
-  BoundHists = Tel.numHistograms();
+  BoundCounters = Owner.numCounters();
+  BoundHists = Owner.numHistograms();
 }
 
 void WindowAggregator::roll(uint64_t Now) {
   uint64_t Span = Now > LastRoll ? Now - LastRoll : 1;
   LastSpan = Span;
-  Telemetry &Tel = Telemetry::global();
   // Metrics only ever register (handles are immortal), so the name-keyed
   // enumeration runs once per registry growth, not once per window.
-  if (Tel.numCounters() != BoundCounters ||
-      Tel.numHistograms() != BoundHists)
-    rebind(Tel);
+  if (Owner.numCounters() != BoundCounters ||
+      Owner.numHistograms() != BoundHists)
+    rebind();
   for (auto &[C, PC] : CounterBind) {
     uint64_t V = C->value();
     // Telemetry::reset() moves values backwards; re-anchor instead of

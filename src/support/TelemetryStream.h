@@ -108,7 +108,12 @@ private:
 /// and read from the VM thread only.
 class WindowAggregator {
 public:
+  explicit WindowAggregator(Telemetry &Owner) : Owner(Owner) {}
+
   /// Enables aggregation with \p WindowTicks-tick windows (0 disables).
+  /// The first window starts here: every registered instrument is
+  /// anchored at its current reading, so the first roll sees only what
+  /// was recorded after this call.
   void configure(uint64_t WindowTicks, size_t KeepWindows = 16);
   bool enabled() const { return WindowTicks != 0; }
   uint64_t windowTicks() const { return WindowTicks; }
@@ -171,8 +176,9 @@ private:
   /// Re-enumerates the registry when it grew, refreshing CounterBind /
   /// HistBind. roll() itself then walks stable pointer pairs — no string
   /// copies, no map lookups, no allocation on the per-window path.
-  void rebind(Telemetry &Tel);
+  void rebind();
 
+  Telemetry &Owner;
   uint64_t WindowTicks = 0;
   size_t KeepWindows = 16;
   uint64_t LastRoll = 0;

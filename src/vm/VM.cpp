@@ -37,7 +37,7 @@ static void preregisterStandardMetrics() {
         metrics::DsuOsrReplacements, metrics::DsuFramesRemapped,
         metrics::DsuObjectsTransformed, metrics::DsuCodeInvalidated,
         metrics::DsuQuiescenceExpiries, metrics::DsuQuiescenceRescuedFrames,
-        metrics::DsuQuiescenceForcedYields, metrics::DsuQuiescenceDegraded,
+        metrics::DsuQuiescenceForcedYields,
         metrics::DsuAnalysisRuns, metrics::DsuAnalysisRejected,
         metrics::DsuSynthRuns, metrics::DsuSynthRenames,
         metrics::DsuSynthFlagged,
@@ -68,7 +68,7 @@ static void preregisterStandardMetrics() {
   for (const char *H :
        {metrics::SchedSafePointWaitTicks, metrics::SchedQuantumTicks,
         metrics::GcPauseMs, metrics::GcSurvivorRate, metrics::GcDsuPauseMs,
-        metrics::DsuTotalPauseMs, metrics::DsuUpdateRetries,
+        metrics::DsuTotalPauseMs,
         metrics::NetDrainMs, metrics::NetLatencyTicks})
     Tel.histogram(H);
   for (const char *Phase : {"snapshot", "classload", "stack_repair", "gc",

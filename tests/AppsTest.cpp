@@ -267,71 +267,6 @@ TEST(Apps, Email13AbortDiagnosesInfiniteLoop) {
   EXPECT_NE(R.Message.find("never returns"), std::string::npos) << R.Message;
 }
 
-TEST(Apps, Jetty513DegradesToBodySubset) {
-  AppModel App = makeJettyApp();
-  VM TheVM(appConfig());
-  TheVM.loadProgram(App.version(2)); // 5.1.2
-  startJettyThreads(TheVM);
-
-  LoadDriver::Options LO;
-  LO.Port = JettyPort;
-  LoadDriver Driver(TheVM, LO);
-  Driver.runWithLoad(3'000);
-
-  Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.TimeoutTicks = 60'000;
-  Opts.AllowDegraded = true;
-  UpdateResult R = U.applyNow(
-      Upt::prepare(App.version(2), App.version(3), "v512"), Opts);
-
-  // Table 2's 5.1.3 row: 59 changed method bodies land now; the class
-  // adds/field surgery stay deferred.
-  ASSERT_EQ(R.Status, UpdateStatus::Degraded) << R.Message;
-  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Degrade);
-  EXPECT_GE(R.DegradedApplied.size(), 2u);
-  EXPECT_FALSE(R.DegradedDeferred.empty());
-  EXPECT_TRUE(U.hasDeferred());
-
-  // The server keeps serving on the degraded code.
-  LoadResult After = Driver.measure(10'000);
-  EXPECT_GT(After.Responses, 20u);
-  for (auto &T : TheVM.scheduler().threads())
-    EXPECT_NE(T->State, ThreadState::Trapped) << T->TrapMessage;
-}
-
-TEST(Apps, Email13DegradesToBodySubsetWithDeferredRemainder) {
-  AppModel App = makeEmailApp();
-  size_t V13 = 4;
-  VM TheVM(appConfig());
-  TheVM.loadProgram(App.version(V13 - 1));
-  startEmailThreads(TheVM);
-  TheVM.run(1'000);
-
-  Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.TimeoutTicks = 60'000;
-  Opts.AllowDegraded = true;
-  UpdateResult R = U.applyNow(
-      Upt::prepare(App.version(V13 - 1), App.version(V13), "v124"), Opts);
-
-  // 1.3 mixes body changes with signature/field surgery: the body subset
-  // lands now, the class-shape remainder is reported and kept deferred.
-  ASSERT_EQ(R.Status, UpdateStatus::Degraded) << R.Message;
-  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Degrade);
-  EXPECT_FALSE(R.DegradedApplied.empty());
-  EXPECT_FALSE(R.DegradedDeferred.empty());
-  EXPECT_TRUE(U.hasDeferred());
-
-  // POP3 still answers on the degraded code.
-  TheVM.injectConnection(Pop3Port, {40});
-  TheVM.run(20'000);
-  std::vector<NetResponse> Rs = TheVM.net().drainResponses();
-  ASSERT_GE(Rs.size(), 1u);
-  for (auto &T : TheVM.scheduler().threads())
-    EXPECT_NE(T->State, ThreadState::Trapped) << T->TrapMessage;
-}
-
 TEST_EAGER_AND_LAZY(Apps, Email132UsesOsrAndFigure3Transformer) {
   AppModel App = makeEmailApp();
   size_t V132 = 6; // base=1.2.1, 1=1.2.2, ..., 5=1.3.1, 6=1.3.2

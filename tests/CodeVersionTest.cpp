@@ -4,9 +4,8 @@
 /// Per-method code-versioning tests: chain lifecycle (install, atomic
 /// switch, stacked chains, revert pop), poll-point observation and stale
 /// frames finishing on superseded code, transactional unwind under the
-/// `codeversion-install` fault, the quiescence Degrade rung landing
-/// through the manager, and EcUpdater parity across the 22 release
-/// streams.
+/// `codeversion-install` fault, and EcUpdater parity across the 22
+/// release streams.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,18 +73,6 @@ ClassSet spinStopProgram(int64_t K, bool V2 = false) {
         .ret();
     Set.add(CB.build());
   }
-  return Set;
-}
-
-/// spinStopProgram plus class D, which gains a field in v2 — so the full
-/// bundle needs a class update and only the spin body can degrade.
-ClassSet degradeProgram(int64_t K, bool V2) {
-  ClassSet Set = spinStopProgram(K, V2);
-  ClassBuilder CB("D");
-  CB.field("x", "I");
-  if (V2)
-    CB.field("y", "I");
-  Set.add(CB.build());
   return Set;
 }
 
@@ -340,39 +327,6 @@ TEST(CodeVersion, SpecMethodMissingFromNewVersionRollsBack) {
                           "update rolled back (install: spec references "
                           "Main.other()I, which is missing from the new "
                           "version)");
-}
-
-//===--- Quiescence Degrade rung --------------------------------------------===//
-
-TEST(CodeVersion, DegradeRungLandsThroughVersionChains) {
-  VM TheVM(smallConfig());
-  TheVM.loadProgram(degradeProgram(1, false));
-  TheVM.spawnThread("Spin", "spin", "()V", {}, "spinner", true);
-  TheVM.run(500);
-
-  Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.TimeoutTicks = 5'000;
-  Opts.AllowDegraded = true;
-  UpdateResult R = U.applyNow(
-      Upt::prepare(degradeProgram(1, false), degradeProgram(2, true), "v1"),
-      Opts);
-
-  ASSERT_EQ(R.Status, UpdateStatus::Degraded) << R.Message;
-  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Degrade);
-
-  // The degraded body subset landed through the version chains — an
-  // atomic switch, not a safe-point install — so the manager now exists
-  // on the VM with the spin body versioned.
-  CodeVersionManager &CVM = CodeVersionManager::of(TheVM);
-  EXPECT_GE(CVM.installs(), 1u);
-  EXPECT_EQ(CVM.epoch(), 1u);
-  const MethodVersionChain *VC =
-      CVM.chainFor(methodIdOf(TheVM, "Spin", "spin", "()V"));
-  ASSERT_NE(VC, nullptr);
-  EXPECT_EQ(VC->Chain.size(), 2u);
-  // The in-flight spinner keeps running the superseded body.
-  EXPECT_GE(CVM.staleFrames(), 1u);
 }
 
 //===--- EcUpdater parity across the release streams ------------------------===//

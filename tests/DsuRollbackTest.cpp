@@ -5,7 +5,7 @@
 /// failures they model must resolve to RolledBack / FailedTransformer /
 /// TimedOut — never process death — with the heap certifying clean and the
 /// old program version still serving correct answers afterwards. Also
-/// covers retry-with-backoff for safe-point starvation and the
+/// covers safe-point starvation inside the single deadline and the
 /// certification option.
 ///
 //===----------------------------------------------------------------------===//
@@ -435,16 +435,16 @@ TEST(DsuRollback, TransientStarvationResolvesWithRetry) {
   TheVM.spawnThread("Server", "loop", "()V", {}, "server", /*Daemon=*/true);
   TheVM.run(20);
 
-  // The first safe-point attempt is starved; the backoff re-attempt must
-  // succeed and the update still applies.
+  // The first safe-point attempt is starved; the re-attempt, a tenth of
+  // the deadline later, must succeed and the update still applies.
   TheVM.faults().arm(Site::SafePointStarvation, /*Fire=*/1);
   Updater U(TheVM);
   UpdateOptions Opts;
   Opts.TimeoutTicks = 1'000'000;
-  Opts.MaxRetries = 2;
   UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), Opts);
   ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
   EXPECT_GE(R.SafePointAttempts, 2);
+  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::None); // inside the deadline
   EXPECT_EQ(TheVM.faults().fireCount(Site::SafePointStarvation), 1u);
   expectHealthy(TheVM, "after starvation retry");
 
@@ -462,47 +462,25 @@ TEST(DsuRollback, PersistentStarvationTimesOutAfterRetries) {
   TheVM.spawnThread("Server", "loop", "()V", {}, "server", /*Daemon=*/true);
   TheVM.run(20);
 
-  // Every attempt is starved: the updater burns its MaxRetries deadline
-  // extensions, then resolves TimedOut — not a crash, not a hang.
+  // Every attempt is starved: the updater re-attempts every tenth of the
+  // deadline until it expires once, then resolves TimedOut — not a crash,
+  // not a hang.
   TheVM.faults().arm(Site::SafePointStarvation, /*Fire=*/1'000'000);
   Updater U(TheVM);
   UpdateOptions Opts;
   Opts.TimeoutTicks = 20'000;
-  Opts.MaxRetries = 2;
   UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), Opts);
   EXPECT_EQ(R.Status, UpdateStatus::TimedOut);
-  EXPECT_EQ(R.RetriesUsed, 2);
-  EXPECT_EQ(R.Trace.count(UpdateEventKind::RetryScheduled), 2);
+  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Abort);
+  EXPECT_GE(R.SafePointAttempts, 2);
+  EXPECT_EQ(R.Trace.count(UpdateEventKind::WatchdogExpired), 1);
+  EXPECT_EQ(R.Trace.count(UpdateEventKind::TimedOut), 1);
   expectHealthy(TheVM, "after persistent starvation");
 
   // The application is unharmed and still runs the old version.
   int64_t Before = TheVM.callStatic("Server", "probeTotal", "()I").IntVal;
   TheVM.run(500);
   EXPECT_GT(TheVM.callStatic("Server", "probeTotal", "()I").IntVal, Before);
-}
-
-TEST(DsuRollback, BackoffExtendsDeadlineUntilStarvationClears) {
-  ClassSet V1 = serverVersion(1);
-  ClassSet V2 = serverVersion(1000);
-  VM TheVM(smallConfig());
-  TheVM.loadProgram(V1);
-  TheVM.spawnThread("Server", "loop", "()V", {}, "server", /*Daemon=*/true);
-  TheVM.run(20);
-
-  // Enough starved attempts to blow the base deadline, few enough that a
-  // backoff-extended deadline reaches the safe point.
-  TheVM.faults().arm(Site::SafePointStarvation, /*Fire=*/12);
-  Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.TimeoutTicks = 20'000;
-  Opts.MaxRetries = 3;
-  Opts.BackoffFactor = 2.0;
-  UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), Opts);
-  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
-  EXPECT_GE(R.RetriesUsed, 1);
-  EXPECT_GE(R.Trace.count(UpdateEventKind::RetryScheduled), 1);
-  EXPECT_EQ(TheVM.faults().fireCount(Site::SafePointStarvation), 12u);
-  expectHealthy(TheVM, "after backoff success");
 }
 
 //===--- Certification -----------------------------------------------------===//

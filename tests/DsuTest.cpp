@@ -632,7 +632,8 @@ TEST(Dsu, WithoutOsrCategory2TimesOut) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(V1);
   TheVM.callStatic("Setup", "init", "()V");
-  TheVM.spawnThread("Worker", "run", "()V", {}, "worker", /*Daemon=*/true);
+  ThreadId Worker =
+      TheVM.spawnThread("Worker", "run", "()V", {}, "worker", /*Daemon=*/true);
   TheVM.run(100);
 
   Updater U(TheVM);
@@ -641,6 +642,20 @@ TEST(Dsu, WithoutOsrCategory2TimesOut) {
   Opts.TimeoutTicks = 30'000;
   UpdateResult R = U.applyNow(Upt::prepare(V1, V2, "v1"), Opts);
   EXPECT_EQ(R.Status, UpdateStatus::TimedOut);
+
+  // The report names the pinning frame for what it is: base-compiled,
+  // nothing inlined, waiting only because OSR is off.
+  const VMThread *W = TheVM.scheduler().findThread(Worker);
+  ASSERT_EQ(W->Frames.size(), 1u);
+  EXPECT_EQ(W->Frames[0].Code->T, Tier::Baseline);
+  EXPECT_TRUE(W->Frames[0].Code->Inlined.empty());
+  ASSERT_EQ(R.Quiescence.Threads.size(), 1u);
+  ASSERT_EQ(R.Quiescence.Threads[0].PinningFrames.size(), 1u);
+  EXPECT_EQ(R.Quiescence.Threads[0].PinningFrames[0].Cause,
+            QuiescenceBlockCause::OsrDisabled);
+  std::string Report = R.Quiescence.str();
+  EXPECT_EQ(Report.find("opt-compiled"), std::string::npos) << Report;
+  EXPECT_NE(Report.find("OSR disabled"), std::string::npos) << Report;
 }
 
 namespace {
@@ -868,25 +883,13 @@ TEST(Dsu, DeletedClassAndAddedClass) {
 }
 
 TEST(Dsu, EcUpdaterSupportsBodyOnly) {
-  VM TheVM(smallConfig());
-  TheVM.loadProgram(workerVersion(1));
   UpdateSpec Spec = Upt::computeSpec(workerVersion(1), workerVersion(2));
   EXPECT_TRUE(EcUpdater::supports(Spec.Summary));
-  EcUpdater EC(TheVM);
-  std::string Why;
-  ASSERT_TRUE(EC.apply(workerVersion(2), Spec, &Why)) << Why;
-  EXPECT_EQ(TheVM.callStatic("Worker", "value", "()I").IntVal, 2);
 }
 
 TEST(Dsu, EcUpdaterRejectsClassUpdate) {
   UpdateSpec Spec = Upt::computeSpec(pointV1(), pointV2());
   EXPECT_FALSE(EcUpdater::supports(Spec.Summary));
-  VM TheVM(smallConfig());
-  TheVM.loadProgram(pointV1());
-  EcUpdater EC(TheVM);
-  std::string Why;
-  EXPECT_FALSE(EC.apply(pointV2(), Spec, &Why));
-  EXPECT_FALSE(Why.empty());
 }
 
 TEST_EAGER_AND_LAZY(Dsu, ChainedUpdates) {

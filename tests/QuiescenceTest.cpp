@@ -1,10 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Quiescence-escalation tests: the watchdog's structured report (per
-/// blocking cause), every rung of the Retry -> Rescue -> Degrade -> Abort
-/// ladder, the degrade-then-resume round trip, the two new fault sites,
-/// and the retry-histogram counting rule.
+/// Quiescence-escalation tests: the watchdog's structured report (every
+/// blocking cause, each on the frame the safe-point attempt armed a
+/// barrier on), both rungs of the Rescue -> Abort ladder, the two
+/// escalation fault sites, and the escalation counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -144,61 +144,114 @@ ClassSet sleeperProgram(bool NewNap) {
   return Set;
 }
 
-/// Three-class program for the degrade round trip: Spin.spin()V loops
-/// until Ctl.stop is set (so it *can* return, eventually), and class D is
-/// shape-changed in v2 — the part degrade must defer.
-ClassSet degradeProgram(int64_t K, bool V2) {
+/// W.spinOld()V sleeps in a loop until W.stop is set, then returns; v2
+/// deletes it and adds a field to W. The shape of
+/// DsuEdge.MethodDeletionRestrictsOnStackFrames, given a return so the
+/// diagnosis is the deletion rather than an infinite loop.
+ClassSet deletionProgram(bool V2) {
   ClassSet Set;
-  {
-    ClassBuilder CB("Ctl");
-    CB.staticField("stop", "I");
-    CB.staticMethod("halt", "()V")
-        .iconst(1)
-        .putstatic("Ctl", "stop", "I")
-        .ret();
-    Set.add(CB.build());
-  }
-  {
-    ClassBuilder CB("D");
-    CB.field("x", "I");
-    if (V2)
-      CB.field("y", "I");
-    Set.add(CB.build());
-  }
-  {
-    ClassBuilder CB("Spin");
-    CB.staticField("sum", "I");
-    MethodBuilder &M = CB.staticMethod("spin", "()V");
-    M.label("top")
-        .getstatic("Ctl", "stop", "I")
+  ClassBuilder CB("W");
+  CB.staticField("stop", "I");
+  CB.field("pad", "I");
+  if (V2)
+    CB.field("pad2", "I");
+  else
+    CB.staticMethod("spinOld", "()V")
+        .label("top")
+        .getstatic("W", "stop", "I")
         .branch(Opcode::IfNe, "done")
-        .getstatic("Spin", "sum", "I")
-        .iconst(K);
-    if (V2)
-      M.nop();
-    M.iadd()
-        .putstatic("Spin", "sum", "I")
-        .iconst(20)
+        .iconst(30)
         .intrinsic(IntrinsicId::SleepTicks)
         .jump("top")
         .label("done")
         .ret();
+  CB.staticMethod("other", "()I").iconst(0).iret();
+  Set.add(CB.build());
+  return Set;
+}
+
+/// Main.loop()V adds pick(sum) back into Main.sum and sleeps, forever;
+/// the update changes only pick's body (\p K). Under an opt tier that
+/// compiles on the first call, loop inlines pick.
+ClassSet inlineProgram(int64_t K) {
+  ClassSet Set;
+  ClassBuilder CB("Main");
+  CB.staticField("sum", "I");
+  CB.staticMethod("pick", "(I)I").load(0).iconst(K).iadd().iret();
+  CB.staticMethod("loop", "()V")
+      .label("top")
+      .getstatic("Main", "sum", "I")
+      .invokestatic("Main", "pick", "(I)I")
+      .putstatic("Main", "sum", "I")
+      .iconst(20)
+      .intrinsic(IntrinsicId::SleepTicks)
+      .jump("top");
+  Set.add(CB.build());
+  return Set;
+}
+
+/// Reader.run()V reads Box.v off a static Box forever; v2 adds a field to
+/// Box, which makes run() category (2): unchanged, but its compiled code
+/// references an updated class.
+ClassSet boxProgram(bool V2) {
+  ClassSet Set;
+  {
+    ClassBuilder CB("Box");
+    CB.field("v", "I");
+    if (V2)
+      CB.field("w", "I");
+    Set.add(CB.build());
+  }
+  {
+    ClassBuilder CB("Reader");
+    CB.staticField("box", "LBox;");
+    CB.staticField("sum", "I");
+    CB.staticMethod("run", "()V")
+        .newobj("Box")
+        .putstatic("Reader", "box", "LBox;")
+        .label("top")
+        .getstatic("Reader", "sum", "I")
+        .getstatic("Reader", "box", "LBox;")
+        .getfield("Box", "v", "I")
+        .iadd()
+        .putstatic("Reader", "sum", "I")
+        .iconst(20)
+        .intrinsic(IntrinsicId::SleepTicks)
+        .jump("top");
     Set.add(CB.build());
   }
   return Set;
 }
 
-/// P gains a second static field in v2: a class update with something to
-/// install (and to roll back when the class-load fault fires).
-ClassSet fieldProgram(bool V2) {
-  ClassSet Set;
-  ClassBuilder CB("P");
-  CB.staticField("x", "I");
-  if (V2)
-    CB.staticField("y", "I");
-  CB.staticMethod("get", "()I").getstatic("P", "x", "I").iret();
-  Set.add(CB.build());
-  return Set;
+/// Applies \p Old -> \p New against one thread spawned at \p Entry of
+/// \p Cls, with a 20k-tick deadline, and returns the only frame the report
+/// names. \p Cfg picks the VM (OptThreshold selects the code tier).
+QuiescenceFrameInfo soleReportedFrame(const VM::Config &Cfg,
+                                      const ClassSet &Old,
+                                      const ClassSet &New, const char *Cls,
+                                      const char *Entry, UpdateResult &R) {
+  VM TheVM(Cfg);
+  TheVM.loadProgram(Old);
+  TheVM.spawnThread(Cls, Entry, "()V", {}, "pinned", true);
+  TheVM.run(500);
+  Updater U(TheVM);
+  UpdateOptions Opts;
+  Opts.TimeoutTicks = 20'000;
+  R = U.applyNow(Upt::prepare(Old, New, "v1"), Opts);
+  EXPECT_EQ(R.Status, UpdateStatus::TimedOut) << R.Message;
+  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Abort);
+  if (R.Quiescence.Threads.size() != 1 ||
+      R.Quiescence.Threads[0].PinningFrames.size() != 1) {
+    ADD_FAILURE() << "expected one pinning frame:\n" << R.Quiescence.str();
+    return {};
+  }
+  return R.Quiescence.Threads[0].PinningFrames[0];
+}
+
+VM::Config optTierConfig() {
+  VM::Config C = smallConfig();
+  C.OptThreshold = 1; // compile at the opt tier on the first call
+  return C;
 }
 
 int64_t staticIntOf(VM &TheVM, const char *Cls, size_t Slot) {
@@ -306,26 +359,50 @@ TEST(Quiescence, ReportShowsBlockedRecvState) {
       << R.Quiescence.str();
 }
 
-//===--- The ladder ---------------------------------------------------------===//
-
-TEST(Quiescence, RetryRungExtendsDeadlineUntilMethodReturns) {
-  VM TheVM(smallConfig());
-  TheVM.loadProgram(busyProgram(3'000, 1));
-  TheVM.spawnThread("Busy", "work", "()V", {}, "worker", true);
-  TheVM.run(100);
-
-  Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.TimeoutTicks = 3'000;
-  Opts.MaxRetries = 8;
-  UpdateResult R = U.applyNow(
-      Upt::prepare(busyProgram(3'000, 1), busyProgram(3'000, 2), "v1"), Opts);
-
-  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
-  EXPECT_GE(R.RetriesUsed, 1);
-  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Retry);
-  EXPECT_TRUE(R.Quiescence.diagnosed()); // each expiry re-diagnoses
+TEST(Quiescence, RemovedMethodOnStackIsReported) {
+  UpdateResult R;
+  QuiescenceFrameInfo F =
+      soleReportedFrame(smallConfig(), deletionProgram(false),
+                        deletionProgram(true), "W", "spinOld", R);
+  EXPECT_EQ(F.Cause, QuiescenceBlockCause::RemovedMethod);
+  EXPECT_EQ(F.QualifiedName, "W.spinOld()V");
+  EXPECT_TRUE(F.BarrierArmed);
+  EXPECT_TRUE(R.Quiescence.loopingMethods().empty());
+  EXPECT_NE(R.Quiescence.str().find("removed method on stack"),
+            std::string::npos)
+      << R.Quiescence.str();
 }
+
+TEST(Quiescence, CallerThatInlinedAChangedBodyIsReported) {
+  // loop() itself is unchanged; the pin is the old pick() body compiled
+  // into it.
+  UpdateResult R;
+  QuiescenceFrameInfo F = soleReportedFrame(
+      optTierConfig(), inlineProgram(1), inlineProgram(2), "Main", "loop", R);
+  EXPECT_EQ(F.Cause, QuiescenceBlockCause::InlinedRestricted);
+  EXPECT_EQ(F.QualifiedName, "Main.loop()V");
+  EXPECT_TRUE(F.BarrierArmed);
+  EXPECT_FALSE(F.RescuableBodySwap);
+  EXPECT_NE(R.Quiescence.str().find("caller inlined a restricted method"),
+            std::string::npos)
+      << R.Quiescence.str();
+}
+
+TEST(Quiescence, OptCompiledIndirectFrameIsReported) {
+  // At the baseline tier OSR would replace this frame; opt-compiled code
+  // waits behind a barrier that never fires.
+  UpdateResult R;
+  QuiescenceFrameInfo F = soleReportedFrame(
+      optTierConfig(), boxProgram(false), boxProgram(true), "Reader", "run", R);
+  EXPECT_EQ(F.Cause, QuiescenceBlockCause::OptimizedIndirect);
+  EXPECT_EQ(F.QualifiedName, "Reader.run()V");
+  EXPECT_TRUE(F.BarrierArmed);
+  EXPECT_NE(R.Quiescence.str().find("opt-compiled code references"),
+            std::string::npos)
+      << R.Quiescence.str();
+}
+
+//===--- The ladder ---------------------------------------------------------===//
 
 TEST(Quiescence, RescueRungRemapsSameSizeBody) {
   VM TheVM(smallConfig());
@@ -374,46 +451,10 @@ TEST(Quiescence, RescueRungForceYieldsSleepingThread) {
   EXPECT_GE(staticIntOf(TheVM, "Sleeper", 0), 1); // nap completed early
 }
 
-TEST_EAGER_AND_LAZY(Quiescence, DegradeRungAppliesBodySubsetAndResumes) {
-  VM TheVM(smallConfig());
-  TheVM.loadProgram(degradeProgram(1, false));
-  TheVM.spawnThread("Spin", "spin", "()V", {}, "spinner", true);
-  TheVM.run(500);
-
-  Updater U(TheVM);
-  UpdateOptions Opts = modeOptions(Lazy);
-  Opts.TimeoutTicks = 5'000;
-  Opts.AllowDegraded = true;
-  UpdateResult R = U.applyNow(
-      Upt::prepare(degradeProgram(1, false), degradeProgram(2, true), "v1"),
-      Opts);
-
-  ASSERT_EQ(R.Status, UpdateStatus::Degraded) << R.Message;
-  EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Degrade);
-  ASSERT_EQ(R.DegradedApplied.size(), 1u);
-  EXPECT_EQ(R.DegradedApplied[0], "Spin.spin()V");
-  EXPECT_TRUE(anyContains(R.DegradedDeferred, "class update D"))
-      << R.Message;
-  ASSERT_TRUE(U.hasDeferred());
-
-  // The class-shape change did not land yet.
-  ClassRegistry &Reg = TheVM.registry();
-  EXPECT_EQ(Reg.cls(Reg.idOf("D")).findInstanceField("y"), nullptr);
-  // The running program version carries the swapped body.
-  EXPECT_NE(TheVM.program().find("Spin"), nullptr);
-
-  // Quiesce the spinner, then resume the deferred remainder.
-  TheVM.callStatic("Ctl", "halt", "()V");
-  TheVM.run(50'000);
-  UpdateResult R2 = U.resumeDeferred(modeOptions(Lazy));
-  ASSERT_EQ(R2.Status, UpdateStatus::Applied) << R2.Message;
-  EXPECT_FALSE(U.hasDeferred());
-  EXPECT_NE(Reg.cls(Reg.idOf("D")).findInstanceField("y"), nullptr);
-}
-
 TEST(Quiescence, DegradeFallsThroughToAbortWithoutBodySubset) {
-  // The only change is a class update: no method-body subset exists, so
-  // AllowDegraded still aborts — with the report explaining the pin. The
+  // The only change is a class update, and a blacklisted method pins it:
+  // the ladder ends at Abort, with the report explaining the pin. (There
+  // is no partial commit: the update lands whole or not at all.) The
   // pinned method is a bounded loop far longer than the deadline, so the
   // diagnosis is Blacklisted (it *would* return, just not in time), not
   // InfiniteLoop.
@@ -439,15 +480,18 @@ TEST(Quiescence, DegradeFallsThroughToAbortWithoutBodySubset) {
   Updater U(TheVM);
   UpdateOptions Opts;
   Opts.TimeoutTicks = 5'000;
-  Opts.AllowDegraded = true;
   UpdateResult R = U.applyNow(std::move(B), Opts);
 
   EXPECT_EQ(R.Status, UpdateStatus::TimedOut);
   EXPECT_EQ(R.ResolvedRung, QuiescenceRung::Abort);
-  EXPECT_FALSE(U.hasDeferred());
   ASSERT_EQ(R.Quiescence.Threads.size(), 1u);
-  EXPECT_EQ(R.Quiescence.Threads[0].PinningFrames[0].Cause,
-            QuiescenceBlockCause::Blacklisted);
+  ASSERT_EQ(R.Quiescence.Threads[0].PinningFrames.size(), 1u);
+  const QuiescenceFrameInfo &F = R.Quiescence.Threads[0].PinningFrames[0];
+  EXPECT_EQ(F.Cause, QuiescenceBlockCause::Blacklisted);
+  EXPECT_TRUE(F.BarrierArmed);
+  // Nothing of the update landed: Aux kept its old shape.
+  ClassRegistry &Reg = TheVM.registry();
+  EXPECT_EQ(Reg.cls(Reg.idOf("Aux")).findInstanceField("w"), nullptr);
 }
 
 //===--- Fault sites --------------------------------------------------------===//
@@ -568,40 +612,6 @@ TEST(QuiescenceFault, ArmFromSpecRejectsUnknownSiteAndBadCounts) {
 }
 
 //===--- Telemetry ----------------------------------------------------------===//
-
-TEST_EAGER_AND_LAZY(QuiescenceTelemetry, RetryHistogramSkipsRollbackAborts) {
-  bool Was = Telemetry::isEnabled();
-  Telemetry &Tel = Telemetry::global();
-  Tel.setEnabled(true);
-
-  uint64_t Before = 0;
-  {
-    // A rollback abort happens after quiescence was reached: no sample.
-    VM TheVM(smallConfig());
-    Before = Tel.histogram(metrics::DsuUpdateRetries).count();
-    TheVM.loadProgram(fieldProgram(false));
-    TheVM.faults().arm(Site::ClassLoad);
-    Updater U(TheVM);
-    UpdateResult R =
-        U.applyNow(Upt::prepare(fieldProgram(false), fieldProgram(true), "v1"),
-                   modeOptions(Lazy));
-    ASSERT_EQ(R.Status, UpdateStatus::RolledBack) << R.Message;
-    EXPECT_EQ(Tel.histogram(metrics::DsuUpdateRetries).count(), Before);
-  }
-  {
-    // An applied update samples once (with zero retries here).
-    VM TheVM(smallConfig());
-    TheVM.loadProgram(fieldProgram(false));
-    Updater U(TheVM);
-    UpdateResult R =
-        U.applyNow(Upt::prepare(fieldProgram(false), fieldProgram(true), "v1"),
-                   modeOptions(Lazy));
-    ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
-    EXPECT_EQ(Tel.histogram(metrics::DsuUpdateRetries).count(), Before + 1);
-  }
-
-  Tel.setEnabled(Was);
-}
 
 TEST(QuiescenceTelemetry, EscalationCountersAdvance) {
   bool Was = Telemetry::isEnabled();

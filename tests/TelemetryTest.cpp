@@ -386,6 +386,31 @@ TEST_F(TelemetryTest, WindowAggregatorRatesAndPercentiles) {
   W.configure(0);
 }
 
+TEST_F(TelemetryTest, WindowAggregatorFirstWindowStartsAtConfigure) {
+  // What instruments recorded before configure() belongs to no window.
+  Telemetry &Tel = Telemetry::global();
+  TelCounter &C = Tel.counter("winanchor.counter");
+  TelHistogram &H = Tel.histogram("winanchor.hist");
+  C.add(1000);
+  for (int I = 0; I < 50; ++I)
+    H.record(1000.0);
+  WindowAggregator &W = Tel.windows();
+  W.configure(100, 4);
+  C.add(4);
+  H.record(1.0);
+  H.record(3.0);
+  W.roll(100);
+
+  WindowAggregator::CounterSeries CS;
+  ASSERT_TRUE(W.counterSeries("winanchor.counter", CS));
+  EXPECT_EQ(CS.LastDelta, 4u);
+  WindowAggregator::HistSeries HS;
+  ASSERT_TRUE(W.histSeries("winanchor.hist", HS));
+  EXPECT_EQ(HS.LastCount, 2u);
+  EXPECT_DOUBLE_EQ(HS.Max, 3.0);
+  W.configure(0);
+}
+
 TEST_F(TelemetryTest, WindowAggregatorSeesLateRegistrations) {
   // The aggregator caches instrument handles between rolls; a metric
   // registered after the first roll must still show up in the next one.
