@@ -1,23 +1,22 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full suite in the default configuration (which
-# runs every update-path test in both eager and lazy mode, plus the
-# deterministic tool gates: the 22-stream analysis, synthesis and impact
-# checks and the first-order chaos sweep), the same suite again with
-# telemetry + JSONL tracing enabled (catches crashes that only
-# instrumented paths can hit), a third pass with streaming telemetry
-# live (a JSONL session + windowed aggregation on every VM), a
-# ledger-balance check on a traced serve run (every event attempted is
-# either streamed or counted dropped, and the trace file holds every
-# streamed event its sink did not drop), the analysis runtime budget, the
-# bench_lazy_pause trade-off gate, the updates-forever gate (registry
-# bookkeeping flat over 300 stacked updates), the streaming-telemetry
-# overhead gate (bench_telemetry --check + a coarse metrics-diff
-# backstop), the canary pause and revert-convergence gates (an injected
-# health breach must auto-revert and leave zero residual), the
-# chaos-report summary of the first-order fault sweep, the perfbench
-# helper unit tests, then every test binary of the suite, eager and lazy,
-# under a sanitizer build (the tool gates stay with the default build: the
-# sanitizer tree does not build the tools).
+# Tier-1 verification. ctest runs every gtest case twice: plain, and as
+# <name>.Instrumented with telemetry on, a JSONL trace session open and
+# 2,000-tick stats windows (tests/TestMain.cpp), each instance in its own
+# process, in parallel. Plain ctest also runs every update-path test in
+# both eager and lazy mode and the deterministic tool gates (the 22-stream
+# analysis and synthesis checks and the first-order chaos sweep). After
+# the suite: the analysis runtime budget, a ledger-balance check on a
+# traced serve run (every event attempted is either streamed or counted
+# dropped, and the trace file holds every streamed event its sink did not
+# drop), the bench_lazy_pause trade-off gate, the updates-forever gate
+# (registry bookkeeping flat over 300 stacked updates), the
+# streaming-telemetry overhead gate (bench_telemetry --check + a coarse
+# metrics-diff backstop), the canary pause and revert-convergence gates (an
+# injected health breach must auto-revert and leave zero residual), the
+# chaos-report summary of the first-order fault sweep, the perfbench helper
+# unit tests, then both instances of every test binary's cases, eager and
+# lazy, under a sanitizer build (the tool gates stay with the default
+# build: the sanitizer tree does not build the tools).
 #
 #   scripts/tier1.sh [sanitizer]
 #
@@ -60,23 +59,6 @@ if command -v clang-tidy > /dev/null 2>&1; then
 else
   echo "tier1: clang-tidy not found; skipping static-analysis pass"
 fi
-
-# Telemetry pass: every VM the suite builds records metrics and streams
-# trace events. Serial (-j 1) because the processes share one trace file.
-TRACE_OUT="$(mktemp /tmp/jvolve-tier1-trace.XXXXXX.jsonl)"
-JVOLVE_TELEMETRY=1 JVOLVE_TRACE_OUT="$TRACE_OUT" \
-  ctest --test-dir build --output-on-failure -j 1
-rm -f "$TRACE_OUT"
-
-# Streaming pass: the suite a third time with streaming telemetry live in
-# every VM — a JSONL session (tid/seq stamping, the stream ledger) plus
-# 2000-tick windowed aggregation. Serial: the processes share one trace
-# file.
-STREAM_TRACE="$(mktemp /tmp/jvolve-tier1-stream.XXXXXX.jsonl)"
-JVOLVE_TELEMETRY=1 JVOLVE_TRACE_OUT="$STREAM_TRACE" \
-  JVOLVE_STATS_WINDOW=2000 \
-  ctest --test-dir build --output-on-failure -j 1
-rm -f "$STREAM_TRACE"
 
 # Ledger-balance check on a full traced serve run: the telemetry.* gauges
 # must exist (require-any) and account for every event — attempted

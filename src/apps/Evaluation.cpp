@@ -4,11 +4,8 @@
 #include "apps/EmailApp.h"
 #include "apps/JettyApp.h"
 #include "apps/Workload.h"
-#include "dsu/EcUpdater.h"
-#include "dsu/LazyTransform.h"
 #include "dsu/Upt.h"
 #include "heap/HeapVerifier.h"
-#include "runtime/ObjectModel.h"
 #include "support/Error.h"
 
 using namespace jvolve;
@@ -73,47 +70,27 @@ UpdateResult applyTo(VM &TheVM, const AppModel &App, size_t V,
   UpdateOptions Opts;
   Opts.TimeoutTicks = EOpts.TimeoutTicks;
   Opts.LazyTransform = EOpts.Lazy;
-  Opts.ImpactBoundedDrain = EOpts.ImpactBounded;
   Updater U(TheVM);
   return U.applyNow(std::move(B), Opts,
                     /*MaxDriveTicks=*/EOpts.TimeoutTicks * 4);
 }
 
-/// DrainFully evidence: run \p TheVM for the fixed tick budget, then record
-/// the engine's drain state, a full heap certification, and the per-class
-/// live-object census into \p Out.
-void recordDrainEvidence(VM &TheVM, const EvalOptions &Opts,
-                         ReleaseOutcome &Out) {
-  TheVM.run(Opts.DrainTicks);
-  if (VmLazyEngine *Engine = TheVM.lazyEngine()) {
-    Out.Drained = Engine->drained();
-    Out.LazyTransformed = Engine->transformedCount();
-    if (auto *Impl = dynamic_cast<LazyTransformEngine *>(Engine))
-      Out.BulkSettled = Impl->bulkSettled();
-  }
-  HeapVerifier Verifier(TheVM.heap(), TheVM.registry());
-  if (VmLazyEngine *Engine = TheVM.lazyEngine())
-    Verifier.setLazyContext(
-        [Engine](Ref Obj) { return Engine->isPendingShell(Obj); },
-        /*AllowOldCopyReserved=*/!Engine->drained());
-  Out.PostDrainCertified =
-      Verifier
-          .verify([&TheVM](const std::function<void(Ref &)> &Visit) {
-            TheVM.visitRoots(Visit);
-          })
-          .empty();
+/// Lazy mode: virtual ticks an updated VM keeps serving before its heap is
+/// certified. The background drainer settles every release's shells well
+/// within it.
+constexpr uint64_t LazyDrainTicks = 400'000;
 
-  ClassRegistry &Reg = TheVM.registry();
-  Heap &H = TheVM.heap();
-  size_t Scan = 0;
-  while (Scan < H.bytesAllocated()) {
-    Ref Obj = H.currentSpaceStart() + Scan;
-    const RtClass &Cls = Reg.cls(classOf(Obj));
-    if (!Cls.IsArray)
-      ++Out.HeapCensus[Cls.Name];
-    size_t Bytes = objectBytes(Cls, Obj);
-    Scan += (Bytes + 7) & ~size_t(7);
-  }
+/// Serves \p TheVM for LazyDrainTicks, then certifies the whole heap with
+/// no lazy relaxation: a shell still pending or an old-copy block still
+/// reserved fails it. \returns whether the heap certified clean.
+bool drainAndCertify(VM &TheVM) {
+  TheVM.run(LazyDrainTicks);
+  HeapVerifier Verifier(TheVM.heap(), TheVM.registry());
+  return Verifier
+      .verify([&TheVM](const std::function<void(Ref &)> &Visit) {
+        TheVM.visitRoots(Visit);
+      })
+      .empty();
 }
 
 } // namespace
@@ -124,13 +101,13 @@ ReleaseOutcome jvolve::evaluateRelease(const AppModel &App, size_t V,
   Out.Version = App.release(V).Name;
   Out.Summary =
       Upt::computeSpec(App.version(V - 1), App.version(V)).Summary;
-  Out.EcSupported = EcUpdater::supports(Out.Summary);
+  Out.EcSupported = Out.Summary.editAndContinueSupported();
 
   {
     std::unique_ptr<VM> TheVM = bootApp(App, V - 1, /*Idle=*/false);
     Out.Result = applyTo(*TheVM, App, V, Opts, &Out.Synth);
-    if (Opts.DrainFully && Out.Result.LazyInstalled)
-      recordDrainEvidence(*TheVM, Opts, Out);
+    if (Opts.Lazy && Out.Result.Status == UpdateStatus::Applied)
+      Out.PostDrainCertified = drainAndCertify(*TheVM);
   }
 
   // The paper applied CrossFTP 1.07 -> 1.08 "when the server was
@@ -140,6 +117,8 @@ ReleaseOutcome jvolve::evaluateRelease(const AppModel &App, size_t V,
     TheVM->run(2'000);
     UpdateResult IdleResult = applyTo(*TheVM, App, V, Opts, nullptr);
     Out.AppliedWhenIdle = IdleResult.Status == UpdateStatus::Applied;
+    if (Opts.Lazy && Out.AppliedWhenIdle)
+      Out.PostDrainCertified = drainAndCertify(*TheVM);
   }
   return Out;
 }
@@ -150,21 +129,4 @@ std::vector<ReleaseOutcome> jvolve::evaluateApp(const AppModel &App,
   for (size_t V = 1; V < App.numVersions(); ++V)
     Out.push_back(evaluateRelease(App, V, Opts));
   return Out;
-}
-
-ReleaseOutcome jvolve::evaluateRelease(const AppModel &App, size_t V,
-                                       uint64_t TimeoutTicks, bool Lazy) {
-  EvalOptions Opts;
-  Opts.TimeoutTicks = TimeoutTicks;
-  Opts.Lazy = Lazy;
-  return evaluateRelease(App, V, Opts);
-}
-
-std::vector<ReleaseOutcome> jvolve::evaluateApp(const AppModel &App,
-                                                uint64_t TimeoutTicks,
-                                                bool Lazy) {
-  EvalOptions Opts;
-  Opts.TimeoutTicks = TimeoutTicks;
-  Opts.Lazy = Lazy;
-  return evaluateApp(App, Opts);
 }

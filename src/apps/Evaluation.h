@@ -15,7 +15,6 @@
 #include "dsu/Synthesis.h"
 #include "dsu/Updater.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,18 +34,7 @@ struct EvalOptions {
   /// Commit with untransformed shells and drain through the read barrier
   /// instead of transforming eagerly in the DSU collection.
   bool Lazy = false;
-  /// Lazy only: bulk-settle provably-untouched classes at arm time and
-  /// certify the impact closure only (UpdateOptions::ImpactBoundedDrain).
-  bool ImpactBounded = false;
   TransformerMode Transformers = TransformerMode::Handwritten;
-  /// Lazy only: after the commit, keep the VM running for a fixed tick
-  /// budget (identical across configurations, so two runs observe the
-  /// same virtual time), then record whether the engine drained, a full
-  /// (unfiltered) heap certification, and a per-class live-object census
-  /// — the evidence the impact-bounded drain reaches the same certified
-  /// heap as the full drain.
-  bool DrainFully = false;
-  uint64_t DrainTicks = 400'000;
 };
 
 /// Result of applying one release's update to a live, loaded server.
@@ -60,15 +48,11 @@ struct ReleaseOutcome {
   bool AppliedWhenIdle = false;
   /// Synthesized mode: what the synthesis pass inferred for this release.
   SynthesisReport Synth;
-
-  /// DrainFully evidence (lazy updates only; see EvalOptions::DrainFully).
-  bool Drained = false;          ///< engine settled every shell in budget
-  bool PostDrainCertified = false; ///< full HeapVerifier pass was clean
-  uint64_t BulkSettled = 0;      ///< shells settled at arm (impact-bounded)
-  uint64_t LazyTransformed = 0;  ///< on-demand + background transforms
-  /// Live non-array objects per class after the drain window — equal
-  /// between a full and an impact-bounded drain of the same release.
-  std::map<std::string, size_t> HeapCensus;
+  /// Lazy mode: the applied update's VM served a fixed drain window, and
+  /// then its whole heap certified with no lazy relaxation (every shell
+  /// transformed, the old-copy block released). False when nothing
+  /// applied, and in eager mode, whose updater certifies inside the pause.
+  bool PostDrainCertified = false;
 
   bool supported() const {
     return Result.Status == UpdateStatus::Applied || AppliedWhenIdle;
@@ -78,20 +62,11 @@ struct ReleaseOutcome {
 /// Applies the update to version \p V of \p App on a freshly booted VM
 /// running version V-1 under load.
 ReleaseOutcome evaluateRelease(const AppModel &App, size_t V,
-                               const EvalOptions &Opts);
+                               const EvalOptions &Opts = {});
 
 /// Evaluates every release of \p App.
 std::vector<ReleaseOutcome> evaluateApp(const AppModel &App,
-                                        const EvalOptions &Opts);
-
-/// Back-compat convenience overloads (handwritten transformers, full
-/// drain) used by the existing tables/benches.
-ReleaseOutcome evaluateRelease(const AppModel &App, size_t V,
-                               uint64_t TimeoutTicks = 120'000,
-                               bool Lazy = false);
-std::vector<ReleaseOutcome> evaluateApp(const AppModel &App,
-                                        uint64_t TimeoutTicks = 120'000,
-                                        bool Lazy = false);
+                                        const EvalOptions &Opts = {});
 
 } // namespace jvolve
 

@@ -277,8 +277,7 @@ AnalysisReport UpdateAnalysis::analyze(
 
   R.ConservativeRestricted = CG.transitiveCallers(Seeds);
   R.PreciseRestricted = Seeds;
-  for (const std::string &Key : CG.possibleInliners(
-           Seeds, Opts.MaxInlineCodeLen, Opts.MaxInlineDepth))
+  for (const std::string &Key : CG.possibleInliners(Seeds))
     R.PreciseRestricted.insert(Key);
   R.PreciseRestrictedCha = R.PreciseRestricted;
 

@@ -62,9 +62,6 @@ struct AnalysisOptions {
   /// predicts non-quiescence when some thread can be executing it; with no
   /// entry points given, every method is conservatively entry-reachable.
   std::set<std::string> EntryPoints;
-  /// Static mirror of Compiler::Options inline policy.
-  size_t MaxInlineCodeLen = 16;
-  size_t MaxInlineDepth = 3;
 };
 
 /// Everything one analysis run computed, renderable as a table or JSON.

@@ -1,5 +1,7 @@
 #include "dsu/CallGraph.h"
 
+#include "exec/Compiler.h"
+
 #include <deque>
 
 using namespace jvolve;
@@ -112,13 +114,13 @@ CallGraph::transitiveCallers(const std::set<std::string> &Seeds) const {
 }
 
 std::set<std::string>
-CallGraph::possibleInliners(const std::set<std::string> &Seeds,
-                            size_t MaxCodeLen, size_t MaxDepth) const {
+CallGraph::possibleInliners(const std::set<std::string> &Seeds) const {
   // Reverse BFS over direct-call edges. An edge caller->callee can embed
   // the callee's body only if the compiler would inline it: callee code
-  // size within MaxCodeLen and the inline chain at most MaxDepth frames
-  // deep (Compiler::shouldInline requires Depth < MaxInlineDepth at each
-  // step). Track the best (shortest) chain length per method.
+  // size within MaxInlineCodeLen and the inline chain at most
+  // MaxInlineDepth frames deep (Compiler::shouldInline requires Depth <
+  // MaxInlineDepth at each step). Track the best (shortest) chain length
+  // per method.
   std::set<std::string> Result;
   std::map<std::string, size_t> BestDepth;
   std::deque<std::pair<std::string, size_t>> Work;
@@ -129,11 +131,11 @@ CallGraph::possibleInliners(const std::set<std::string> &Seeds,
   while (!Work.empty()) {
     auto [Cur, Depth] = Work.front();
     Work.pop_front();
-    if (Depth >= MaxDepth)
+    if (Depth >= MaxInlineDepth)
       continue; // chain budget exhausted; Cur cannot be inlined further up
     const CallGraphNode *CurNode = node(Cur);
     if (!CurNode || !CurNode->Def ||
-        CurNode->Def->Code.size() > MaxCodeLen)
+        CurNode->Def->Code.size() > MaxInlineCodeLen)
       continue; // too big to ever inline (seeds at depth 0 included)
     auto It = DirectCallers.find(Cur);
     if (It == DirectCallers.end())

@@ -64,12 +64,11 @@ public:
   /// Methods whose Opt-tier compiled form may physically embed a seed's
   /// bytecode through inlining. Mirrors Compiler::shouldInline statically:
   /// only direct calls (InvokeStatic/InvokeSpecial) inline, only callees
-  /// with code size <= \p MaxCodeLen, chains at most \p MaxDepth frames
-  /// deep, recursion excluded. Seeds themselves are not included unless
-  /// they can also inline another seed.
-  std::set<std::string> possibleInliners(const std::set<std::string> &Seeds,
-                                         size_t MaxCodeLen,
-                                         size_t MaxDepth) const;
+  /// with code size <= MaxInlineCodeLen, chains at most MaxInlineDepth
+  /// frames deep (exec/Compiler.h), recursion excluded. Seeds themselves
+  /// are not included unless they can also inline another seed.
+  std::set<std::string>
+  possibleInliners(const std::set<std::string> &Seeds) const;
 
   /// Every method reachable (in the callee direction) from \p Entries,
   /// including the entries themselves.

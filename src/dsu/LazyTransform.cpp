@@ -18,12 +18,11 @@ std::string LazyTransformError::str() const {
 LazyTransformEngine::LazyTransformEngine(VM &TheVM, UpdateBundle Bundle,
                                          std::vector<UpdateLogEntry> Log,
                                          bool OwnsOldCopySpace,
-                                         size_t DrainBatch, bool ImpactBounded)
+                                         size_t DrainBatch)
     : TheVM(TheVM), Bundle(std::move(Bundle)), UpdateLog(std::move(Log)),
       Runner(TheVM, this->Bundle, UpdateLog),
       OwnsOldCopySpace(OwnsOldCopySpace),
-      DrainBatch(std::max<size_t>(DrainBatch, 1)),
-      ImpactBounded(ImpactBounded) {
+      DrainBatch(std::max<size_t>(DrainBatch, 1)) {
   for (const UpdateLogEntry &E : UpdateLog)
     if (E.St == UpdateLogEntry::State::Done ||
         E.St == UpdateLogEntry::State::Failed)
@@ -32,40 +31,16 @@ LazyTransformEngine::LazyTransformEngine(VM &TheVM, UpdateBundle Bundle,
 
 void LazyTransformEngine::arm() {
   setAllBarriers(true);
-  if (ImpactBounded)
-    settleUntouched();
   if (Telemetry::isEnabled()) {
     Telemetry::global().counter(metrics::DsuLazyUpdates).inc();
     publishPendingGauge();
   }
 }
 
-void LazyTransformEngine::settleUntouched() {
-  uint64_t Settled = 0;
-  for (UpdateLogEntry &E : UpdateLog) {
-    if (E.St != UpdateLogEntry::State::Pending || !E.NewObj || !E.OldCopy)
-      continue;
-    const TransformPlan &P =
-        Runner.planFor(classOf(E.NewObj), classOf(E.OldCopy));
-    if (P.User || !P.Identity)
-      continue;
-    Runner.applyDefault(E.NewObj, E.OldCopy);
-    header(E.NewObj)->Flags &= ~(FlagUninitialized | FlagLazyPending);
-    E.St = UpdateLogEntry::State::Done;
-    ++Settled;
-  }
-  NumBulkSettled = Settled;
-  if (Telemetry::isEnabled())
-    Telemetry::global()
-        .gauge(metrics::DsuImpactBulkSettled)
-        .set(static_cast<int64_t>(Settled));
-}
-
 size_t LazyTransformEngine::pendingCount() const {
   return UpdateLog.size() - PreSettled -
          static_cast<size_t>(Runner.objectsTransformed()) -
-         static_cast<size_t>(NumFailed) -
-         static_cast<size_t>(NumBulkSettled);
+         static_cast<size_t>(NumFailed);
 }
 
 bool LazyTransformEngine::isPendingShell(Ref Obj) const {

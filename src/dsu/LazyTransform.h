@@ -73,19 +73,13 @@ public:
   /// heap's old-copy block and left it reserved; the engine releases it at
   /// barrier retirement (or hands the copies to a regular GC first).
   /// \p DrainBatch: background transforms per drainer quantum.
-  /// \p ImpactBounded: at arm time, bulk-settle every pending shell whose
-  /// class is provably untouched (its TransformPlan is the identity and no
-  /// custom object transformer replaces it) — those objects are pure
-  /// bitwise copies, so the drain loop and the read barrier skip them
-  /// entirely.
   LazyTransformEngine(VM &TheVM, UpdateBundle Bundle,
                       std::vector<UpdateLogEntry> Log, bool OwnsOldCopySpace,
-                      size_t DrainBatch, bool ImpactBounded = false);
+                      size_t DrainBatch);
 
   /// Sets the LazyBarriers bit on every compiled method (registry and
   /// active frames) and on future compilations, and publishes the initial
-  /// pending gauge. Called once, right after commit. In impact-bounded
-  /// mode, first settles the provably-untouched classes in bulk.
+  /// pending gauge. Called once, right after commit.
   void arm();
 
   //===--- VmLazyEngine -----------------------------------------------------//
@@ -111,8 +105,6 @@ public:
   uint64_t backgroundTransforms() const { return NumBackground; }
   uint64_t drainTicks() const { return NumDrainTicks; }
   uint64_t failedTransforms() const { return NumFailed; }
-  /// Entries settled in bulk at arm time (impact-bounded mode only).
-  uint64_t bulkSettled() const { return NumBulkSettled; }
   const std::vector<LazyTransformError> &failures() const { return Failures; }
 
 private:
@@ -121,12 +113,6 @@ private:
   /// in-progress entry to Failed, clears the shells' flags, and records the
   /// structured diagnostic. \returns false on failure with \p Err set.
   bool transformIndex(size_t Index, bool OnDemand, std::string *Err);
-
-  /// Bulk-settles every pending entry of a provably-untouched class (the
-  /// runtime mirror of SynthesisReport::UntouchedClasses): the runner's
-  /// plan is the identity and no custom object transformer replaces it,
-  /// so the default copy is the whole transform.
-  void settleUntouched();
 
   /// Applies \p V to the LazyBarriers bit of all compiled code: registry
   /// methods, every frame on every thread stack (catches OSR-synthesized
@@ -143,8 +129,6 @@ private:
 
   bool OwnsOldCopySpace;
   size_t DrainBatch;
-  bool ImpactBounded = false;
-  uint64_t NumBulkSettled = 0;
   size_t NextDrainIndex = 0;
   /// Entries already settled at handoff (a class transformer may have
   /// force-transformed objects through its statics before commit).

@@ -3,8 +3,6 @@
 #include "dsu/Transformers.h"
 #include "dsu/Upt.h"
 #include "runtime/ObjectModel.h"
-#include "support/Telemetry.h"
-#include "support/TelemetryStream.h"
 
 using namespace jvolve;
 
@@ -17,13 +15,6 @@ CanaryHealthSample CanaryHealthSample::take(VM &TheVM) {
   S.LazyFailed = TheVM.lazyFailureLog().size();
   S.Responses = TheVM.net().totalResponses();
   S.LatencySumTicks = TheVM.net().latencySumTicks();
-  if (Telemetry::isEnabled()) {
-    WindowAggregator &W = Telemetry::global().windows();
-    WindowAggregator::HistSeries H;
-    if (W.enabled() && W.histSeries(metrics::NetLatencyTicks, H) &&
-        H.LastCount > 0)
-      S.WindowLatencyMean = H.Mean;
-  }
   return S;
 }
 
@@ -61,16 +52,9 @@ jvolve::evaluateCanaryHealth(const CanaryPolicy &Policy,
     if (WinResponses > 0 && Baseline.Responses > 0) {
       double BaseMean = static_cast<double>(Baseline.LatencySumTicks) /
                         static_cast<double>(Baseline.Responses);
-      // Prefer the telemetry window's mean when aggregation is live — the
-      // same number the jvolve-serve --stats view shows, so operator and
-      // canary judge the update by one measurement path. Fall back to the
-      // cumulative-delta mean otherwise.
       double WinMean =
-          Now.WindowLatencyMean >= 0
-              ? Now.WindowLatencyMean
-              : static_cast<double>(Now.LatencySumTicks -
-                                    AtArm.LatencySumTicks) /
-                    static_cast<double>(WinResponses);
+          static_cast<double>(Now.LatencySumTicks - AtArm.LatencySumTicks) /
+          static_cast<double>(WinResponses);
       double Limit = BaseMean * (1.0 + Policy.MaxLatencyDeltaPct / 100.0);
       if (BaseMean > 0 && WinMean > Limit)
         Out.push_back(

@@ -68,13 +68,6 @@ struct CanaryHealthSample {
   uint64_t LazyFailed = 0;
   uint64_t Responses = 0;
   uint64_t LatencySumTicks = 0;
-  /// Mean response latency over the last completed telemetry window
-  /// (support/TelemetryStream.h WindowAggregator, `net.latency_ticks`);
-  /// < 0 when window aggregation is off or no window has responses yet.
-  /// When present the latency monitor compares this — the same number the
-  /// live `jvolve-serve --stats` view shows — instead of deriving a mean
-  /// from cumulative sums.
-  double WindowLatencyMean = -1;
 
   static CanaryHealthSample take(VM &TheVM);
 };

@@ -25,9 +25,9 @@
 /// The same pass bounds the update's *impact*: the set of classes whose
 /// instances or statics the update (GC remap + transformers) can touch,
 /// and the subset of updated classes whose instance layout is provably
-/// unchanged — those objects are pure bitwise copies, so the lazy-drain
-/// engine may settle them in bulk and skip them in the drain loop, and
-/// post-update certification may scan impacted classes only.
+/// unchanged, whose objects are pure bitwise copies. Both are reported
+/// only (jvolve-analyze --synthesize, bench_synthesis): every update still
+/// transforms and certifies every object.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,8 +88,7 @@ struct SynthesisReport {
   /// transformers read or write (peeled array element classes included).
   std::set<std::string> ImpactClasses;
   /// Updated classes whose instance transform is provably a pure copy
-  /// (LayoutUnchanged and no custom transformer can change that) — the
-  /// lazy-drain engine's bulk-settle set.
+  /// (LayoutUnchanged and no custom transformer can change that).
   std::set<std::string> UntouchedClasses;
 
   size_t NumCopies = 0;
@@ -126,9 +125,8 @@ public:
   /// name/type matching only, which is the default class transform.
   static void installTransformers(UpdateBundle &B, const SynthesisReport &R);
 
-  /// The runtime mirror of SynthesisReport::ImpactClasses, computable
-  /// from what the updater holds at certify time (the new program and the
-  /// spec alone).
+  /// SynthesisReport::ImpactClasses, computed from the new program and
+  /// the spec alone.
   static std::set<std::string> impactClasses(const ClassSet &New,
                                              const UpdateSpec &Spec);
 

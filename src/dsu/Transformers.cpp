@@ -157,7 +157,6 @@ const TransformPlan &TransformerRunner::planFor(ClassId NewClass,
   const std::map<std::string, std::string> &Renames =
       RIt != Bundle.Renames.end() ? RIt->second : NoRenames;
   std::vector<bool> Read(Old.InstanceFields.size());
-  bool InPlace = Old.InstanceFields.size() == New.InstanceFields.size();
   for (const RtField &NF : New.InstanceFields) {
     auto Rename = Renames.find(NF.Name);
     bool Renamed = Rename != Renames.end();
@@ -165,7 +164,6 @@ const TransformPlan &TransformerRunner::planFor(ClassId NewClass,
     const RtField *OF = Old.findInstanceField(Source);
     if (!OF && Renamed && P.Error.empty())
       P.Error = "class " + Old.Name + " has no field '" + Source + "'";
-    InPlace &= OF && OF->Ty == NF.Ty && OF->Offset == NF.Offset;
     if (!OF || OF->Ty != NF.Ty) // new or retyped fields keep their default
       continue;
     P.Copies.emplace_back(NF.Offset, OF->Offset);
@@ -174,7 +172,6 @@ const TransformPlan &TransformerRunner::planFor(ClassId NewClass,
   for (uint32_t I = 0; I < Read.size(); ++I)
     if (!Read[I])
       P.Dropped.push_back(I);
-  P.Identity = InPlace;
   return P;
 }
 

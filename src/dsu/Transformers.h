@@ -19,9 +19,8 @@
 /// name and type plus the bundle's renames; default-initialize the rest).
 /// It resolves each (new class, old class) pair once per update to a
 /// TransformPlan, the only place old and new layouts are matched by name:
-/// eager and lazy transforms, the impact-bounded bulk-settle, the canary
-/// undo log and the reverse bundle all read it, and the per-object work
-/// does no name lookups.
+/// eager and lazy transforms, the canary undo log and the reverse bundle
+/// all read it, and the per-object work does no name lookups.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,9 +158,6 @@ struct TransformPlan {
   /// A rename naming a field the layouts lack: the default transform throws
   /// it as UpdateError("transform") instead of copying anything.
   std::string Error;
-  /// The default transform copies every slot in place between identical
-  /// layouts — the whole object, bit for bit.
-  bool Identity = false;
 };
 
 /// Runs class and object transformers after a DSU collection.

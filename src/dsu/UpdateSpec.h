@@ -53,6 +53,14 @@ struct UpdateSummary {
     return std::to_string(MethodsBodyChanged) + "/" +
            std::to_string(MethodsSigChanged);
   }
+
+  /// The paper's support criterion for method-body-only systems (§5,
+  /// "Edit and continue": HotSwap, .NET E&C): an update is unsupported as
+  /// soon as it "changes method signatures and/or adds or deletes fields"
+  /// (§4.2). Counts the §5 "body-only systems support 9 of 22" baseline.
+  bool editAndContinueSupported() const {
+    return FieldsAdded == 0 && FieldsDeleted == 0 && MethodsSigChanged == 0;
+  }
 };
 
 /// Everything the updater needs to know about one release-to-release diff.

@@ -4,9 +4,7 @@
 #include "bytecode/Verifier.h"
 #include "dsu/Canary.h"
 #include "dsu/CodeVersion.h"
-#include "dsu/EcUpdater.h"
 #include "dsu/LazyTransform.h"
-#include "dsu/Synthesis.h"
 #include "dsu/Transformers.h"
 #include "heap/HeapVerifier.h"
 #include "runtime/ObjectModel.h"
@@ -570,13 +568,6 @@ void Updater::certify(bool Committed) {
     Verifier.setLazyContext(
         [Engine](Ref Obj) { return Engine->isPendingShell(Obj); },
         /*AllowOldCopyReserved=*/!Engine->drained());
-  // Impact-bounded mode certifies partially: field-level checks run for
-  // the update-impact closure only; classes the analysis proves untouched
-  // keep their (already certified) pre-update field graphs and get the
-  // structural checks alone.
-  if (Opts.ImpactBoundedDrain && Result.LazyInstalled)
-    Verifier.setClassFocus(
-        TransformerSynthesis::impactClasses(TheVM.program(), Bundle.Spec));
   std::vector<std::string> Problems =
       Verifier.verify([this](const std::function<void(Ref &)> &Visit) {
         TheVM.visitRoots(Visit);
@@ -678,8 +669,7 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
     LazyCommitPending = false;
     auto Engine = std::make_unique<LazyTransformEngine>(
         TheVM, Bundle, std::move(LazyLog),
-        /*OwnsOldCopySpace=*/Opts.UseOldCopySpace, Opts.LazyDrainBatch,
-        Opts.ImpactBoundedDrain);
+        /*OwnsOldCopySpace=*/Opts.UseOldCopySpace, Opts.LazyDrainBatch);
     Engine->arm();
     Result.LazyInstalled = true;
     Result.LazyPendingAtCommit = Engine->pendingCount();
@@ -687,9 +677,9 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
                         TheVM.scheduler().ticks(),
                         static_cast<int64_t>(Result.LazyPendingAtCommit),
                         "untransformed shells drain behind the read barrier");
-    // Nothing left to drain (no instances, or all bulk-settled): retire
-    // now, so the old-copy block is not still held when certification
-    // runs against a drained engine.
+    // Nothing left to drain (no instances, or a class transformer forced
+    // them all): retire now, so the old-copy block is not still held when
+    // certification runs against a drained engine.
     if (Engine->drained())
       Engine->retire();
     TheVM.installLazyEngine(std::move(Engine));
@@ -720,6 +710,11 @@ void Updater::installVersioned() {
   Result.Trace.record(UpdateEventKind::Scheduled, ScheduleTick, 0,
                       "body-only bundle: versioned install, no safe point");
 
+  // Every swap goes through the per-method version chains: the manager
+  // archives the superseded bodies (so a later install of the parent body
+  // pops the chain instead of growing it), invalidates callers that
+  // inlined a swapped body, and commits the batch as one atomic
+  // active-version switch — HotSwap semantics without losing the history.
   // Admission already completed and verified Bundle.NewProgram; it and its
   // verification record move into the VM on success, and nothing reads
   // them after a failure. The registry's update log records which methods
@@ -729,10 +724,22 @@ void Updater::installVersioned() {
   if (Opts.OnRegistryEdge)
     Opts.OnRegistryEdge(Reg, /*Restored=*/false);
   Reg.beginUpdateLog();
+  std::vector<CodeVersionManager::BodyUpdate> Updates;
   std::string Why;
-  bool Ok = EcUpdater(TheVM).installVerified(
-      std::move(Bundle.NewProgram), std::move(AdmittedRecord), Bundle.Spec,
-      &Why, &Result.Trace, Bundle.VersionTag);
+  try {
+    for (const MethodRef &R : Bundle.Spec.MethodBodyUpdates) {
+      auto [Id, NewBody] =
+          CodeVersionManager::resolve(Reg, Bundle.NewProgram, R);
+      Updates.push_back({Id, NewBody, R.key()});
+    }
+  } catch (const UpdateError &E) {
+    Why = E.str();
+  }
+  bool Ok = Why.empty() &&
+            CodeVersionManager::of(TheVM).installBodySet(
+                Updates, Bundle.VersionTag, &Result.Trace, &Why);
+  if (Ok)
+    TheVM.setProgram(std::move(Bundle.NewProgram), std::move(AdmittedRecord));
   Reg.closeUpdateLog();
   markPhase("codeversion",
             static_cast<int64_t>(Bundle.Spec.MethodBodyUpdates.size()),
@@ -1044,7 +1051,6 @@ void Updater::installSteps(const std::vector<Frame *> &OsrFrames,
 
   if (!Remap.OldToNew.empty()) {
     Remap.OldCopiesInSeparateSpace = Opts.UseOldCopySpace;
-    Remap.OldCopyReserveLimitBytes = Opts.OldCopyReserveLimitBytes;
     Remap.LazyShells = Opts.LazyTransform;
     std::vector<UpdateLogEntry> UpdateLog;
     Result.Gc = TheVM.collectGarbage(&Remap, &UpdateLog);

@@ -73,11 +73,6 @@ struct UpdateOptions {
   /// collection reclaims them; it remains as the reference the old-copy
   /// tests and bench_ablation_oldcopy compare against.
   bool UseOldCopySpace = true;
-  /// Caps the old-copy block at this many bytes (0 = worst case: the
-  /// whole live heap, which can never overflow). An undersized cap makes
-  /// the exhaustion path reachable: the update rolls back with a
-  /// recoverable "old-copy space exhausted" error instead of aborting.
-  size_t OldCopyReserveLimitBytes = 0;
   /// Lazy object transformation (dsu/LazyTransform.h): commit the update
   /// with untransformed shells, run each object transformer on first touch
   /// behind a read barrier, and drain the remainder from a background VM
@@ -87,15 +82,9 @@ struct UpdateOptions {
   bool LazyTransform = false;
   /// Lazy mode: background transforms per drainer quantum.
   size_t LazyDrainBatch = 32;
-  /// Lazy mode, impact-bounded drain (dsu/Synthesis.h): at engine arm time,
-  /// bulk-settle every pending shell whose class the update-impact analysis
-  /// proves untouched (identical instance layout and no custom object
-  /// transformer) so the drain loop and read barrier only ever see objects
-  /// the update can actually reach. Certification runs partially, checking
-  /// classes inside the impact closure in depth and the rest structurally.
-  bool ImpactBoundedDrain = false;
-  /// Run HeapVerifier plus a registry-consistency check after every applied
-  /// *or rolled-back* update (certification). Benchmarks can turn it off.
+  /// Run HeapVerifier over the whole heap plus a registry-consistency check
+  /// after every applied *or rolled-back* update (certification).
+  /// Benchmarks can turn it off.
   /// An applied update's registry check covers what install wrote (the
   /// registry's update log); a rollback's covers the whole registry.
   bool CertifyAfterUpdate = true;
@@ -133,10 +122,11 @@ struct UpdateOptions {
   CanaryPolicy CanaryWindow;
   /// Per-method code versioning (dsu/CodeVersion.h): a strictly body-only
   /// bundle — no class/field/signature changes, no removed methods, the
-  /// same shape EcUpdater::supports certifies and the analyzer's EC
-  /// verdict identifies — commits through the CodeVersionManager: one
-  /// atomic active-version switch observed at the existing call-entry and
-  /// back-edge poll points, no VM-wide safe point, no DSU collection.
+  /// shape UpdateSummary::editAndContinueSupported accepts and the
+  /// analyzer's EC verdict identifies — commits through the
+  /// CodeVersionManager: one atomic active-version switch observed at the
+  /// existing call-entry and back-edge poll points, no VM-wide safe point,
+  /// no DSU collection.
   /// Bundles with class-shape changes ignore this flag and take the full
   /// stop-the-world pipeline. The tools' --codeversion flag (jvolve-serve,
   /// jvolve-chaos) sets it.

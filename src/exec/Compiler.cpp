@@ -10,10 +10,10 @@ using namespace jvolve;
 
 bool Compiler::shouldInline(MethodId Callee, Tier T, unsigned Depth,
                             const std::vector<MethodId> &InlineStack) const {
-  if (T != Tier::Opt || Depth >= Opts.MaxInlineDepth)
+  if (T != Tier::Opt || Depth >= MaxInlineDepth)
     return false;
   const RtMethod &M = Registry.method(Callee);
-  if (M.Obsolete || !M.Def || M.Def->Code.size() > Opts.MaxInlineCodeLen)
+  if (M.Obsolete || !M.Def || M.Def->Code.size() > MaxInlineCodeLen)
     return false;
   for (MethodId Open : InlineStack)
     if (Open == Callee)

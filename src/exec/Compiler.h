@@ -25,6 +25,13 @@
 
 namespace jvolve {
 
+/// The opt tier's inlining policy, which the static analyzer's inline
+/// closure (CallGraph::possibleInliners) reads too: callees of at most
+/// MaxInlineCodeLen bytecode instructions are inlined, at most
+/// MaxInlineDepth levels deep ("multiple levels down a hot call chain").
+inline constexpr size_t MaxInlineCodeLen = 16;
+inline constexpr size_t MaxInlineDepth = 3;
+
 /// Compiles methods against the current state of the class registry.
 class Compiler {
 public:
@@ -36,11 +43,6 @@ public:
     /// set while a LazyTransformEngine is draining; the engine flips it
     /// back off at barrier retirement.
     bool EmitLazyBarriers = false;
-    /// Callees with at most this many bytecode instructions are inlined by
-    /// the opt tier.
-    unsigned MaxInlineCodeLen = 16;
-    /// Maximum inlining depth ("multiple levels down a hot call chain").
-    unsigned MaxInlineDepth = 3;
   };
 
   Compiler(ClassRegistry &Registry, StringTable &Strings, Options Opts)

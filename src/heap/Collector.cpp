@@ -28,13 +28,13 @@ Ref Collector::dsuAllocate(size_t Bytes, const char *What,
                            : TheHeap.tryAllocateInOtherSpace(Bytes);
   if (Obj)
     return Obj;
+  // The block holds the whole live heap, so this is a safety check: it
+  // rolls the update back instead of writing past the reserve.
   if (InOldCopySpace)
     throw UpdateError("dsu-gc",
                       std::string("old-copy space exhausted while "
                                   "allocating ") +
-                          What +
-                          "; raise OldCopyReserveLimitBytes or let the "
-                          "collector reserve the worst case");
+                          What + "; the duplicates outgrew the live heap");
   throw UpdateError("dsu-gc",
                     std::string("to-space exhausted while allocating ") +
                         What +
@@ -112,16 +112,9 @@ CollectionStats Collector::collect(const RootEnumerator &EnumerateRoots,
          "to-space must be empty at the start of a collection");
 
   bool UseOldSpace = Remap && Remap->OldCopiesInSeparateSpace;
-  if (UseOldSpace) {
-    // Worst case: every live object is a duplicate candidate. An explicit
-    // limit trades that guarantee for a smaller block (and a recoverable
-    // UpdateError when it proves too small).
-    size_t Reserve = TheHeap.bytesAllocated();
-    if (Remap->OldCopyReserveLimitBytes &&
-        Remap->OldCopyReserveLimitBytes < Reserve)
-      Reserve = Remap->OldCopyReserveLimitBytes;
-    TheHeap.reserveOldCopySpace(Reserve);
-  }
+  // Worst case: every live object is a duplicate candidate.
+  if (UseOldSpace)
+    TheHeap.reserveOldCopySpace(LiveBeforeBytes);
   if (Remap) {
     // Reserve the log once: every remapped object occupies at least the
     // smallest remapped class's instance size of from-space, so the live

@@ -63,12 +63,6 @@ struct DsuRemap {
   /// UpdateOptions::UseOldCopySpace (on by default).
   bool OldCopiesInSeparateSpace = false;
 
-  /// Caps the old-copy block at this many bytes (0 = worst case: the whole
-  /// live heap). The collector reserves the worst case by default, which
-  /// can never overflow; a cap makes the exhaustion path reachable, so an
-  /// undersized reserve rolls the update back instead of aborting the VM.
-  size_t OldCopyReserveLimitBytes = 0;
-
   /// Lazy-transform mode: mark every new-version shell FlagLazyPending in
   /// addition to FlagUninitialized. The LazyTransformEngine adopts the
   /// update log after the collection and transforms shells on first touch.

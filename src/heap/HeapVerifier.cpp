@@ -136,31 +136,13 @@ std::vector<std::string> HeapVerifier::verify(
     return " points outside the live heap";
   };
 
-  // The class focus by class id, resolved once instead of per object.
-  std::vector<char> Focused;
-  if (HasClassFocus) {
-    Focused.resize(Registry.numClasses());
-    for (size_t Id = 0; Id < Focused.size(); ++Id)
-      Focused[Id] =
-          ClassFocus.count(Registry.cls(static_cast<ClassId>(Id)).Name) != 0;
-  }
-
   // Pass 2: every reference field/element, re-walking pass 1's objects in
-  // address order. A class focus (partial certification) narrows the
-  // non-array field checks to the impacted classes; arrays are always
-  // checked because element stores are cheap to validate and arrays carry
-  // no per-class layout to have changed.
-  NumSkipped = 0;
+  // address order.
   for (const Region &R : Regions) {
     for (size_t Offset = 0; Offset < R.WalkEnd;) {
       Ref Obj = R.Base + Offset;
-      ClassId Id = classOf(Obj);
-      const RtClass &Cls = Registry.cls(Id);
+      const RtClass &Cls = Registry.cls(classOf(Obj));
       Offset += (objectBytes(Cls, Obj) + 7) & ~size_t(7);
-      if (HasClassFocus && !Cls.IsArray && !Focused[Id]) {
-        ++NumSkipped;
-        continue;
-      }
       if (Cls.IsArray) {
         if (!Cls.ElemIsRef)
           continue;

@@ -30,7 +30,6 @@
 #include "runtime/ClassRegistry.h"
 
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -58,23 +57,6 @@ public:
     this->AllowOldCopyReserved = AllowOldCopyReserved;
   }
 
-  /// Partial certification (impact-bounded updates): when set, the per-field
-  /// reference checks of pass 2 run only for non-array objects whose class
-  /// name is in \p Classes (resolved to class ids once per verify()).
-  /// Every object still gets the structural pass-1 checks (header flags,
-  /// class ids, sizing, linear-walk integrity), arrays are always checked
-  /// in full, and root checking is unaffected — the update-impact closure
-  /// proves the skipped classes' field graphs are byte-identical to the
-  /// already-certified pre-update heap.
-  void setClassFocus(std::set<std::string> Classes) {
-    ClassFocus = std::move(Classes);
-    HasClassFocus = true;
-  }
-
-  /// Non-array objects whose field checks the class focus skipped during
-  /// the last verify() run.
-  size_t objectsSkipped() const { return NumSkipped; }
-
   /// Verifies the linear heap layout and every object's fields.
   /// \p EnumerateRoots visits every root reference (same contract as the
   /// collector's root enumerator); pass the VM's enumerator.
@@ -87,9 +69,6 @@ private:
   ClassRegistry &Registry;
   std::function<bool(Ref)> LazyIsPendingShell;
   bool AllowOldCopyReserved = false;
-  std::set<std::string> ClassFocus;
-  bool HasClassFocus = false;
-  size_t NumSkipped = 0;
 };
 
 } // namespace jvolve

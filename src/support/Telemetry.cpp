@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <cstring>
 
 using namespace jvolve;
 
@@ -267,20 +266,6 @@ Telemetry::Telemetry() {
     for (const auto &S : Telemetry::global().Sessions)
       S->flush();
   });
-  const char *Env = std::getenv("JVOLVE_TELEMETRY");
-  if (Env && Env[0] && std::strcmp(Env, "0") != 0)
-    Enabled = true;
-  const char *WindowEnv = std::getenv("JVOLVE_STATS_WINDOW");
-  if (WindowEnv && WindowEnv[0]) {
-    long long Ticks = std::atoll(WindowEnv);
-    if (Ticks > 0) {
-      windows().configure(static_cast<uint64_t>(Ticks));
-      Enabled = true; // windowed stats over frozen metrics are meaningless
-    }
-  }
-  const char *TraceOut = std::getenv("JVOLVE_TRACE_OUT");
-  if (TraceOut && TraceOut[0])
-    openTrace(TraceOut);
 }
 
 // Never runs — global() leaks the singleton on purpose so handles never

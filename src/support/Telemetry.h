@@ -117,9 +117,6 @@ inline constexpr const char *DsuSynthFlagged = "dsu.synth.flagged";
 /// touch, and updated classes provably untouched at the instance level.
 inline constexpr const char *DsuImpactClasses = "dsu.impact.classes";
 inline constexpr const char *DsuImpactUntouched = "dsu.impact.untouched";
-/// Log entries the impact-bounded lazy engine settled in bulk at arm time
-/// (bitwise-copied shells of layout-unchanged classes).
-inline constexpr const char *DsuImpactBulkSettled = "dsu.impact.bulk_settled";
 // dsu/LazyTransform (lazy object-transformation engine)
 inline constexpr const char *DsuLazyUpdates = "dsu.lazy.updates";
 inline constexpr const char *DsuLazyBarrierHits = "dsu.lazy.barrier_hits";
@@ -176,8 +173,7 @@ inline constexpr const char *NetShedTotal = "net.shed_total";
 inline constexpr const char *NetDrains = "net.drains";
 inline constexpr const char *NetDrainMs = "net.drain_ms";
 /// Per-response service latency in virtual ticks (consumed-request to
-/// response send). Feeds the windowed stats view and the canary latency
-/// monitor's per-window mean.
+/// response send). Feeds the windowed stats view.
 inline constexpr const char *NetLatencyTicks = "net.latency_ticks";
 inline constexpr const char *NetResponses = "net.responses";
 // support/TelemetryStream (streaming sessions; see docs/INTERNALS.md §15)
@@ -394,9 +390,9 @@ class WindowAggregator;
 /// The process-wide telemetry registry.
 class Telemetry {
 public:
-  /// The singleton. First call honors the JVOLVE_TELEMETRY=1 and
-  /// JVOLVE_TRACE_OUT=<file> environment variables, so instrumented runs
-  /// need no code changes (scripts/tier1.sh uses this).
+  /// The singleton. It starts disabled, with no session open and no
+  /// windows configured; only callers switch those on (setEnabled,
+  /// openTrace, windows().configure), never the process environment.
   static Telemetry &global();
 
   /// Global enabled flag; the single branch every record path takes.
@@ -489,7 +485,7 @@ public:
   void setRunningThread(uint64_t Tid) { RunningTid = Tid; }
 
   /// The windowed event-counter aggregator (jvolve-serve --stats,
-  /// jvolve-run --stats-window, canary latency baseline). VM-thread only.
+  /// jvolve-run --stats-window). VM-thread only.
   WindowAggregator &windows();
 
   /// Default histogram bucket upper bounds (powers-of-two style ladder

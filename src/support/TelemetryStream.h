@@ -25,8 +25,7 @@
 ///    over every registered counter and histogram (delta, rate/ktick,
 ///    min/mean/max across retained windows; p50/p99 over the samples
 ///    recorded within the last window). The VM run loop rolls it on
-///    virtual-tick boundaries; jvolve-serve --stats and the canary
-///    latency monitor read the same view.
+///    virtual-tick boundaries; jvolve-serve --stats reads the view.
 ///
 /// Ledger: emit republishes the `telemetry.*` gauges with every event.
 /// `events_attempted` and `events_streamed` both count the events handed

@@ -93,9 +93,9 @@ void Network::send(int Conn, int64_t Value, uint64_t Now) {
     Latencies.push_back(static_cast<double>(LatencyTicks));
     LatencySumTicks += LatencyTicks;
     if (Telemetry::isEnabled()) {
-      // Feeds the windowed stats view and the canary latency monitor's
-      // per-window baseline (jvolve-serve --stats). Handles bind once;
-      // send() runs per response and must not pay registry lookups.
+      // Feeds the windowed stats view (jvolve-serve --stats). Handles
+      // bind once; send() runs per response and must not pay registry
+      // lookups.
       if (!TelResponses) {
         Telemetry &Tel = Telemetry::global();
         TelResponses = &Tel.counter(metrics::NetResponses);

@@ -59,8 +59,8 @@ static void preregisterStandardMetrics() {
         metrics::DsuAnalysisRestrictedDelta,
         metrics::DsuAnalysisRestrictedCha, metrics::DsuAnalysisRuntimeMs,
         metrics::DsuImpactClasses, metrics::DsuImpactUntouched,
-        metrics::DsuImpactBulkSettled, metrics::DsuLazyPending,
-        metrics::DsuCanaryOpen, metrics::DsuRevertResidualNewObjects,
+        metrics::DsuLazyPending, metrics::DsuCanaryOpen,
+        metrics::DsuRevertResidualNewObjects,
         metrics::TelemetryDroppedTotal, metrics::TelemetryEventsAttempted,
         metrics::TelemetryEventsStreamed, metrics::TelemetryBlocksFlushed,
         metrics::TelemetrySessionsOpened, metrics::TelemetryTraceDropped})

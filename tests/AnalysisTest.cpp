@@ -171,11 +171,11 @@ TEST(CallGraph, PossibleInlinersHonorSizeLimit) {
   ClassSet Set = loopBase();
   CallGraph CG(Set);
   // tiny (2 instructions) can be inlined by its direct callers...
-  std::set<std::string> In = CG.possibleInliners({"Server.tiny()I"}, 16, 3);
+  std::set<std::string> In = CG.possibleInliners({"Server.tiny()I"});
   EXPECT_TRUE(In.count("Server.mid()I"));
   EXPECT_TRUE(In.count("Server.loop()V"));
   // ...but big (20 instructions) can never be inlined at all.
-  EXPECT_TRUE(CG.possibleInliners({"Server.big()I"}, 16, 3).empty());
+  EXPECT_TRUE(CG.possibleInliners({"Server.big()I"}).empty());
 }
 
 TEST(CallGraph, PossibleInlinersHonorDepthLimit) {
@@ -183,7 +183,7 @@ TEST(CallGraph, PossibleInlinersHonorDepthLimit) {
   CallGraph CG(Set);
   // d1 -> d2 -> d3 -> d4 -> tiny: with MaxDepth 3 the chain stops at d2
   // (tiny into d4, d4 into d3, d3 into d2).
-  std::set<std::string> In = CG.possibleInliners({"Server.tiny()I"}, 16, 3);
+  std::set<std::string> In = CG.possibleInliners({"Server.tiny()I"});
   EXPECT_TRUE(In.count("Server.d4()I"));
   EXPECT_TRUE(In.count("Server.d3()I"));
   EXPECT_TRUE(In.count("Server.d2()I"));
@@ -193,7 +193,7 @@ TEST(CallGraph, PossibleInlinersHonorDepthLimit) {
 TEST(CallGraph, VirtualCalleesAreNotInlinable) {
   ClassSet Set = chaSet();
   CallGraph CG(Set);
-  EXPECT_TRUE(CG.possibleInliners({"Base.m()V"}, 16, 3).empty());
+  EXPECT_TRUE(CG.possibleInliners({"Base.m()V"}).empty());
   // The closure still restricts the virtual caller.
   EXPECT_TRUE(CG.transitiveCallers({"Base.m()V"})
                   .count("Caller.call(LBase;)V"));

@@ -16,7 +16,6 @@
 #include "apps/JettyApp.h"
 #include "apps/Workload.h"
 #include "dsu/Canary.h"
-#include "dsu/EcUpdater.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
 
@@ -373,7 +372,7 @@ TEST(Apps, FlexibilityHeadline20of22) {
         ++JvolveOk;
       UpdateSummary S =
           Upt::computeSpec(App.version(V - 1), App.version(V)).Summary;
-      if (EcUpdater::supports(S))
+      if (S.editAndContinueSupported())
         ++EcOk;
     }
   }
@@ -388,8 +387,9 @@ TEST(Apps, FlexibilityHeadline20of22) {
 
 /// Parameter: LazyTransform on/off. Every release of every app must reach
 /// the same supported/unsupported verdict in both modes, and every applied
-/// update must pass post-update certification — the lazy engine's final
-/// heap is indistinguishable from the eager one.
+/// update must pass post-update certification. In lazy mode every applied
+/// update also drains and then certifies over the whole heap — the lazy
+/// engine's final heap is indistinguishable from the eager one.
 class AppsUpdateMode : public ::testing::TestWithParam<bool> {};
 
 TEST_P(AppsUpdateMode, All22ReleasesMatchTableVerdictAndCertify) {
@@ -401,7 +401,7 @@ TEST_P(AppsUpdateMode, All22ReleasesMatchTableVerdictAndCertify) {
       SCOPED_TRACE(App.name() + " " + App.release(V).Name +
                    (Lazy ? " [lazy]" : " [eager]"));
       ReleaseOutcome R =
-          evaluateRelease(App, V, /*TimeoutTicks=*/60'000, Lazy);
+          evaluateRelease(App, V, {.TimeoutTicks = 60'000, .Lazy = Lazy});
       ++Total;
       if (R.supported())
         ++Supported;
@@ -411,6 +411,7 @@ TEST_P(AppsUpdateMode, All22ReleasesMatchTableVerdictAndCertify) {
         EXPECT_TRUE(R.Result.CertificationProblems.empty())
             << R.Result.CertificationProblems.front();
       }
+      EXPECT_EQ(R.PostDrainCertified, Lazy && R.supported());
     }
   }
   // The 20-of-22 headline holds in both transformation modes.

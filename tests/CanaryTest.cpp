@@ -21,6 +21,8 @@
 #include "dsu/Upt.h"
 #include "heap/HeapVerifier.h"
 #include "support/FaultInjector.h"
+#include "support/Telemetry.h"
+#include "support/TelemetryStream.h"
 
 #include <fstream>
 #include <gtest/gtest.h>
@@ -308,6 +310,36 @@ TEST(CanaryHealth, LatencyComparedToPreUpdateBaseline) {
   EXPECT_TRUE(evaluateCanaryHealth(P, Base, Arm, Ok).empty());
   // No window traffic: nothing to judge.
   EXPECT_TRUE(evaluateCanaryHealth(P, Base, Arm, Arm).empty());
+}
+
+TEST(CanaryHealth, LatencyIgnoresTelemetryWindows) {
+  // A completed telemetry window of slow responses, such as jvolve-serve
+  // --stats keeps (5,000-tick windows against the canary's 500-tick
+  // checks), can predate the canary. It must not decide the verdict: the
+  // monitor judges the responses of its own window only.
+  VM TheVM(smallConfig());
+  Telemetry &Tel = Telemetry::global();
+  bool WasEnabled = Telemetry::isEnabled();
+  uint64_t WasWindowTicks = Tel.windows().windowTicks();
+  Tel.setEnabled(true);
+  Tel.windows().configure(5'000);
+  TelHistogram &Latency = Tel.histogram(metrics::NetLatencyTicks);
+  for (int I = 0; I < 100; ++I)
+    Latency.record(50); // 5x the baseline mean
+  Tel.windows().roll(5'000);
+
+  // Baseline mean 10 ticks over 100 responses; the canary window serves
+  // 100 more at the same mean.
+  CanaryHealthSample Base = sample(0, 0, 0, 100, 1'000);
+  CanaryHealthSample Now = CanaryHealthSample::take(TheVM);
+  Now.Responses = 200;
+  Now.LatencySumTicks = 2'000;
+  CanaryPolicy P;
+  P.MaxLatencyDeltaPct = 50;
+  EXPECT_FALSE(breached(evaluateCanaryHealth(P, Base, Base, Now), "latency"));
+
+  Tel.windows().configure(WasWindowTicks);
+  Tel.setEnabled(WasEnabled);
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,8 +4,8 @@
 /// Per-method code-versioning tests: chain lifecycle (install, atomic
 /// switch, stacked chains, revert pop), poll-point observation and stale
 /// frames finishing on superseded code, transactional unwind under the
-/// `codeversion-install` fault, and EcUpdater parity across the 22
-/// release streams.
+/// `codeversion-install` fault, and versioned/pipeline parity across the
+/// 22 release streams.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +15,6 @@
 #include "apps/EmailApp.h"
 #include "apps/JettyApp.h"
 #include "dsu/CodeVersion.h"
-#include "dsu/EcUpdater.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
 #include "support/FaultInjector.h"
@@ -329,7 +328,7 @@ TEST(CodeVersion, SpecMethodMissingFromNewVersionRollsBack) {
                           "version)");
 }
 
-//===--- EcUpdater parity across the release streams ------------------------===//
+//===--- Versioned/pipeline parity across the release streams ---------------===//
 
 TEST(CodeVersion, StreamParityBodyOnlyReleasesCertifyThroughManager) {
   AppModel Apps[] = {makeJettyApp(), makeEmailApp(), makeCrossFtpApp()};
@@ -340,7 +339,7 @@ TEST(CodeVersion, StreamParityBodyOnlyReleasesCertifyThroughManager) {
       const ClassSet &Prev = App.version(V - 1);
       const ClassSet &Next = App.version(V);
       UpdateSpec Spec = Upt::computeSpec(Prev, Next);
-      if (EcUpdater::supports(Spec.Summary))
+      if (Spec.Summary.editAndContinueSupported())
         ++EcOk;
       bool StrictlyBodyOnly =
           Spec.ClassUpdates.empty() && Spec.AddedClasses.empty() &&
@@ -392,8 +391,8 @@ TEST(CodeVersion, StreamParityBodyOnlyReleasesCertifyThroughManager) {
   // reconstruction yields 8 (see EXPERIMENTS.md). 6 of those are
   // *strictly* body-only bundles the manager commits directly — the
   // other two (jetty 5.1.1, email 1.3.3) carry class updates whose
-  // method-body subset EcUpdater certifies but whose full bundle
-  // rightly takes the safe-point pipeline.
+  // method-body subset the edit-and-continue criterion accepts but whose
+  // full bundle rightly takes the safe-point pipeline.
   EXPECT_EQ(EcOk, 8);
   EXPECT_EQ(BodyOnly, 6);
 }

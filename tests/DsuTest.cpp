@@ -11,7 +11,6 @@
 
 #include "TestUtil.h"
 
-#include "dsu/EcUpdater.h"
 #include "dsu/Transformers.h"
 #include "dsu/Updater.h"
 #include "dsu/Upt.h"
@@ -882,14 +881,14 @@ TEST(Dsu, DeletedClassAndAddedClass) {
   EXPECT_EQ(TheVM.callStatic("Main", "go", "()I").IntVal, 77);
 }
 
-TEST(Dsu, EcUpdaterSupportsBodyOnly) {
+TEST(Dsu, EditAndContinueSupportsBodyOnly) {
   UpdateSpec Spec = Upt::computeSpec(workerVersion(1), workerVersion(2));
-  EXPECT_TRUE(EcUpdater::supports(Spec.Summary));
+  EXPECT_TRUE(Spec.Summary.editAndContinueSupported());
 }
 
-TEST(Dsu, EcUpdaterRejectsClassUpdate) {
+TEST(Dsu, EditAndContinueRejectsClassUpdate) {
   UpdateSpec Spec = Upt::computeSpec(pointV1(), pointV2());
-  EXPECT_FALSE(EcUpdater::supports(Spec.Summary));
+  EXPECT_FALSE(Spec.Summary.editAndContinueSupported());
 }
 
 TEST_EAGER_AND_LAZY(Dsu, ChainedUpdates) {

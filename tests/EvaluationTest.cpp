@@ -21,8 +21,7 @@ using namespace jvolve;
 
 TEST_EAGER_AND_LAZY(Evaluation, JettyPlainApply) {
   AppModel App = makeJettyApp();
-  ReleaseOutcome R =
-      evaluateRelease(App, 1, /*TimeoutTicks=*/120'000, Lazy); // 5.1.1
+  ReleaseOutcome R = evaluateRelease(App, 1, {.Lazy = Lazy}); // 5.1.1
   EXPECT_EQ(R.Version, "5.1.1");
   EXPECT_EQ(R.Result.Status, UpdateStatus::Applied);
   EXPECT_TRUE(R.supported());
@@ -32,7 +31,7 @@ TEST_EAGER_AND_LAZY(Evaluation, JettyPlainApply) {
 
 TEST(Evaluation, JettyImpossibleUpdateTimesOutEvenIdle) {
   AppModel App = makeJettyApp();
-  ReleaseOutcome R = evaluateRelease(App, 3, /*TimeoutTicks=*/60'000);
+  ReleaseOutcome R = evaluateRelease(App, 3, {.TimeoutTicks = 60'000});
   EXPECT_EQ(R.Version, "5.1.3");
   EXPECT_EQ(R.Result.Status, UpdateStatus::TimedOut);
   // The idle retry cannot help: the accept loop itself changed.
@@ -42,8 +41,7 @@ TEST(Evaluation, JettyImpossibleUpdateTimesOutEvenIdle) {
 
 TEST_EAGER_AND_LAZY(Evaluation, EmailOsrApply) {
   AppModel App = makeEmailApp();
-  ReleaseOutcome R =
-      evaluateRelease(App, 6, /*TimeoutTicks=*/120'000, Lazy); // 1.3.2
+  ReleaseOutcome R = evaluateRelease(App, 6, {.Lazy = Lazy}); // 1.3.2
   EXPECT_EQ(R.Version, "1.3.2");
   EXPECT_EQ(R.Result.Status, UpdateStatus::Applied);
   EXPECT_GE(R.Result.OsrReplacements, 2);
@@ -52,7 +50,8 @@ TEST_EAGER_AND_LAZY(Evaluation, EmailOsrApply) {
 
 TEST_EAGER_AND_LAZY(Evaluation, CrossFtpIdleOnlyApply) {
   AppModel App = makeCrossFtpApp();
-  ReleaseOutcome R = evaluateRelease(App, 3, /*TimeoutTicks=*/60'000, Lazy);
+  ReleaseOutcome R =
+      evaluateRelease(App, 3, {.TimeoutTicks = 60'000, .Lazy = Lazy});
   EXPECT_EQ(R.Version, "1.08");
   EXPECT_EQ(R.Result.Status, UpdateStatus::TimedOut); // busy
   EXPECT_TRUE(R.AppliedWhenIdle);                     // idle retry

@@ -188,11 +188,10 @@ TEST(Gc, ThreadStackRootsAreScanned) {
 }
 
 TEST_EAGER_AND_LAZY(Gc, OldCopySpaceExhaustionRollsBackAndRetryWorks) {
-  // §3.5: the old-copy block is normally reserved at the worst case (the
-  // whole live heap) and can never overflow. An explicit undersized cap
-  // makes the exhaustion path reachable; the DSU collection must abort
-  // with a *recoverable* error, roll the update back, and leave the heap
-  // exactly as it was so an uncapped retry succeeds.
+  // §3.5: the old-copy block is reserved at the worst case (the whole
+  // live heap), so only an injected fault exhausts it. The DSU collection
+  // must abort with a *recoverable* error, roll the update back, and
+  // leave the heap exactly as it was so a retry succeeds.
   VM TheVM(smallConfig());
   TheVM.loadProgram(nodeProgram());
 
@@ -215,20 +214,25 @@ TEST_EAGER_AND_LAZY(Gc, OldCopySpaceExhaustionRollsBackAndRetryWorks) {
     EXPECT_EQ(Cur, nullptr) << When;
   };
 
-  // 200 duplicated Nodes need far more than 256 bytes of old-copy space.
+  // The chain's head is the first object the collection remaps: its
+  // new-version shell takes the first DSU allocation, its old-version
+  // duplicate the second, and that one fails.
+  TheVM.faults().arm(FaultInjector::Site::GcAllocExhaustion, /*Fire=*/1,
+                     /*Skip=*/1);
   Updater U(TheVM);
   UpdateOptions Opts = modeOptions(Lazy);
   Opts.UseOldCopySpace = true;
-  Opts.OldCopyReserveLimitBytes = 256;
   UpdateResult R =
       U.applyNow(Upt::prepare(nodeProgram(), V2, "v-cramped"), Opts);
   EXPECT_EQ(R.Status, UpdateStatus::RolledBack) << R.Message;
-  EXPECT_NE(R.Message.find("old-copy"), std::string::npos) << R.Message;
+  EXPECT_NE(R.Message.find("old-copy space exhaustion while allocating an "
+                           "old-version duplicate"),
+            std::string::npos)
+      << R.Message;
   EXPECT_FALSE(TheVM.heap().hasOldCopySpace());
   expectChainIntact("after rolled-back update");
 
-  // Uncapped (0 = worst case) the same update goes through.
-  Opts.OldCopyReserveLimitBytes = 0;
+  // The fault fired once; the same update now goes through.
   UpdateResult R2 =
       U.applyNow(Upt::prepare(nodeProgram(), V2, "v-roomy"), Opts);
   ASSERT_EQ(R2.Status, UpdateStatus::Applied) << R2.Message;

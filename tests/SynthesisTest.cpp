@@ -6,9 +6,9 @@
 /// installation precedence (handwritten wins, defaults install nothing),
 /// end-to-end synthesized renames through a real update, the
 /// synth-transformer-field fault rolling an eager update back (and
-/// failing lazy shells, never bulk-settled, reverted under a canary), the
-/// impact-bounded lazy drain bulk-settling layout-unchanged classes, and
-/// the dsu.synth.* / dsu.impact.* metrics.
+/// failing lazy shells, reverted under a canary), a lazy drain that
+/// transforms layout-unchanged classes like any other, and the
+/// dsu.synth.* / dsu.impact.* metrics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,8 +101,8 @@ ClassSet renameVersion(bool V2) {
 }
 
 //===--------------------------------------------------------------------===//
-// Bulk-settle fixture: 64 Points (updated, layout unchanged) + 4 Stamps
-// (gains a field). Only the Stamps genuinely need transforming.
+// Untouched-class fixture: 64 Points (updated, layout unchanged) + 4
+// Stamps (gains a field). Only the Stamps' layout changes.
 //===--------------------------------------------------------------------===//
 
 constexpr int NumPoints = 64;
@@ -454,7 +454,7 @@ TEST_EAGER_AND_LAZY(Synthesis, FaultedMappingRollsBackEagerUpdate) {
   expectHeapHealthy(TheVM, Lazy ? "after failed settle" : "after rollback");
 }
 
-TEST(Synthesis, ImpactBoundedLazyDrainBulkSettlesUntouchedClasses) {
+TEST(Synthesis, LazyDrainTransformsLayoutUnchangedClassToo) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(settleVersion(false));
   TheVM.callStatic("Setup", "points", "()V");
@@ -464,28 +464,25 @@ TEST(Synthesis, ImpactBoundedLazyDrainBulkSettlesUntouchedClasses) {
   ASSERT_EQ(TheVM.callStatic("Probe", "sumX", "()I").IntVal, SumX);
 
   Updater U(TheVM);
-  UpdateOptions Opts;
-  Opts.LazyTransform = true;
-  Opts.ImpactBoundedDrain = true;
   UpdateResult Res = U.applyNow(
-      Upt::prepare(settleVersion(false), settleVersion(true), "v1"), Opts);
+      Upt::prepare(settleVersion(false), settleVersion(true), "v1"),
+      modeOptions(/*Lazy=*/true));
   ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
   ASSERT_TRUE(Res.LazyInstalled);
 
   auto *Engine = dynamic_cast<LazyTransformEngine *>(TheVM.lazyEngine());
   ASSERT_NE(Engine, nullptr);
-  // Every Point was settled in bulk at arm time — none of them went
-  // through the drain loop or the read barrier — while the Stamps (whose
-  // layout grew) were transformed individually.
-  EXPECT_EQ(Engine->bulkSettled(), static_cast<uint64_t>(NumPoints));
+  // The Points (layout unchanged) are transformed one by one like the
+  // Stamps (whose layout grew): the untouched set is a report, not a
+  // shortcut.
   EXPECT_EQ(Engine->onDemandTransforms() + Engine->backgroundTransforms(),
-            static_cast<uint64_t>(NumStamps));
+            static_cast<uint64_t>(NumPoints + NumStamps));
   EXPECT_TRUE(Engine->drained());
   EXPECT_EQ(Engine->pendingCount(), 0u);
 
   EXPECT_EQ(TheVM.callStatic("Probe", "sumX", "()I").IntVal, SumX);
   EXPECT_EQ(TheVM.callStatic("Probe", "sumS", "()I").IntVal, SumS);
-  expectHeapHealthy(TheVM, "after impact-bounded drain");
+  expectHeapHealthy(TheVM, "after lazy drain");
 }
 
 namespace {
@@ -506,16 +503,9 @@ UpdateBundle faultedSettleBundle(VM &TheVM) {
   return B;
 }
 
-UpdateOptions impactBoundedLazy() {
-  UpdateOptions Opts;
-  Opts.LazyTransform = true;
-  Opts.ImpactBoundedDrain = true;
-  return Opts;
-}
-
 } // namespace
 
-TEST(Synthesis, FaultedUntouchedClassIsNeverBulkSettled) {
+TEST(Synthesis, FaultedUntouchedClassFailsEachShell) {
   VM TheVM(smallConfig());
   TheVM.loadProgram(settleVersion(false));
   TheVM.callStatic("Setup", "points", "()V");
@@ -523,20 +513,19 @@ TEST(Synthesis, FaultedUntouchedClassIsNeverBulkSettled) {
 
   Updater U(TheVM);
   UpdateResult Res =
-      U.applyNow(faultedSettleBundle(TheVM), impactBoundedLazy());
+      U.applyNow(faultedSettleBundle(TheVM), modeOptions(/*Lazy=*/true));
   ASSERT_EQ(Res.Status, UpdateStatus::Applied) << Res.Message;
 
   auto *Engine = dynamic_cast<LazyTransformEngine *>(TheVM.lazyEngine());
   ASSERT_NE(Engine, nullptr);
-  // A faulted plan is not the identity, so no Point is settled in bulk:
-  // each one runs its plan and fails; the Stamps transform normally.
-  EXPECT_EQ(Engine->bulkSettled(), 0u);
+  // Each Point runs its faulted plan and fails; the Stamps transform
+  // normally.
   EXPECT_EQ(Engine->failedTransforms(), static_cast<uint64_t>(NumPoints));
   EXPECT_EQ(Engine->onDemandTransforms() + Engine->backgroundTransforms(),
             static_cast<uint64_t>(NumStamps));
   EXPECT_TRUE(Engine->drained());
   EXPECT_EQ(TheVM.callStatic("Probe", "sumX", "()I").IntVal, 0);
-  expectHeapHealthy(TheVM, "after faulted impact-bounded drain");
+  expectHeapHealthy(TheVM, "after faulted lazy drain");
 }
 
 TEST(Synthesis, FaultedUntouchedClassBreachRevertsWithoutResidue) {
@@ -547,7 +536,7 @@ TEST(Synthesis, FaultedUntouchedClassBreachRevertsWithoutResidue) {
   const int64_t SumX = NumPoints * (NumPoints - 1) / 2;
   const int64_t SumS = NumStamps * (NumStamps - 1) / 2;
 
-  UpdateOptions Opts = impactBoundedLazy();
+  UpdateOptions Opts = modeOptions(/*Lazy=*/true);
   Opts.CanaryWindow.WindowTicks = 100'000'000;
   Opts.CanaryWindow.CheckIntervalTicks = 500;
   Updater U(TheVM);

@@ -7,6 +7,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "support/Telemetry.h"
 #include "support/TelemetryStream.h"
 
@@ -17,6 +19,19 @@
 using namespace jvolve;
 
 namespace {
+
+/// The shared test main runs every case plain and as
+/// `<name>.Instrumented` (tests/TestMain.cpp). The instrumented instance
+/// starts with telemetry on, a trace session open and 2,000-tick windows;
+/// the plain one with all three off, as the library itself starts. (First
+/// in the binary, so no other case has touched the registry yet.)
+TEST(TestHarness, InstrumentedInstanceStartsWithTelemetryStreaming) {
+  Telemetry &Tel = Telemetry::global();
+  bool On = test::instrumentedRun();
+  EXPECT_EQ(Telemetry::isEnabled(), On);
+  EXPECT_EQ(Tel.tracing(), On);
+  EXPECT_EQ(Tel.windows().windowTicks(), On ? 2'000u : 0u);
+}
 
 /// Every test runs against the process-global registry, so each one
 /// starts from zeroed instruments and leaves telemetry disabled (the

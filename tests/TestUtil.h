@@ -18,6 +18,11 @@
 
 namespace jvolve::test {
 
+/// True in a test binary started with --jvolve-instrumented: the main
+/// turned telemetry on, opened a default trace session and configured
+/// 2,000-tick windows before the first case (tests/TestMain.cpp).
+bool instrumentedRun();
+
 /// A VM with a small heap suitable for unit tests.
 inline VM::Config smallConfig() {
   VM::Config C;

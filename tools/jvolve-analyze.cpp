@@ -12,7 +12,6 @@
 ///   jvolve-analyze --app jetty|email|crossftp|all [--check] [--json]
 ///                  [--metrics-out <file>]
 ///   jvolve-analyze --synthesize --app ... [--check] [--json]
-///   jvolve-analyze --impact --app ... [--check] [--json]
 ///
 /// App mode replays the modeled release streams (Tables 2-4) and predicts
 /// each update's applicability column; --check exits 1 when any prediction
@@ -22,11 +21,6 @@
 /// with --check it additionally applies every release twice on live VMs —
 /// handwritten transformers vs synthesized — and exits 1 when the outcome
 /// or certification differs.
-///
-/// --impact compares a full lazy drain against the impact-bounded drain
-/// (bulk-settled untouched classes, partial certification) release by
-/// release; with --check it exits 1 unless both reach the same certified
-/// heap (identical status, certification, and per-class live census).
 ///
 /// --metrics-out writes the telemetry snapshot (the same dsu.analysis.*
 /// gauge names embedded in every --json report's "gauges" object, with
@@ -265,62 +259,7 @@ static int synthesizeApp(const AppModel &App, bool Check, bool Json,
   return Check ? Bad : 0;
 }
 
-/// Compares a full lazy drain against the impact-bounded drain for every
-/// release of \p App: both configurations run the same virtual-time drain
-/// window, then the engine state, an unfiltered certification, and the
-/// per-class live census must agree.
-static int impactApp(const AppModel &App, bool Check, bool Json, bool First) {
-  int Bad = 0;
-  for (size_t V = 1; V < App.numVersions(); ++V) {
-    EvalOptions Full;
-    Full.Lazy = true;
-    Full.DrainFully = true;
-    ReleaseOutcome OF = evaluateRelease(App, V, Full);
-
-    EvalOptions Bounded = Full;
-    Bounded.ImpactBounded = true;
-    ReleaseOutcome OB = evaluateRelease(App, V, Bounded);
-
-    std::string Tag = App.name() + " " + App.release(V).Name;
-    bool Match = OF.Result.Status == OB.Result.Status &&
-                 OF.Result.Certified == OB.Result.Certified &&
-                 OF.Drained == OB.Drained &&
-                 OF.PostDrainCertified == OB.PostDrainCertified &&
-                 OF.HeapCensus == OB.HeapCensus;
-    if (!Match)
-      ++Bad;
-
-    if (Json) {
-      if (!First || V > 1)
-        std::printf(",\n");
-      std::printf("{\"version\": %s, \"status\": \"%s\", "
-                  "\"full_transformed\": %llu, \"bounded_transformed\": %llu, "
-                  "\"bulk_settled\": %llu, \"census_classes\": %zu, "
-                  "\"match\": %s}",
-                  jsonString(Tag).c_str(), updateStatusName(OF.Result.Status),
-                  static_cast<unsigned long long>(OF.LazyTransformed),
-                  static_cast<unsigned long long>(OB.LazyTransformed),
-                  static_cast<unsigned long long>(OB.BulkSettled),
-                  OF.HeapCensus.size(), Match ? "true" : "false");
-    } else {
-      std::printf("%-24s %-12s full %-4llu bounded %-4llu settled %-4llu "
-                  "census %-3zu %s\n",
-                  Tag.c_str(), updateStatusName(OF.Result.Status),
-                  static_cast<unsigned long long>(OF.LazyTransformed),
-                  static_cast<unsigned long long>(OB.LazyTransformed),
-                  static_cast<unsigned long long>(OB.BulkSettled),
-                  OF.HeapCensus.size(), Match ? "ok" : "DRIFT");
-    }
-    if (Check && !Match)
-      std::fprintf(stderr,
-                   "jvolve-analyze: %s impact-bounded drain diverged from "
-                   "the full drain\n",
-                   Tag.c_str());
-  }
-  return Check ? Bad : 0;
-}
-
-enum class Mode { Analyze, Synthesize, Impact };
+enum class Mode { Analyze, Synthesize };
 
 static int runAppMode(const std::string &Which, Mode M, bool Check, bool Json,
                       GaugeTotals &Totals) {
@@ -335,9 +274,6 @@ static int runAppMode(const std::string &Which, Mode M, bool Check, bool Json,
       break;
     case Mode::Synthesize:
       Bad += synthesizeApp(App, Check, Json, First);
-      break;
-    case Mode::Impact:
-      Bad += impactApp(App, Check, Json, First);
       break;
     }
     First = false;
@@ -355,13 +291,10 @@ static int runAppMode(const std::string &Which, Mode M, bool Check, bool Json,
     return 2;
   }
   if (Bad) {
-    const char *What = M == Mode::Analyze ? "prediction(s) drift from "
-                                            "Tables 2-4"
-                       : M == Mode::Synthesize
-                           ? "release(s) where synthesized transformers "
-                             "do not certify like handwritten"
-                           : "release(s) where the impact-bounded drain "
-                             "diverged";
+    const char *What = M == Mode::Analyze
+                           ? "prediction(s) drift from Tables 2-4"
+                           : "release(s) where synthesized transformers "
+                             "do not certify like handwritten";
     std::fprintf(stderr, "jvolve-analyze: %d %s\n", Bad, What);
     return 1;
   }
@@ -385,8 +318,6 @@ int main(int argc, char **argv) {
       Json = true;
     } else if (!std::strcmp(argv[I], "--synthesize")) {
       M = Mode::Synthesize;
-    } else if (!std::strcmp(argv[I], "--impact")) {
-      M = Mode::Impact;
     } else if (!std::strcmp(argv[I], "--metrics-out") && I + 1 < argc) {
       MetricsOut = argv[++I];
     } else if (!std::strcmp(argv[I], "--entry") && I + 1 < argc) {
@@ -417,7 +348,7 @@ int main(int argc, char **argv) {
     std::fprintf(
         stderr,
         "usage: jvolve-analyze <old.mvm> <new.mvm> [--entry M]... [--json]\n"
-        "       jvolve-analyze [--synthesize|--impact] --app "
+        "       jvolve-analyze [--synthesize] --app "
         "jetty|email|crossftp|all [--check] [--json] [--metrics-out F]\n");
     return 2;
   }

@@ -71,11 +71,11 @@
 /// every update: a probe connection travels the same simulated network
 /// path as client traffic, and when the server's response comes back the
 /// per-window rate/p50/p99 table prints (support/TelemetryStream.h
-/// WindowAggregator) together with the trace session's event ledger —
-/// the live stats surface the canary latency monitor also reads its
-/// window means from. --trace-out streams JSONL trace events (update
-/// phase spans and lifecycle events) to <file>; the tool exits 2 when the
-/// file cannot be created or did not get every event. --metrics-out
+/// WindowAggregator) together with the trace session's event ledger.
+/// The canary latency monitor does not read these windows; it judges the
+/// responses of its own window. --trace-out streams JSONL trace events
+/// (update phase spans and lifecycle events) to <file>; the tool exits 2
+/// when the file cannot be created or did not get every event. --metrics-out
 /// enables telemetry and writes the final registry snapshot as JSON to
 /// <file> at exit, the format scripts/metrics-diff.py consumes — so an
 /// eager and a --lazy run of the same release history can be diffed and

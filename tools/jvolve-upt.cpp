@@ -14,7 +14,6 @@
 #include "asm/Assembler.h"
 #include "bytecode/Builtins.h"
 #include "bytecode/Verifier.h"
-#include "dsu/EcUpdater.h"
 #include "dsu/Upt.h"
 
 #include <cstdio>
@@ -100,7 +99,7 @@ int main(int argc, char **argv) {
               S.methodsChangedCell().c_str(), S.FieldsAdded,
               S.FieldsDeleted);
   std::printf("method-body-only systems (HotSwap/E&C) %s this update\n",
-              EcUpdater::supports(S) ? "support" : "do NOT support");
+              S.editAndContinueSupported() ? "support" : "do NOT support");
   std::printf("default transformers: %zu object transformer(s), "
               "%zu class transformer(s) generated\n",
               Spec.ClassUpdates.size(), Spec.ClassUpdates.size());
