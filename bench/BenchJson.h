@@ -5,7 +5,8 @@
 /// and write them in the telemetry snapshot format ({"metrics":[...]})
 /// that scripts/metrics-diff.py consumes — so two bench runs (or the
 /// forward and revert halves of one run) can be diffed and budget-gated
-/// exactly like two VM metric dumps.
+/// exactly like two VM metric dumps. The entries render through
+/// Telemetry::Snapshot::json(), in the order the bench added them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +14,9 @@
 #define JVOLVE_BENCH_BENCHJSON_H
 
 #include "support/Stats.h"
+#include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,34 +25,34 @@ namespace jvolve {
 
 class BenchJson {
 public:
+  using Metric = Telemetry::MetricSnapshot;
+
   /// A counter/gauge-shaped entry (metrics-diff compares `value`).
   void value(const std::string &Name, long long V) {
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"name\":\"%s\",\"kind\":\"gauge\",\"value\":%lld}",
-                  Name.c_str(), V);
-    Entries.push_back(Buf);
+    Metric M;
+    M.Name = Name;
+    M.K = Metric::Kind::Gauge;
+    M.Value = V;
+    Entries.Metrics.push_back(std::move(M));
   }
 
   /// A histogram-shaped entry over \p Samples (metrics-diff compares
   /// `count`, `mean`, and `p95`).
   void histogram(const std::string &Name, const std::vector<double> &Samples) {
-    double Sum = 0, Min = 0, Max = 0;
+    Metric M;
+    M.Name = Name;
+    M.K = Metric::Kind::Histogram;
+    M.Value = static_cast<int64_t>(Samples.size());
     for (size_t I = 0; I < Samples.size(); ++I) {
-      Sum += Samples[I];
-      Min = I == 0 ? Samples[I] : std::min(Min, Samples[I]);
-      Max = std::max(Max, Samples[I]);
+      M.Sum += Samples[I];
+      M.Min = I == 0 ? Samples[I] : std::min(M.Min, Samples[I]);
+      M.Max = std::max(M.Max, Samples[I]);
     }
-    double Mean = Samples.empty() ? 0 : Sum / Samples.size();
-    char Buf[512];
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"name\":\"%s\",\"kind\":\"histogram\",\"count\":%lld,"
-                  "\"sum\":%.6f,\"min\":%.6f,\"max\":%.6f,\"mean\":%.6f,"
-                  "\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f}",
-                  Name.c_str(), static_cast<long long>(Samples.size()), Sum,
-                  Min, Max, Mean, percentile(Samples, 50),
-                  percentile(Samples, 95), percentile(Samples, 99));
-    Entries.push_back(Buf);
+    M.Mean = Samples.empty() ? 0 : M.Sum / Samples.size();
+    M.P50 = percentile(Samples, 50);
+    M.P95 = percentile(Samples, 95);
+    M.P99 = percentile(Samples, 99);
+    Entries.Metrics.push_back(std::move(M));
   }
 
   /// \returns false (with a diagnostic) when \p Path cannot be written.
@@ -59,19 +62,13 @@ public:
       std::fprintf(stderr, "bench: cannot write '%s'\n", Path);
       return false;
     }
-    std::fputs("{\"metrics\":[", F);
-    for (size_t I = 0; I < Entries.size(); ++I) {
-      if (I)
-        std::fputc(',', F);
-      std::fputs(Entries[I].c_str(), F);
-    }
-    std::fputs("]}\n", F);
+    std::fprintf(F, "%s\n", Entries.json().c_str());
     std::fclose(F);
     return true;
   }
 
 private:
-  std::vector<std::string> Entries;
+  Telemetry::Snapshot Entries;
 };
 
 } // namespace jvolve

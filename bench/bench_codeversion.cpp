@@ -18,8 +18,8 @@
 /// safe-point pause grows with the heap while the versioned pause
 /// must not.
 ///
-/// Both paths run at the shipped default, CertifyAfterUpdate = true.
-/// That is where the asymmetry lives: the pipeline certifies with a
+/// Both paths certify, as every update does. That is where the
+/// asymmetry lives: the pipeline certifies with a
 /// full heap walk (its collection and transformers could have corrupted
 /// any object, so the walk scales with the live ring), while the
 /// versioned commit certifies only the registry it mutated — it never

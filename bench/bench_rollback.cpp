@@ -4,10 +4,12 @@
 /// Cost of the update transaction: what does crash-safety buy, and what
 /// does it cost? For growing object counts the bench measures
 ///
-///   * apply (no cert)   — the plain five-step update pause,
-///   * apply (certified) — the same update with the mandatory post-update
-///                         heap + registry certification,
-///   * certification     — the certify pass alone (delta of the above),
+///   * apply (no cert)   — the plain five-step update pause: the pause of
+///                         the next column less certification's share,
+///   * apply (certified) — the same update's whole pause, with the
+///                         mandatory post-update heap + registry
+///                         certification,
+///   * certification     — the certify pass alone,
 ///   * rollback          — the worst-case failed update: the object
 ///                         transformer faults on the *last* object, so the
 ///                         whole install, DSU collection, and N-1
@@ -72,17 +74,16 @@ std::unique_ptr<VM> populate(int Count) {
   return TheVM;
 }
 
-double applyOnce(int Count, bool Certify, bool FailLast, double *CertMs,
-                 double *RollbackMs) {
+/// One update of \p Count objects; with \p FailLast, the transformer
+/// faults on the last one.
+UpdateResult applyOnce(int Count, bool FailLast) {
   std::unique_ptr<VM> TheVM = populate(Count);
   if (FailLast)
     TheVM->faults().arm(FaultInjector::Site::TransformerNthObject, /*Fire=*/1,
                         /*Skip=*/static_cast<uint64_t>(Count) - 1);
   Updater U(*TheVM);
-  UpdateOptions Opts;
-  Opts.CertifyAfterUpdate = Certify;
-  UpdateResult R = U.applyNow(Upt::prepare(program(false), program(true), "v1"),
-                              Opts);
+  UpdateResult R =
+      U.applyNow(Upt::prepare(program(false), program(true), "v1"));
   UpdateStatus Want =
       FailLast ? UpdateStatus::FailedTransformer : UpdateStatus::Applied;
   if (R.Status != Want) {
@@ -90,11 +91,7 @@ double applyOnce(int Count, bool Certify, bool FailLast, double *CertMs,
                  updateStatusName(R.Status), R.Message.c_str());
     std::exit(1);
   }
-  if (CertMs)
-    *CertMs = R.CertifyMs;
-  if (RollbackMs)
-    *RollbackMs = R.RollbackMs;
-  return R.TotalPauseMs;
+  return R;
 }
 
 } // namespace
@@ -117,13 +114,13 @@ int main() {
       break;
     std::vector<double> Apply, ApplyCert, Cert, RollTotal, Undo;
     for (int T = 0; T < Trials; ++T) {
-      Apply.push_back(applyOnce(Count, false, false, nullptr, nullptr));
-      double CertMs = 0;
-      ApplyCert.push_back(applyOnce(Count, true, false, &CertMs, nullptr));
-      Cert.push_back(CertMs);
-      double RollbackMs = 0;
-      RollTotal.push_back(applyOnce(Count, true, true, nullptr, &RollbackMs));
-      Undo.push_back(RollbackMs);
+      UpdateResult Applied = applyOnce(Count, /*FailLast=*/false);
+      Apply.push_back(Applied.TotalPauseMs - Applied.CertifyMs);
+      ApplyCert.push_back(Applied.TotalPauseMs);
+      Cert.push_back(Applied.CertifyMs);
+      UpdateResult Failed = applyOnce(Count, /*FailLast=*/true);
+      RollTotal.push_back(Failed.TotalPauseMs);
+      Undo.push_back(Failed.RollbackMs);
     }
     TP.addRow({std::to_string(Count),
                TablePrinter::fmt(summarizeQuartiles(Apply).Median, 2),

@@ -3,20 +3,18 @@
 /// \file
 /// Streaming-telemetry cost (ISSUE 7): what does observability charge?
 ///
-/// Two measurements over the streaming sessions
-/// (support/TelemetryStream.h):
+/// Two measurements over the trace (support/TelemetryStream.h):
 ///
-///   1. Raw event-write throughput: ns per Telemetry::emit into an
-///      in-memory session, which keeps its budget's worth of events and
-///      evicts the rest — the price a hot path pays per trace event.
+///   1. Raw event-write throughput: ns per Telemetry::emit into a JSONL
+///      trace file, its last batch written and the file closed — the
+///      price a hot path pays per trace event.
 ///   2. Full-suite overhead: the email release history (every release
 ///      applied under load, as jvolve-serve does) timed in two
-///      configurations. Baseline: metrics enabled, no streaming session,
-///      no windows — the instrumented production posture every tool runs
-///      with. Streaming: the same run with a live JSONL session plus
-///      windowed aggregation attached. The delta isolates what THIS
-///      subsystem (emit, file sink, window rolls) charges on top of plain
-///      counters. 60 pairs interleave the two configurations in process
+///      configurations. Baseline: metrics enabled, no trace, no windows —
+///      the instrumented production posture every tool runs with.
+///      Streaming: the same run with a JSONL trace open plus windowed
+///      aggregation. The delta isolates what THIS subsystem (emit, file
+///      sink, window rolls) charges on top of plain counters. 60 pairs interleave the two configurations in process
 ///      CPU time, alternating which runs first; the overhead is the median
 ///      extra CPU time per pair over the median baseline region (the
 ///      estimator of bench_lazy_pause's relation 3).
@@ -24,17 +22,15 @@
 /// Emits three BENCH_*.json files in the metrics snapshot format that
 /// scripts/metrics-diff.py consumes:
 ///   BENCH_telemetry_off.json — bench.telemetry.suite_ms, metrics only
-///   BENCH_telemetry_on.json  — bench.telemetry.suite_ms, session attached
+///   BENCH_telemetry_on.json  — bench.telemetry.suite_ms, trace open
 ///   BENCH_telemetry.json     — both histograms under distinct names, the
-///                              overhead percentage, write-path costs,
-///                              and the pipeline's event accounting
+///                              overhead percentage and the write-path
+///                              cost
 /// so tier1 can gate `bench.telemetry.suite_ms` between the off and on
 /// dumps with a --max-delta budget.
 ///
-/// `--check` exits 1 unless (a) the suite overhead stays in single digits
-/// (<= 10%) and (b) the published ledger balances: every event attempted
-/// is either streamed into the sessions or counted dropped — attempted ==
-/// streamed + dropped, nothing silent.
+/// `--check` exits 1 unless the suite overhead stays in single digits
+/// (<= 10%).
 ///
 /// Environment knobs: JVOLVE_TELBENCH_PAIRS (default 60),
 /// JVOLVE_TELBENCH_REPS (history runs per timed region, default 4),
@@ -80,7 +76,7 @@ double cpuMs() {
 /// One pass over the email release history under load — jvolve-serve's
 /// core loop without the narration. Timeouts retry with identity
 /// active-method mappings the way the tool does, so the work is the same
-/// whether or not a telemetry session is watching it.
+/// whether or not a trace is watching it.
 void runEmailHistory() {
   AppModel App = makeEmailApp();
   VM::Config Cfg;
@@ -141,8 +137,7 @@ int main(int argc, char **argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--check]\n"
-                   "  --check  exit 1 unless suite overhead <= 10%% and "
-                   "event accounting balances\n",
+                   "  --check  exit 1 unless suite overhead <= 10%%\n",
                    argv[0]);
       return 2;
     }
@@ -159,37 +154,43 @@ int main(int argc, char **argv) {
 
   std::printf("=== bench_telemetry: streaming pipeline cost ===\n\n");
 
-  // --- 1. Raw write path: an in-memory session past its budget, so the
-  // timed loop includes the eviction an unread session pays per event.
-  Tel.setEnabled(true);
-  auto Mem = Tel.openSession();
+  std::string TracePath = "/tmp/bench_telemetry_trace.jsonl";
+  if (const char *Tmp = std::getenv("TMPDIR"))
+    TracePath = std::string(Tmp) + "/bench_telemetry_trace.jsonl";
+
+  // --- 1. Raw write path: every event rendered and written to the trace
+  // file, the last batch included.
+  if (!Tel.openTrace(TracePath)) {
+    std::fprintf(stderr, "telemetry: cannot open trace '%s'\n",
+                 TracePath.c_str());
+    return 2;
+  }
   Stopwatch WriteSw;
   for (int I = 0; I < Events; ++I)
     Tel.emit({"bench.telemetry.event", "point",
               static_cast<uint64_t>(I), static_cast<uint64_t>(I), 0.0,
               I, ""});
+  bool Written = Tel.closeTrace();
   double WriteMs = WriteSw.elapsedMs();
-  size_t Kept = Mem->drainBuffered().size();
-  unsigned long long Evicted = Mem->bufferEvictions();
-  Tel.closeSession(Mem);
+  if (!Written) {
+    std::fprintf(stderr, "telemetry: cannot write trace '%s'\n",
+                 TracePath.c_str());
+    return 2;
+  }
   double NsPerEvent = WriteMs * 1e6 / std::max(Events, 1);
   double EventsPerSec = Events / std::max(WriteMs / 1e3, 1e-9);
   std::printf("write path: %d event(s) in %.2f ms — %.0f ns/event, "
-              "%.2fM events/s (%zu kept, %llu evicted)\n\n",
-              Events, WriteMs, NsPerEvent, EventsPerSec / 1e6, Kept,
-              Evicted);
+              "%.2fM events/s into the trace file\n\n",
+              Events, WriteMs, NsPerEvent, EventsPerSec / 1e6);
 
   // --- 2. Full-suite overhead: email history, metrics-only baseline vs.
-  // streaming session attached. Metrics stay enabled in both — counters
-  // are the production posture; the gate prices the pipeline on top.
-  // Each pair times one region per configuration, back to back, so a noisy
-  // patch on a shared host taxes both; session setup and teardown sit
-  // outside every timed region.
-  std::string TracePath = "/tmp/bench_telemetry_trace.jsonl";
-  if (const char *Tmp = std::getenv("TMPDIR"))
-    TracePath = std::string(Tmp) + "/bench_telemetry_trace.jsonl";
+  // a trace open. Metrics stay enabled in both — counters are the
+  // production posture; the gate prices the pipeline on top. Each pair
+  // times one region per configuration, back to back, so a noisy patch on
+  // a shared host taxes both; opening and closing the trace sit outside
+  // every timed region.
   auto TimeBaseline = [&] {
-    Tel.windows().configure(0); // baseline: no windows, no session
+    Tel.windows().configure(0); // baseline: no windows, no trace
     double Start = cpuMs();
     for (int R = 0; R < Reps; ++R)
       runEmailHistory();
@@ -242,24 +243,13 @@ int main(int argc, char **argv) {
   };
   double OverheadPct = ExtraPct(50);
 
-  auto Read = [&Tel](const char *Name) {
-    return static_cast<unsigned long long>(Tel.findGauge(Name)->value());
-  };
-  unsigned long long Attempted = Read(metrics::TelemetryEventsAttempted);
-  unsigned long long Streamed = Read(metrics::TelemetryEventsStreamed);
-  unsigned long long Dropped = Read(metrics::TelemetryDroppedTotal);
-
   std::printf("suite baseline:  median %.2f CPU-ms over %d pair(s) x %d "
-              "rep(s) (metrics on, no session)\n",
+              "rep(s) (metrics on, no trace)\n",
               OffMedian, Pairs, Reps);
-  std::printf("suite streaming: median %.2f CPU-ms (JSONL session + "
+  std::printf("suite streaming: median %.2f CPU-ms (JSONL trace + "
               "2000-tick windows) — overhead %+.2f%% (median extra per pair; "
-              "quartiles %+.2f%%, %+.2f%%)\n",
+              "quartiles %+.2f%%, %+.2f%%)\n\n",
               OnMedian, OverheadPct, ExtraPct(25), ExtraPct(75));
-  std::printf("accounting: %llu attempted = %llu streamed + %llu dropped "
-              "(%s)\n\n",
-              Attempted, Streamed, Dropped,
-              Attempted == Streamed + Dropped ? "balanced" : "IMBALANCED");
 
   BenchJson OffJson, OnJson, Combined;
   OffJson.histogram("bench.telemetry.suite_ms", Off);
@@ -270,25 +260,16 @@ int main(int argc, char **argv) {
                  static_cast<long long>(OverheadPct * 100)); // centi-pct
   Combined.value("bench.telemetry.ns_per_event",
                  static_cast<long long>(NsPerEvent));
-  Combined.value("bench.telemetry.events_attempted",
-                 static_cast<long long>(Attempted));
-  Combined.value("bench.telemetry.events_streamed",
-                 static_cast<long long>(Streamed));
-  Combined.value("bench.telemetry.events_dropped",
-                 static_cast<long long>(Dropped));
   if (!OffJson.write("BENCH_telemetry_off.json") ||
       !OnJson.write("BENCH_telemetry_on.json") ||
       !Combined.write("BENCH_telemetry.json"))
     return 2;
 
   bool OverheadOk = OverheadPct <= 10.0;
-  bool BooksOk = Attempted == Streamed + Dropped;
-  std::printf("relation 1 (suite overhead <= 10%%):              %s\n",
+  std::printf("relation (suite overhead <= 10%%): %s\n",
               OverheadOk ? "holds" : "VIOLATED");
-  std::printf("relation 2 (attempted == streamed + dropped):    %s\n",
-              BooksOk ? "holds" : "VIOLATED");
-  if (Check && !(OverheadOk && BooksOk)) {
-    std::fprintf(stderr, "telemetry: pipeline cost relations violated\n");
+  if (Check && !OverheadOk) {
+    std::fprintf(stderr, "telemetry: suite overhead above 10%%\n");
     return 1;
   }
   return 0;

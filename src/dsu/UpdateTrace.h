@@ -76,7 +76,7 @@ struct UpdateEvent {
 /// The whole trace of one update.
 class UpdateTrace {
 public:
-  /// Appends an event. Also emits it to the open telemetry sessions (as a
+  /// Appends an event. Also emits it to the open telemetry trace (as a
   /// "dsu.update.event" point event), so the JSONL trace carries the full
   /// update narrative alongside phase spans, in emission order (see
   /// support/TelemetryStream.h).

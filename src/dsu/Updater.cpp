@@ -684,8 +684,7 @@ void Updater::install(const std::vector<Frame *> &OsrFrames,
       Engine->retire();
     TheVM.installLazyEngine(std::move(Engine));
   }
-  if (Opts.CertifyAfterUpdate)
-    certify(/*Committed=*/true); // an applied update is never undone here
+  certify(/*Committed=*/true); // an applied update is never undone here
   TheVM.registry().releaseUpdateLog();
 
   Result.TotalPauseMs = PhaseClock.elapsedMs();
@@ -777,8 +776,7 @@ void Updater::installVersioned() {
     bumpDsuCounter(metrics::DsuUpdatesRolledBack);
     if (Opts.OnRegistryEdge)
       Opts.OnRegistryEdge(Reg, /*Restored=*/true);
-    if (Opts.CertifyAfterUpdate)
-      CertifyRegistry();
+    CertifyRegistry();
     Result.TotalPauseMs = PhaseClock.elapsedMs();
     Result.Trace.record(UpdateEventKind::RolledBack,
                         TheVM.scheduler().ticks(), 0, Why);
@@ -790,8 +788,7 @@ void Updater::installVersioned() {
   Result.CodeVersioned = true;
   Result.CodeVersionedMethods =
       static_cast<int>(Bundle.Spec.MethodBodyUpdates.size());
-  if (Opts.CertifyAfterUpdate)
-    CertifyRegistry();
+  CertifyRegistry();
   Reg.releaseUpdateLog();
   Result.TotalPauseMs = PhaseClock.elapsedMs();
   Result.TicksToSafePoint = 0; // no safe point was ever sought
@@ -839,8 +836,7 @@ void Updater::rollback(const Heap::TxSnapshot &HeapSnap,
   markPhase("rollback", 0, E.str());
   bumpDsuCounter(metrics::DsuUpdatesRolledBack);
 
-  if (Opts.CertifyAfterUpdate)
-    certify(/*Committed=*/false);
+  certify(/*Committed=*/false);
 
   UpdateStatus Status = E.phase() == "transform"
                             ? UpdateStatus::FailedTransformer

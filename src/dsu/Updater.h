@@ -82,12 +82,6 @@ struct UpdateOptions {
   bool LazyTransform = false;
   /// Lazy mode: background transforms per drainer quantum.
   size_t LazyDrainBatch = 32;
-  /// Run HeapVerifier over the whole heap plus a registry-consistency check
-  /// after every applied *or rolled-back* update (certification).
-  /// Benchmarks can turn it off.
-  /// An applied update's registry check covers what install wrote (the
-  /// registry's update log); a rollback's covers the whole registry.
-  bool CertifyAfterUpdate = true;
   /// Observes the registry at the edges of the install transaction: with
   /// Restored = false as the pause begins, before install writes anything,
   /// and with Restored = true once a failed install put the registry back,
@@ -155,15 +149,19 @@ struct UpdateResult {
   /// flight).
   double VerifyMs = 0;
   /// How the gate split the new version's classes: verified again (their
-  /// definition or a recorded lookup changed, or the VM held no
-  /// verification record) or reused from the running program's record.
+  /// definition or a recorded lookup changed) or reused from the running
+  /// program's record.
   int ClassesVerified = 0;
   int ClassesReused = 0;
   uint64_t ObjectsTransformed = 0;
   CollectionStats Gc;
 
-  /// Certification outcome (post-update heap + registry validation).
-  /// Certified stays false when certification was skipped via the options.
+  /// Certification outcome. Every applied *or rolled-back* update is
+  /// certified: HeapVerifier over the whole heap plus a registry-
+  /// consistency check (an applied update's covers what install wrote,
+  /// the registry's update log; a rollback's covers the whole registry).
+  /// Certified is false there only when problems were found, listed in
+  /// CertificationProblems; CertifyMs is the check's share of the pause.
   bool Certified = false;
   std::vector<std::string> CertificationProblems;
   double CertifyMs = 0;

@@ -10,7 +10,6 @@
 #include "heap/HeapVerifier.h"
 #include "support/Error.h"
 #include "support/StringUtils.h"
-#include "support/Telemetry.h"
 #include "vm/VM.h"
 
 #include <algorithm>
@@ -251,17 +250,6 @@ jvolve::runScenario(const ScenarioSpec &Spec,
   }
   Res.CanaryState = Ctx.CanaryState;
 
-  // Telemetry ledger, as published in the telemetry.* gauges.
-  if (Telemetry::isEnabled()) {
-    auto Read = [](const char *Name) -> uint64_t {
-      const TelGauge *G = Telemetry::global().findGauge(Name);
-      return G ? static_cast<uint64_t>(G->value()) : 0;
-    };
-    Ctx.LedgerAttempted = Read(metrics::TelemetryEventsAttempted);
-    Ctx.LedgerStreamed = Read(metrics::TelemetryEventsStreamed);
-    Ctx.LedgerDropped = Read(metrics::TelemetryDroppedTotal);
-  }
-
   for (const auto &O : Oracles)
     O->check(Ctx, Res.Violations);
   return Res;
@@ -413,22 +401,6 @@ public:
   }
 };
 
-class LedgerBalanceOracle : public Oracle {
-public:
-  const char *name() const override { return "ledger-balance"; }
-  void check(const ScenarioContext &Ctx,
-             std::vector<std::string> &Out) override {
-    if (Ctx.LedgerAttempted == 0 && Ctx.LedgerStreamed == 0 &&
-        Ctx.LedgerDropped == 0)
-      return; // no session was opened this run
-    if (Ctx.LedgerAttempted != Ctx.LedgerStreamed + Ctx.LedgerDropped)
-      Out.push_back(std::string(name()) + ": " +
-                    std::to_string(Ctx.LedgerAttempted) + " attempted != " +
-                    std::to_string(Ctx.LedgerStreamed) + " streamed + " +
-                    std::to_string(Ctx.LedgerDropped) + " dropped");
-  }
-};
-
 class RegistryRestoredOracle : public Oracle {
 public:
   const char *name() const override { return "registry-restored"; }
@@ -465,7 +437,6 @@ std::vector<std::unique_ptr<Oracle>> jvolve::standardOracles() {
   Suite.push_back(std::make_unique<PhaseTilingOracle>());
   Suite.push_back(std::make_unique<ResidualPendingOracle>());
   Suite.push_back(std::make_unique<UndoRootsOracle>());
-  Suite.push_back(std::make_unique<LedgerBalanceOracle>());
   Suite.push_back(std::make_unique<RegistryRestoredOracle>());
   return Suite;
 }

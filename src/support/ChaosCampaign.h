@@ -13,8 +13,7 @@
 /// `(site, fire-index)` pair so each individual probe point fails exactly
 /// once, and a reusable *oracle suite* checks the invariants the formal
 /// DSU-correctness literature frames (state equivalence after abort,
-/// transformation soundness, accounting balance) after every faulted
-/// execution. A *second-order* mode arms one fault inside the recovery
+/// transformation soundness) after every faulted execution. A *second-order* mode arms one fault inside the recovery
 /// path another fault triggered (fault-during-rollback, -revert, and
 /// -lazy-drain), using FaultInjector::probesAtFirstFire() to aim at the
 /// recovery window. Every violation ships with a ready-to-paste
@@ -48,18 +47,14 @@ class ClassSet;
 //===----------------------------------------------------------------------===//
 
 /// One fault to arm before a scenario boots (counted mode).
-struct ChaosFault {
-  FaultInjector::Site Where = FaultInjector::Site::ClassLoad;
-  uint64_t Fire = 1;
-  uint64_t Skip = 0;
-
+struct ChaosFault : FaultInjector::Spec {
   /// The tools' "site:fire:skip" spec — pasteable into --inject.
   std::string spec() const;
 };
 
 /// One deterministic execution: boot an app stream on a fresh VM, put it
 /// under load, apply the v0 -> v1 update in the given mode, keep serving,
-/// settle everything (canary window, lazy drain, telemetry), then judge.
+/// settle everything (canary window, lazy drain), then judge.
 struct ScenarioSpec {
   std::string Stream = "email"; ///< email | jetty | crossftp
   bool Lazy = false;            ///< commit through the lazy engine
@@ -111,9 +106,8 @@ struct ScenarioResult {
 //===----------------------------------------------------------------------===//
 
 /// Everything an oracle may inspect after a scenario settled: the VM (lazy
-/// engine drained, canary window closed), the forward update's result, the
-/// two program versions, and the streaming-telemetry ledger totals
-/// (all zero when no streamer was live).
+/// engine drained, canary window closed), the forward update's result and
+/// the two program versions.
 struct ScenarioContext {
   ScenarioContext(VM &TheVM, const ScenarioSpec &Spec,
                   const UpdateResult &Result)
@@ -128,9 +122,6 @@ struct ScenarioContext {
   uint64_t CanaryResidual = 0;
   bool CanaryReverted = false;
   bool AnyFired = false; ///< any armed fault actually fired this run
-  uint64_t LedgerAttempted = 0;
-  uint64_t LedgerStreamed = 0;
-  uint64_t LedgerDropped = 0;
   /// Registry fingerprints taken at the install transaction's edges
   /// (UpdateOptions::OnRegistryEdge): how many failed installs restored
   /// the registry, and every difference between a restored registry and
@@ -166,7 +157,6 @@ public:
 ///                       objects
 ///   undo-roots          a settled canary window holds no undo-log GC
 ///                       roots (the leak the window could otherwise pin)
-///   ledger-balance      telemetry attempted == streamed + dropped
 ///   registry-restored   a rolled-back or failed-transformer update left
 ///                       the registry's fingerprint (tables, names,
 ///                       obsolete bits, superclasses, statics, method

@@ -1,6 +1,7 @@
 #include "support/FaultInjector.h"
 
 #include "support/Error.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <cstdlib>
@@ -40,60 +41,65 @@ const char *FaultInjector::siteName(Site S) {
   unreachable("bad fault site");
 }
 
-bool FaultInjector::armFromSpec(const std::string &Spec, std::string *Err) {
+bool FaultInjector::parseSpec(const std::string &Text, Spec &Out,
+                              std::string *Err) {
   auto Fail = [&](const std::string &Msg) {
     if (Err)
       *Err = Msg;
     return false;
   };
-  size_t C1 = Spec.find(':');
-  std::string Name = Spec.substr(0, C1);
-  Site S;
-  if (!siteByName(Name, S))
+  size_t C1 = Text.find(':');
+  std::string Name = Text.substr(0, C1);
+  Spec S;
+  if (!siteByName(Name, S.Where))
     return Fail("unknown fault site '" + Name + "'");
-  uint64_t Fire = 1, Skip = 0;
   if (C1 != std::string::npos) {
     char *End = nullptr;
-    Fire = std::strtoull(Spec.c_str() + C1 + 1, &End, 10);
-    if (End == Spec.c_str() + C1 + 1)
-      return Fail("malformed fire count in '" + Spec + "'");
+    S.Fire = std::strtoull(Text.c_str() + C1 + 1, &End, 10);
+    if (End == Text.c_str() + C1 + 1)
+      return Fail("malformed fire count in '" + Text + "'");
     if (*End == ':') {
       char *End2 = nullptr;
-      Skip = std::strtoull(End + 1, &End2, 10);
+      S.Skip = std::strtoull(End + 1, &End2, 10);
       if (End2 == End + 1)
-        return Fail("malformed skip count in '" + Spec + "'");
+        return Fail("malformed skip count in '" + Text + "'");
     }
   }
-  arm(S, Fire, Skip);
+  Out = S;
+  return true;
+}
+
+std::vector<FaultInjector::Spec>
+FaultInjector::parseSpecList(const std::string &List,
+                             std::vector<std::string> *Errors) {
+  std::vector<Spec> Out;
+  for (const std::string &Text : splitCommaList(List)) {
+    Spec S;
+    std::string Err;
+    if (parseSpec(Text, S, &Err))
+      Out.push_back(S);
+    else if (Errors)
+      Errors->push_back(Err);
+  }
+  return Out;
+}
+
+bool FaultInjector::armFromSpec(const std::string &Text, std::string *Err) {
+  Spec S;
+  if (!parseSpec(Text, S, Err))
+    return false;
+  arm(S.Where, S.Fire, S.Skip);
   return true;
 }
 
 bool FaultInjector::armFromSpecList(const std::string &List,
                                     std::vector<std::string> *Errors) {
-  bool Ok = true;
-  size_t Pos = 0;
-  while (Pos <= List.size()) {
-    size_t Comma = List.find(',', Pos);
-    size_t End = Comma == std::string::npos ? List.size() : Comma;
-    std::string Spec = List.substr(Pos, End - Pos);
-    // Trim surrounding spaces so pasted lists survive shell quoting.
-    while (!Spec.empty() && Spec.front() == ' ')
-      Spec.erase(Spec.begin());
-    while (!Spec.empty() && Spec.back() == ' ')
-      Spec.pop_back();
-    if (!Spec.empty()) {
-      std::string Err;
-      if (!armFromSpec(Spec, &Err)) {
-        Ok = false;
-        if (Errors)
-          Errors->push_back(Err);
-      }
-    }
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return Ok;
+  std::vector<std::string> Errs;
+  for (const Spec &S : parseSpecList(List, &Errs))
+    arm(S.Where, S.Fire, S.Skip);
+  if (Errors)
+    Errors->insert(Errors->end(), Errs.begin(), Errs.end());
+  return Errs.empty();
 }
 
 bool FaultInjector::siteByName(const std::string &Name, Site &Out) {

@@ -106,15 +106,34 @@ public:
   /// \p Fire probes fail, every later probe passes again.
   void arm(Site S, uint64_t Fire = 1, uint64_t Skip = 0);
 
-  /// Arms one site from a "site[:fire[:skip]]" spec (the tools' --inject
-  /// syntax).
-  /// \returns false with \p Err set on an unknown site or malformed spec.
-  bool armFromSpec(const std::string &Spec, std::string *Err = nullptr);
+  /// One "site[:fire[:skip]]" spec of the tools' --inject syntax.
+  struct Spec {
+    Site Where = Site::ClassLoad;
+    uint64_t Fire = 1;
+    uint64_t Skip = 0;
+  };
 
-  /// Arms every spec in a comma-separated "spec[,spec...]" list. Every
-  /// valid spec is armed even when others are malformed; one diagnostic
-  /// per bad spec is appended to \p Errors (when non-null). \returns true
-  /// only when the whole list parsed.
+  /// Parses one spec. \returns false with \p Err set on an unknown site
+  /// or malformed spec.
+  static bool parseSpec(const std::string &Text, Spec &Out,
+                        std::string *Err = nullptr);
+
+  /// Parses a comma-separated "spec[,spec...]" list (splitCommaList: each
+  /// entry trimmed, empty ones skipped). \returns the valid specs in list
+  /// order; one diagnostic per bad spec is appended to \p Errors (when
+  /// non-null).
+  static std::vector<Spec>
+  parseSpecList(const std::string &List,
+                std::vector<std::string> *Errors = nullptr);
+
+  /// Arms one site from a spec.
+  /// \returns false with \p Err set on an unknown site or malformed spec.
+  bool armFromSpec(const std::string &Text, std::string *Err = nullptr);
+
+  /// Arms every spec of a parseSpecList list. Every valid spec is armed
+  /// even when others are malformed; one diagnostic per bad spec is
+  /// appended to \p Errors (when non-null). \returns true only when the
+  /// whole list parsed.
   bool armFromSpecList(const std::string &List,
                        std::vector<std::string> *Errors = nullptr);
 

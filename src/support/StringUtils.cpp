@@ -23,6 +23,17 @@ std::vector<std::string> jvolve::splitString(const std::string &Text, char Sep,
   }
 }
 
+std::vector<std::string> jvolve::splitCommaList(const std::string &Text) {
+  std::vector<std::string> Entries;
+  for (const std::string &Piece : splitString(Text, ',')) {
+    size_t First = Piece.find_first_not_of(' ');
+    if (First != std::string::npos)
+      Entries.push_back(
+          Piece.substr(First, Piece.find_last_not_of(' ') - First + 1));
+  }
+  return Entries;
+}
+
 bool jvolve::startsWith(const std::string &Text, const std::string &Prefix) {
   return Text.compare(0, Prefix.size(), Prefix) == 0;
 }

@@ -20,6 +20,11 @@ namespace jvolve {
 std::vector<std::string> splitString(const std::string &Text, char Sep,
                                      size_t Limit = 0);
 
+/// Splits a comma-separated list into its entries, each trimmed of the
+/// spaces around it; empty entries are dropped ("a, b,,c" -> a, b, c).
+/// The tools' list flags (--inject, --streams) go through it.
+std::vector<std::string> splitCommaList(const std::string &Text);
+
 /// \returns true if \p Text begins with \p Prefix.
 bool startsWith(const std::string &Text, const std::string &Prefix);
 

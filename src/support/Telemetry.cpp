@@ -6,7 +6,6 @@
 #include "support/TelemetryStream.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 
 using namespace jvolve;
@@ -30,19 +29,11 @@ std::string metrics::faultFired(const std::string &Site) {
 /// run keeps the most recent window) while bounding memory per histogram.
 static constexpr size_t HistogramSampleCap = 4096;
 
-TelHistogram::TelHistogram(std::vector<double> InBounds, size_t SampleCap)
-    : Bounds(std::move(InBounds)), Buckets(Bounds.size() + 1),
-      Samples(SampleCap, 0.0) {
-  assert(std::is_sorted(Bounds.begin(), Bounds.end()) &&
-         "histogram bucket bounds must ascend");
-}
+TelHistogram::TelHistogram(size_t SampleCap) : Samples(SampleCap, 0.0) {}
 
 void TelHistogram::record(double V) {
   if (!Telemetry::isEnabled())
     return;
-  size_t B = std::upper_bound(Bounds.begin(), Bounds.end(), V) -
-             Bounds.begin();
-  Buckets[B].fetch_add(1, std::memory_order_relaxed);
   uint64_t N = Count.fetch_add(1, std::memory_order_relaxed);
   Sum += V;
   Min = N == 0 ? V : std::min(Min, V);
@@ -261,10 +252,10 @@ Telemetry &Telemetry::global() {
 
 Telemetry::Telemetry() {
   // The registry never destructs, so without this a run that exits with
-  // a session open would lose the events still in its file sink's buffer.
+  // the trace open would lose the events still in its sink's buffer.
   std::atexit([] {
-    for (const auto &S : Telemetry::global().Sessions)
-      S->flush();
+    if (TraceSink *Trace = Telemetry::global().Trace.get())
+      Trace->flush();
   });
 }
 
@@ -272,15 +263,6 @@ Telemetry::Telemetry() {
 // dangle — but must be defined where WindowAggregator is a complete type
 // for the unique_ptr member.
 Telemetry::~Telemetry() = default;
-
-std::vector<double> Telemetry::defaultBuckets() {
-  // Doubling ladder from 1e-3 to ~1e7: covers sub-ms GC pauses, multi-ms
-  // update pauses, and tick-denominated waits in one shape.
-  std::vector<double> B;
-  for (double V = 0.001; V < 2e7; V *= 2)
-    B.push_back(V);
-  return B;
-}
 
 TelCounter &Telemetry::counter(const std::string &Name) {
   auto It = Counters.find(Name);
@@ -298,18 +280,13 @@ TelGauge &Telemetry::gauge(const std::string &Name) {
   return *It->second;
 }
 
-TelHistogram &Telemetry::histogram(const std::string &Name,
-                                   std::vector<double> BucketBounds) {
+TelHistogram &Telemetry::histogram(const std::string &Name) {
   auto It = Histograms.find(Name);
-  if (It == Histograms.end()) {
-    if (BucketBounds.empty())
-      BucketBounds = defaultBuckets();
+  if (It == Histograms.end())
     It = Histograms
-             .emplace(Name, std::unique_ptr<TelHistogram>(new TelHistogram(
-                                std::move(BucketBounds),
-                                HistogramSampleCap)))
+             .emplace(Name, std::unique_ptr<TelHistogram>(
+                                new TelHistogram(HistogramSampleCap)))
              .first;
-  }
   return *It->second;
 }
 
@@ -351,14 +328,12 @@ void Telemetry::reset() {
   for (auto &[Name, G] : Gauges)
     G->Value.store(0, std::memory_order_relaxed);
   for (auto &[Name, H] : Histograms) {
-    for (auto &B : H->Buckets)
-      B.store(0, std::memory_order_relaxed);
     H->Count.store(0, std::memory_order_relaxed);
     H->Sum = H->Min = H->Max = 0;
     H->NextSample = 0;
     H->SamplesSeen = 0;
   }
-  Streamed = SessionsOpened = ClosedSinkDropped = ClosedSinkBatches = 0;
+  Streamed = TracesOpened = ClosedSinkDropped = ClosedSinkBatches = 0;
 }
 
 Telemetry::Snapshot Telemetry::snapshot() const {
@@ -466,78 +441,55 @@ std::string Telemetry::Snapshot::table() const {
 
 bool Telemetry::openTrace(const std::string &Path) {
   closeTrace();
-  DefaultSession = openSession(Path);
-  if (!DefaultSession)
+  auto Sink = std::make_unique<TraceSink>(Path);
+  if (!Sink->ok())
     return false;
+  if (!GStreamed) {
+    GStreamed = &gauge(metrics::TelemetryEventsStreamed);
+    GBatches = &gauge(metrics::TelemetryBlocksFlushed);
+    GTracesOpened = &gauge(metrics::TelemetrySessionsOpened);
+    GTraceDropped = &gauge(metrics::TelemetryTraceDropped);
+  }
+  Trace = std::move(Sink);
+  LastSeq = 0; // a new stream
+  ++TracesOpened;
   Enabled = true;
+  publishTraceTotals();
   return true;
 }
 
 bool Telemetry::closeTrace() {
-  if (!DefaultSession)
+  if (!Trace)
     return true;
-  bool Ok = closeSession(DefaultSession);
-  DefaultSession.reset();
-  return Ok;
-}
-
-std::shared_ptr<TelemetrySession>
-Telemetry::openSession(const std::string &Path) {
-  auto S = std::make_shared<TelemetrySession>(Path);
-  if (!S->ok())
-    return nullptr;
-  if (!GAttempted) {
-    GAttempted = &gauge(metrics::TelemetryEventsAttempted);
-    GStreamed = &gauge(metrics::TelemetryEventsStreamed);
-    GBatches = &gauge(metrics::TelemetryBlocksFlushed);
-    GSessions = &gauge(metrics::TelemetrySessionsOpened);
-    GTraceDropped = &gauge(metrics::TelemetryTraceDropped);
-    gauge(metrics::TelemetryDroppedTotal); // never set: nothing is dropped
-  }
-  if (Sessions.empty())
-    LastSeq = 0; // a new stream
-  Sessions.push_back(S);
-  ++SessionsOpened;
-  publishStreamLedger();
-  return S;
-}
-
-bool Telemetry::closeSession(const std::shared_ptr<TelemetrySession> &S) {
-  auto It = std::find(Sessions.begin(), Sessions.end(), S);
-  if (It == Sessions.end())
-    return true;
-  Sessions.erase(It);
-  bool Ok = S->close();
-  ClosedSinkDropped += S->sinkEventsDropped();
-  ClosedSinkBatches += S->sinkBatches();
-  publishStreamLedger();
+  bool Ok = Trace->close();
+  ClosedSinkDropped += Trace->eventsDropped();
+  ClosedSinkBatches += Trace->batchesWritten();
+  Trace.reset();
+  publishTraceTotals();
   return Ok;
 }
 
 void Telemetry::emit(TraceEvent E) {
-  if (Sessions.empty())
+  if (!Trace)
     return;
   if (E.Tid == 0)
     E.Tid = RunningTid;
   E.Seq = ++LastSeq;
-  for (size_t I = 0; I + 1 < Sessions.size(); ++I)
-    Sessions[I]->append(E);
-  Sessions.back()->append(std::move(E));
+  Trace->emit(std::move(E));
   ++Streamed;
-  publishStreamLedger();
+  publishTraceTotals();
 }
 
-void Telemetry::publishStreamLedger() {
+void Telemetry::publishTraceTotals() {
   uint64_t SinkDropped = ClosedSinkDropped;
   uint64_t Batches = ClosedSinkBatches;
-  for (const auto &S : Sessions) {
-    SinkDropped += S->sinkEventsDropped();
-    Batches += S->sinkBatches();
+  if (Trace) {
+    SinkDropped += Trace->eventsDropped();
+    Batches += Trace->batchesWritten();
   }
-  GAttempted->set(static_cast<int64_t>(Streamed));
   GStreamed->set(static_cast<int64_t>(Streamed));
   GBatches->set(static_cast<int64_t>(Batches));
-  GSessions->set(static_cast<int64_t>(SessionsOpened));
+  GTracesOpened->set(static_cast<int64_t>(TracesOpened));
   GTraceDropped->set(static_cast<int64_t>(SinkDropped));
 }
 

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// VM-wide telemetry: a process-wide registry of named counters, gauges,
-/// and fixed-bucket histograms, plus a JSONL trace sink for span events.
+/// and histograms, plus a JSONL trace file for span events.
 ///
 /// The paper's entire evaluation is measurement (Table 1's pause
 /// breakdown, Figure 5's throughput dip, §4.2's barrier narrative); this
@@ -176,25 +176,18 @@ inline constexpr const char *NetDrainMs = "net.drain_ms";
 /// response send). Feeds the windowed stats view.
 inline constexpr const char *NetLatencyTicks = "net.latency_ticks";
 inline constexpr const char *NetResponses = "net.responses";
-// support/TelemetryStream (streaming sessions; see docs/INTERNALS.md §15)
-/// Events emit failed to hand to the sessions. Emit delivers on the
-/// calling thread, so this stays 0: attempted == streamed + dropped.
-inline constexpr const char *TelemetryDroppedTotal =
-    "telemetry.dropped_total";
-/// Events emit handed to the open sessions (attempted and streamed are
-/// the same count; both names stay for the ledger's readers).
-inline constexpr const char *TelemetryEventsAttempted =
-    "telemetry.events_attempted";
+// support/TelemetryStream (the trace file; see docs/INTERNALS.md §15)
+/// Events emit handed to the trace.
 inline constexpr const char *TelemetryEventsStreamed =
     "telemetry.events_streamed";
-/// Batches the sessions' file sinks wrote.
+/// Batches the trace's TraceSink wrote.
 inline constexpr const char *TelemetryBlocksFlushed =
     "telemetry.blocks_flushed";
+/// Traces opened (openTrace calls that created their file).
 inline constexpr const char *TelemetrySessionsOpened =
     "telemetry.sessions_opened";
-/// Events a session's TraceSink lost: its file never opened, or the
-/// write, flush or close of their batch failed. A trace file holds
-/// events_streamed - trace.dropped lines.
+/// Events the trace's TraceSink lost: the write, flush or close of their
+/// batch failed. A trace file holds events_streamed - trace.dropped lines.
 inline constexpr const char *TelemetryTraceDropped =
     "telemetry.trace.dropped";
 // support/ChaosCampaign (fault-space campaigns; see docs/INTERNALS.md §17)
@@ -247,9 +240,8 @@ private:
   std::atomic<int64_t> Value{0};
 };
 
-/// A fixed-bucket histogram plus count/sum/min/max and a bounded,
-/// preallocated reservoir of raw samples for percentile computation.
-/// record() never allocates.
+/// A histogram: count/sum/min/max plus a bounded, preallocated reservoir
+/// of raw samples for percentile computation. record() never allocates.
 class TelHistogram {
 public:
   void record(double V);
@@ -264,12 +256,6 @@ public:
   /// recorded, approximate (most recent window) afterwards.
   double percentile(double P) const;
 
-  const std::vector<double> &bucketBounds() const { return Bounds; }
-  /// Bucket I counts samples <= Bounds[I]; the last bucket is +inf.
-  uint64_t bucketCount(size_t I) const {
-    return Buckets[I].load(std::memory_order_relaxed);
-  }
-  size_t numBuckets() const { return Bounds.size() + 1; }
   /// Number of raw samples currently retained (<= sampleCapacity()).
   size_t samplesRetained() const;
   size_t sampleCapacity() const { return Samples.size(); }
@@ -285,13 +271,11 @@ public:
 
 private:
   friend class Telemetry;
-  TelHistogram(std::vector<double> InBounds, size_t SampleCap);
+  explicit TelHistogram(size_t SampleCap);
 
-  std::vector<double> Bounds; ///< ascending upper bounds
-  std::vector<std::atomic<uint64_t>> Buckets;
   std::atomic<uint64_t> Count{0};
   // Sum/min/max and the reservoir are plain values: the green-thread VM
-  // records from a single OS thread. The atomic counters above keep the
+  // records from a single OS thread. The atomic count above keeps the
   // layout ready for striping if that ever changes.
   double Sum = 0;
   double Min = 0;
@@ -335,8 +319,8 @@ struct TraceEvent {
 
 /// Buffered JSONL writer: events accumulate in a fixed-size buffer and go
 /// to the file as one batch whenever it fills, on flush(), and on close()
-/// (bounded memory, complete file). A file session of the Telemetry
-/// registry writes through one; see Telemetry::openTrace.
+/// (bounded memory, complete file). The Telemetry registry's trace writes
+/// through one; see Telemetry::openTrace.
 class TraceSink {
 public:
   explicit TraceSink(const std::string &Path, size_t BufferEvents = 4096);
@@ -384,13 +368,12 @@ private:
 // Registry
 //===----------------------------------------------------------------------===//
 
-class TelemetrySession;
 class WindowAggregator;
 
 /// The process-wide telemetry registry.
 class Telemetry {
 public:
-  /// The singleton. It starts disabled, with no session open and no
+  /// The singleton. It starts disabled, with no trace open and no
   /// windows configured; only callers switch those on (setEnabled,
   /// openTrace, windows().configure), never the process environment.
   static Telemetry &global();
@@ -401,12 +384,10 @@ public:
 
   /// Finds or creates an instrument. Creation allocates; call once at
   /// subsystem construction and keep the handle. Handles are never
-  /// invalidated. A histogram's bucket bounds are fixed by its first
-  /// registration; \p BucketBounds must be ascending.
+  /// invalidated.
   TelCounter &counter(const std::string &Name);
   TelGauge &gauge(const std::string &Name);
-  TelHistogram &histogram(const std::string &Name,
-                          std::vector<double> BucketBounds = {});
+  TelHistogram &histogram(const std::string &Name);
 
   /// \returns the registered instrument, or nullptr. (Snapshot-free reads
   /// for tests and the stats probe.)
@@ -425,8 +406,8 @@ public:
   size_t numCounters() const { return Counters.size(); }
   size_t numHistograms() const { return Histograms.size(); }
 
-  /// Zeroes every instrument's values and the stream ledger;
-  /// registrations and open sessions persist.
+  /// Zeroes every instrument's values and the trace totals; registrations
+  /// and an open trace persist.
   void reset();
 
   //===--- Snapshots --------------------------------------------------------===//
@@ -454,30 +435,22 @@ public:
 
   Snapshot snapshot() const;
 
-  //===--- Streaming sessions (support/TelemetryStream.h) -------------------===//
+  //===--- The trace (support/TelemetryStream.h) ----------------------------===//
 
-  /// Opens the default session writing JSONL to \p Path (replacing any
-  /// previous default session). \returns false when the file cannot be
-  /// created. Also enables telemetry: a trace without metrics is never
+  /// Opens the trace, writing JSONL to \p Path; a trace already open is
+  /// closed first. seq restarts at 1. \returns false when the file cannot
+  /// be created. Also enables telemetry: a trace without metrics is never
   /// what the operator meant.
   bool openTrace(const std::string &Path);
-  /// Writes out and closes the default session. \returns false when its
-  /// file did not get every event (a write, flush or close failed); true
-  /// when it did, or when no default session was open.
+  /// Writes out and closes the trace. \returns false when its file did not
+  /// get every event (a write, flush or close failed); true when it did,
+  /// or when no trace was open.
   bool closeTrace();
-  /// True while any session (default or explicit) is open.
-  bool tracing() const { return !Sessions.empty(); }
+  /// True while a trace is open.
+  bool tracing() const { return Trace != nullptr; }
 
-  /// Opens a session writing JSONL to \p Path, or an in-memory session
-  /// when \p Path is empty. \returns nullptr when the file cannot be
-  /// created.
-  std::shared_ptr<TelemetrySession> openSession(const std::string &Path = {});
-  /// Writes out \p S and detaches it. \returns whether its file got
-  /// every event.
-  bool closeSession(const std::shared_ptr<TelemetrySession> &S);
-
-  /// Stamps \p E with its tid and seq and appends it to every open
-  /// session, on the calling thread; no-op when no session is open.
+  /// Stamps \p E with its tid and seq and writes it to the trace, on the
+  /// calling thread; no-op when no trace is open.
   void emit(TraceEvent E);
 
   /// Names the green thread whose quantum is running, 0 between quanta:
@@ -488,17 +461,13 @@ public:
   /// jvolve-run --stats-window). VM-thread only.
   WindowAggregator &windows();
 
-  /// Default histogram bucket upper bounds (powers-of-two style ladder
-  /// covering sub-ms pauses through multi-second stalls and tick counts).
-  static std::vector<double> defaultBuckets();
-
 private:
   Telemetry();
   ~Telemetry(); // never runs (the singleton is immortal); defined where
                 // WindowAggregator is complete so members destruct
 
-  /// Sets the telemetry.* gauges from the stream ledger below.
-  void publishStreamLedger();
+  /// Sets the telemetry.* gauges from the trace totals below.
+  void publishTraceTotals();
 
   static bool Enabled;
 
@@ -508,22 +477,20 @@ private:
   std::map<std::string, std::unique_ptr<TelHistogram>> Histograms;
   std::unique_ptr<WindowAggregator> Windows;
 
-  // Streaming sessions, driven from the VM's one OS thread.
-  std::vector<std::shared_ptr<TelemetrySession>> Sessions;
-  std::shared_ptr<TelemetrySession> DefaultSession;
+  // The trace, driven from the VM's one OS thread.
+  std::unique_ptr<TraceSink> Trace;
   uint64_t RunningTid = 0;
   uint64_t LastSeq = 0;
-  // Stream ledger (reset() zeroes it with the instruments). The sink
-  // totals of closed sessions are folded in when they close.
+  // Trace totals (reset() zeroes them with the instruments). A closed
+  // trace's sink totals are folded in when it closes.
   uint64_t Streamed = 0;
-  uint64_t SessionsOpened = 0;
+  uint64_t TracesOpened = 0;
   uint64_t ClosedSinkDropped = 0;
   uint64_t ClosedSinkBatches = 0;
-  // Ledger gauge handles, registered by the first openSession.
-  TelGauge *GAttempted = nullptr;
+  // Gauge handles, registered by the first openTrace.
   TelGauge *GStreamed = nullptr;
   TelGauge *GBatches = nullptr;
-  TelGauge *GSessions = nullptr;
+  TelGauge *GTracesOpened = nullptr;
   TelGauge *GTraceDropped = nullptr;
 };
 

@@ -4,53 +4,15 @@
 #include "support/TablePrinter.h"
 
 #include <algorithm>
-#include <iterator>
 
 using namespace jvolve;
-
-//===----------------------------------------------------------------------===//
-// TelemetrySession
-//===----------------------------------------------------------------------===//
-
-TelemetrySession::TelemetrySession(const std::string &Path) {
-  if (!Path.empty())
-    Sink = std::make_unique<TraceSink>(Path);
-}
-
-void TelemetrySession::append(TraceEvent E) {
-  if (Sink) {
-    Sink->emit(std::move(E));
-    return;
-  }
-  if (Buffered.size() >= BufferBudgetEvents) {
-    Buffered.pop_front(); // budget: oldest out, and counted
-    ++NumEvicted;
-  }
-  Buffered.push_back(std::move(E));
-}
-
-void TelemetrySession::flush() {
-  if (Sink)
-    Sink->flush();
-}
-
-bool TelemetrySession::close() { return !Sink || Sink->close(); }
-
-std::vector<TraceEvent> TelemetrySession::drainBuffered() {
-  std::vector<TraceEvent> Out(std::make_move_iterator(Buffered.begin()),
-                              std::make_move_iterator(Buffered.end()));
-  Buffered.clear();
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // WindowAggregator
 //===----------------------------------------------------------------------===//
 
-void WindowAggregator::configure(uint64_t InWindowTicks,
-                                 size_t InKeepWindows) {
+void WindowAggregator::configure(uint64_t InWindowTicks) {
   WindowTicks = InWindowTicks;
-  KeepWindows = std::max<size_t>(InKeepWindows, 1);
   LastRoll = 0;
   NextRoll = InWindowTicks;
   LastSpan = InWindowTicks ? InWindowTicks : 1;

@@ -1,12 +1,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Streaming telemetry: the sessions Telemetry::emit hands events to, and
-/// windowed event-counter aggregation.
+/// Streaming telemetry: the trace Telemetry::emit writes to, and windowed
+/// event-counter aggregation.
 ///
 /// The VM runs every green thread on one OS thread, and every event is
-/// emitted there. Telemetry::emit therefore stamps each event and appends
-/// it to every open session on the calling thread, in the order the events
+/// emitted there. Telemetry::emit therefore stamps each event and writes
+/// it to the one open trace on the calling thread, in the order the events
 /// happen; like the registry's maps and histogram reservoirs, nothing here
 /// is synchronized.
 ///
@@ -14,12 +14,11 @@
 ///    running (0 outside a quantum; a thread's spawn and exit events carry
 ///    that thread's own id), and `seq`, one counter for the whole stream:
 ///    a trace file's lines read 1, 2, 3, ... in file order. The counter
-///    restarts when a session opens while no other is open.
+///    restarts at each Telemetry::openTrace.
 ///
-///  * A TelemetrySession writes JSONL through TraceSink, which writes its
-///    buffer to the file when the buffer fills, when the session closes,
-///    and at process exit; or, with no path, it keeps a bounded in-memory
-///    buffer for in-band readers.
+///  * The trace writes JSONL through TraceSink, which writes its buffer to
+///    the file when the buffer fills, when the trace closes, and at
+///    process exit.
 ///
 ///  * WindowAggregator keeps EventCounter-style per-window statistics
 ///    over every registered counter and histogram (delta, rate/ktick,
@@ -27,12 +26,10 @@
 ///    recorded within the last window). The VM run loop rolls it on
 ///    virtual-tick boundaries; jvolve-serve --stats reads the view.
 ///
-/// Ledger: emit republishes the `telemetry.*` gauges with every event.
-/// `events_attempted` and `events_streamed` both count the events handed
-/// to the sessions and `dropped_total` stays 0, so attempted == streamed +
-/// dropped holds whenever it is read. A session's own loss is counted
-/// apart: `telemetry.trace.dropped` for events a file sink failed to write,
-/// bufferEvictions() for an in-memory session past its budget.
+/// emit republishes the `telemetry.*` gauges with every event:
+/// `events_streamed` counts the events handed to the trace and
+/// `telemetry.trace.dropped` the ones its sink failed to write, so the
+/// file holds events_streamed - trace.dropped lines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,57 +41,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace jvolve {
-
-//===----------------------------------------------------------------------===//
-// Sessions
-//===----------------------------------------------------------------------===//
-
-/// One consumer of the event stream: a JSONL file written through
-/// TraceSink or, with an empty path, a bounded in-memory buffer. Opened and
-/// closed through Telemetry::openSession / closeSession.
-class TelemetrySession {
-public:
-  /// In-memory sessions keep at most this many events; each event past it
-  /// evicts the oldest and counts into bufferEvictions().
-  static constexpr size_t BufferBudgetEvents = 65536;
-
-  explicit TelemetrySession(const std::string &Path);
-
-  TelemetrySession(const TelemetrySession &) = delete;
-  TelemetrySession &operator=(const TelemetrySession &) = delete;
-
-  bool ok() const { return !Sink || Sink->ok(); }
-
-  void append(TraceEvent E);
-
-  /// Writes the file sink's buffered events (no-op in memory).
-  void flush();
-
-  /// Writes what is buffered and closes the file. \returns whether the
-  /// file got every event appended to it (always true in memory).
-  bool close();
-
-  /// In-memory sessions: moves every buffered event out, oldest first.
-  std::vector<TraceEvent> drainBuffered();
-
-  /// In-memory budget evictions (this session's own loss).
-  uint64_t bufferEvictions() const { return NumEvicted; }
-  /// Events the file sink lost, and the batches it wrote; 0 in memory.
-  uint64_t sinkEventsDropped() const {
-    return Sink ? Sink->eventsDropped() : 0;
-  }
-  uint64_t sinkBatches() const { return Sink ? Sink->batchesWritten() : 0; }
-
-private:
-  std::unique_ptr<TraceSink> Sink; ///< file mode
-  std::deque<TraceEvent> Buffered; ///< in-memory mode
-  uint64_t NumEvicted = 0;
-};
 
 //===----------------------------------------------------------------------===//
 // Windowed event-counter aggregation
@@ -113,7 +63,7 @@ public:
   /// The first window starts here: every registered instrument is
   /// anchored at its current reading, so the first roll sees only what
   /// was recorded after this call.
-  void configure(uint64_t WindowTicks, size_t KeepWindows = 16);
+  void configure(uint64_t WindowTicks);
   bool enabled() const { return WindowTicks != 0; }
   uint64_t windowTicks() const { return WindowTicks; }
   uint64_t windowsRolled() const { return Rolled; }
@@ -163,6 +113,9 @@ public:
   std::string table() const;
 
 private:
+  /// Windows retained per counter for its min/mean/max.
+  static constexpr size_t KeepWindows = 16;
+
   struct PerCounter {
     uint64_t PrevValue = 0;
     std::deque<uint64_t> Deltas; ///< most recent last
@@ -179,7 +132,6 @@ private:
 
   Telemetry &Owner;
   uint64_t WindowTicks = 0;
-  size_t KeepWindows = 16;
   uint64_t LastRoll = 0;
   uint64_t NextRoll = 0;
   uint64_t LastSpan = 1; ///< ticks covered by the last completed window

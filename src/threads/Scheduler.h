@@ -27,12 +27,12 @@ public:
   ~Scheduler();
 
   /// Creates a thread in Runnable state with an empty stack; the caller
-  /// pushes the entry frame. While a telemetry session is open this emits
+  /// pushes the entry frame. While a telemetry trace is open this emits
   /// a `vm.thread`/spawn event carrying the new thread's id.
   VMThread &spawn(const std::string &Name, bool Daemon = false);
 
   /// Emits the `vm.thread`/exit event for \p T, carrying its id, while a
-  /// telemetry session is open. VM::run calls it once a thread stops.
+  /// telemetry trace is open. VM::run calls it once a thread stops.
   void traceThreadExit(const VMThread &T);
 
   std::vector<std::unique_ptr<VMThread>> &threads() { return Threads; }

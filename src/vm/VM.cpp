@@ -61,7 +61,6 @@ static void preregisterStandardMetrics() {
         metrics::DsuImpactClasses, metrics::DsuImpactUntouched,
         metrics::DsuLazyPending, metrics::DsuCanaryOpen,
         metrics::DsuRevertResidualNewObjects,
-        metrics::TelemetryDroppedTotal, metrics::TelemetryEventsAttempted,
         metrics::TelemetryEventsStreamed, metrics::TelemetryBlocksFlushed,
         metrics::TelemetrySessionsOpened, metrics::TelemetryTraceDropped})
     Tel.gauge(G);
@@ -103,16 +102,14 @@ void VM::loadProgram(const ClassSet &InputProgram) {
   Program = InputProgram;
   ensureBuiltins(Program);
 
-  if (Cfg.Verify) {
-    VerifyOutcome V = Verifier(Program).verify(VerificationRecord());
-    if (!V.Errors.empty()) {
-      std::string Msg = "program failed verification:";
-      for (const VerifyError &E : V.Errors)
-        Msg += "\n  " + E.str();
-      fatalError(Msg);
-    }
-    Record = std::move(V.Record);
+  VerifyOutcome V = Verifier(Program).verify(VerificationRecord());
+  if (!V.Errors.empty()) {
+    std::string Msg = "program failed verification:";
+    for (const VerifyError &E : V.Errors)
+      Msg += "\n  " + E.str();
+    fatalError(Msg);
   }
+  Record = std::move(V.Record);
 
   Registry.loadAll(Program);
 

@@ -149,10 +149,6 @@ public:
     uint64_t OptThreshold = 50;
     /// Instructions per scheduling quantum.
     uint64_t Quantum = 200;
-    /// Run the bytecode verifier on loaded programs (Jikes RVM itself has
-    /// no verifier; MiniVM does, and Jvolve's safety argument relies on
-    /// verification, so this defaults to on).
-    bool Verify = true;
   };
 
   explicit VM(Config C);
@@ -166,16 +162,17 @@ public:
   // Program loading and threads
   //===--------------------------------------------------------------------===//
 
-  /// Loads the initial program version. Adds built-ins, verifies (unless
-  /// disabled, which leaves the VM without a verification record), and
-  /// loads every class. Call exactly once.
+  /// Loads the initial program version. Adds built-ins, verifies it (Jikes
+  /// RVM itself has no verifier; MiniVM does, and Jvolve's safety argument
+  /// relies on verification), keeps the verification record, and loads
+  /// every class. Call exactly once.
   void loadProgram(const ClassSet &Program);
 
   /// Bytecode of the running program version (the UPT diffs against this).
   const ClassSet &program() const { return Program; }
 
   /// What verifying the running program looked up, for update admission to
-  /// reuse (bytecode/Verifier.h); empty when the program was not verified.
+  /// reuse (bytecode/Verifier.h).
   const VerificationRecord &verificationRecord() const { return Record; }
 
   /// Replaces the running program version after a dynamic update; \p Rec

@@ -160,26 +160,6 @@ TEST(Apps, JettyUpdateReverifiesOnlyWhatItChanged) {
   }
 }
 
-TEST(Apps, UpdateOfAnUnverifiedProgramVerifiesEveryClass) {
-  AppModel App = makeJettyApp();
-  VM::Config C = appConfig();
-  C.Verify = false;
-  VM TheVM(C);
-  TheVM.loadProgram(App.version(5));
-  ASSERT_TRUE(TheVM.verificationRecord().empty());
-  startJettyThreads(TheVM);
-  TheVM.run(5'000);
-
-  Updater U(TheVM);
-  UpdateResult R =
-      U.applyNow(Upt::prepare(TheVM.program(), App.version(6), "u6"));
-  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
-  EXPECT_EQ(R.ClassesVerified, static_cast<int>(TheVM.program().size()));
-  EXPECT_EQ(R.ClassesReused, 0);
-  // The commit leaves the admitted version's record behind.
-  EXPECT_EQ(TheVM.verificationRecord().size(), TheVM.program().size());
-}
-
 TEST(Apps, Jetty513TimesOut) {
   AppModel App = makeJettyApp();
   VM TheVM(appConfig());

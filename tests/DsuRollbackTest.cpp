@@ -501,22 +501,6 @@ TEST_EAGER_AND_LAZY(DsuRollback, AppliedUpdateIsCertified) {
   EXPECT_EQ(R.Trace.events().back().Kind, UpdateEventKind::Applied);
 }
 
-TEST_EAGER_AND_LAZY(DsuRollback, CertificationCanBeSkipped) {
-  VM TheVM(smallConfig());
-  TheVM.loadProgram(ptVersion(false));
-  TheVM.callStatic("Setup", "init", "(I)V", {Slot::ofInt(9)});
-
-  Updater U(TheVM);
-  UpdateOptions Opts = modeOptions(Lazy);
-  Opts.CertifyAfterUpdate = false;
-  UpdateResult R =
-      U.applyNow(Upt::prepare(ptVersion(false), ptVersion(true), "v1"), Opts);
-  ASSERT_EQ(R.Status, UpdateStatus::Applied) << R.Message;
-  EXPECT_FALSE(R.Certified);
-  EXPECT_EQ(R.CertifyMs, 0);
-  EXPECT_EQ(R.Trace.count(UpdateEventKind::Certified), 0);
-}
-
 //===--- Acceptance sweep ---------------------------------------------------===//
 
 TEST_EAGER_AND_LAZY(DsuRollback, EveryFaultSiteResolvesWithoutProcessDeath) {

@@ -4,9 +4,8 @@
 /// The main of every test binary (in place of gtest_main).
 ///
 /// `--jvolve-instrumented` runs the binary's cases with telemetry on,
-/// 2,000-tick stats windows and a default JSONL trace session in a
-/// temporary file of this process: the streaming paths a plain run never
-/// takes. ctest runs every case twice, plain and with the flag
+/// 2,000-tick stats windows and a JSONL trace in a temporary file of this
+/// process: the streaming paths a plain run never takes. ctest runs every case twice, plain and with the flag
 /// (`<name>.Instrumented`, tests/CMakeLists.txt).
 ///
 //===----------------------------------------------------------------------===//

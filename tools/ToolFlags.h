@@ -1,8 +1,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flag handling shared by the command-line tools: the --inject site list
-/// and spec-list validation, and the --metrics-out snapshot writer.
+/// Flag handling shared by the command-line tools: integer arguments, the
+/// --inject site list and spec-list validation, and the --metrics-out
+/// snapshot writer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,11 +14,35 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 namespace jvolve {
+
+/// Parses \p Text, the value of \p What, as a whole base-10 integer in
+/// [\p Min, \p Max]. Anything else (empty, trailing characters, out of
+/// range) is reported as "<Tool>: <What> must be an integer ..., got
+/// '<Text>'" and exits 2, as the tools do for every bad argument.
+inline long long intArg(const char *Tool, const char *What, const char *Text,
+                        long long Min, long long Max = LLONG_MAX) {
+  char *End = nullptr;
+  errno = 0;
+  long long V = std::strtoll(Text, &End, 10);
+  if (End != Text && *End == '\0' && errno == 0 && V >= Min && V <= Max)
+    return V;
+  std::string Range;
+  if (Min != LLONG_MIN)
+    Range += " >= " + std::to_string(Min);
+  if (Max != LLONG_MAX)
+    Range += (Range.empty() ? " <= " : " and <= ") + std::to_string(Max);
+  std::fprintf(stderr, "%s: %s must be an integer%s, got '%s'\n", Tool, What,
+               Range.c_str(), Text);
+  std::exit(2);
+}
 
 /// Comma-separated list of every valid --inject site name.
 inline std::string injectSiteList() {

@@ -21,9 +21,9 @@
 /// drain) and sweeps a nested fault across the window after the trigger's
 /// first firing. Every execution is judged by the standard oracle suite
 /// (heap certification, program-state equivalence, terminal statuses,
-/// phase tiling, residual/pending objects, undo-log roots, telemetry
-/// ledger balance); every violation is shrunk while it still reproduces
-/// and reported with a ready-to-paste `--repro` command line.
+/// phase tiling, residual/pending objects, undo-log roots, registry
+/// restoration); every violation is shrunk while it still reproduces and
+/// reported with a ready-to-paste `--repro` command line.
 ///
 /// The default matrix is eager commits with the canary window off —
 /// --lazy and --canary widen the mode axes rather than replacing them.
@@ -32,9 +32,9 @@
 /// points are counted, never silently dropped). --check exits non-zero
 /// when any oracle violation survived or an attempted probe point's
 /// fault failed to fire (coverage below 100%). --json prints only the
-/// machine-readable report; --metrics-out writes the telemetry snapshot
-/// (including the fault.coverage.{probes,covered} gauges) in the format
-/// scripts/metrics-diff.py gates on.
+/// machine-readable report; --metrics-out enables telemetry and writes its
+/// snapshot (including the fault.coverage.{probes,covered} gauges) in the
+/// format scripts/metrics-diff.py gates on.
 ///
 /// Scenarios run on fresh VMs under virtual time with fixed seeds, so a
 /// campaign is bit-identical across runs — the reproducibility the
@@ -46,9 +46,9 @@
 #include "support/ChaosCampaign.h"
 #include "support/Telemetry.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -73,21 +73,6 @@ void usage() {
       "                    [--inject <site>[:fire[:skip]][,<spec>...]]\n"
       "  fault sites: %s\n",
       injectSiteList().c_str());
-}
-
-std::vector<std::string> splitList(const std::string &S) {
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    size_t End = Comma == std::string::npos ? S.size() : Comma;
-    if (End > Pos)
-      Out.push_back(S.substr(Pos, End - Pos));
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return Out;
 }
 
 int runRepro(const ScenarioSpec &Spec) {
@@ -156,7 +141,7 @@ int main(int argc, char **argv) {
       Opts.SecondOrder = true;
       ExplicitOrder = true;
     } else if (Flag == "--streams") {
-      Opts.Streams = splitList(NeedValue());
+      Opts.Streams = splitCommaList(NeedValue());
       if (Opts.Streams.empty()) {
         std::fprintf(stderr, "jvolve-chaos: --streams needs at least one "
                              "of email, jetty, crossftp\n");
@@ -174,7 +159,7 @@ int main(int argc, char **argv) {
       Opts.CodeVersion = true;
       ReproSpec.CodeVersion = true;
     } else if (Flag == "--budget") {
-      Opts.Budget = std::strtoull(NeedValue(), nullptr, 10);
+      Opts.Budget = intArg("jvolve-chaos", "--budget", NeedValue(), 0);
     } else if (Flag == "--check") {
       Check = true;
     } else if (Flag == "--json") {
@@ -184,20 +169,17 @@ int main(int argc, char **argv) {
     } else if (Flag == "--metrics-out") {
       MetricsOut = NeedValue();
     } else if (Flag == "--warm") {
-      Opts.WarmTicks = std::strtoull(NeedValue(), nullptr, 10);
+      Opts.WarmTicks = intArg("jvolve-chaos", "--warm", NeedValue(), 0);
       ReproSpec.WarmTicks = Opts.WarmTicks;
     } else if (Flag == "--settle") {
-      Opts.SettleTicks = std::strtoull(NeedValue(), nullptr, 10);
+      Opts.SettleTicks = intArg("jvolve-chaos", "--settle", NeedValue(), 0);
       ReproSpec.SettleTicks = Opts.SettleTicks;
     } else if (Flag == "--requests") {
-      Opts.Requests = static_cast<int>(std::strtol(NeedValue(), nullptr, 10));
-      if (Opts.Requests < 1) {
-        std::fprintf(stderr, "jvolve-chaos: --requests needs >= 1\n");
-        return 2;
-      }
+      Opts.Requests = static_cast<int>(
+          intArg("jvolve-chaos", "--requests", NeedValue(), 1, INT_MAX));
       ReproSpec.Requests = Opts.Requests;
     } else if (Flag == "--version") {
-      Opts.Version = std::strtoull(NeedValue(), nullptr, 10);
+      Opts.Version = intArg("jvolve-chaos", "--version", NeedValue(), 0);
       ReproSpec.Version = Opts.Version;
     } else if (Flag == "--repro") {
       Repro = true;
@@ -228,30 +210,16 @@ int main(int argc, char **argv) {
       return 2;
     }
 
-  // A live in-memory session gives the ledger-balance oracle something to
-  // judge: every scenario's events stream into it.
-  Telemetry::global().setEnabled(true);
-  auto Session = Telemetry::global().openSession();
-
   if (Repro) {
-    // Re-parse the validated list into the spec's fault vector.
-    for (const std::string &One : splitList(ReproInject)) {
-      ChaosFault F;
-      FaultInjector::siteByName(One.substr(0, One.find(':')), F.Where);
-      F.Fire = 1;
-      size_t C1 = One.find(':');
-      if (C1 != std::string::npos) {
-        F.Fire = std::strtoull(One.c_str() + C1 + 1, nullptr, 10);
-        size_t C2 = One.find(':', C1 + 1);
-        if (C2 != std::string::npos)
-          F.Skip = std::strtoull(One.c_str() + C2 + 1, nullptr, 10);
-      }
-      ReproSpec.Faults.push_back(F);
-    }
-    int Rc = runRepro(ReproSpec);
-    Telemetry::global().closeSession(Session);
-    return Rc;
+    // The list validateInjectSpecs accepted, parsed by the same parser.
+    for (const FaultInjector::Spec &F :
+         FaultInjector::parseSpecList(ReproInject))
+      ReproSpec.Faults.push_back({F});
+    return runRepro(ReproSpec);
   }
+
+  if (MetricsOut)
+    Telemetry::global().setEnabled(true);
 
   auto Oracles = standardOracles();
   CampaignReport Rep = runCampaign(Opts, Oracles);
@@ -294,7 +262,6 @@ int main(int argc, char **argv) {
     if (int RC = writeMetricsSnapshot("jvolve-chaos", MetricsOut))
       return RC;
 
-  Telemetry::global().closeSession(Session);
   if (Check && (!Rep.Violations.empty() || Rep.Covered < Rep.ProbePoints))
     return 1;
   return 0;

@@ -77,17 +77,11 @@ int main(int argc, char **argv) {
       Metrics = MetricsMode::Json;
     } else if (Flag == "--stats-window" ||
                Flag.rfind("--stats-window=", 0) == 0) {
-      StatsWindowTicks = 5000;
-      if (Flag.size() > std::strlen("--stats-window=")) {
-        long long N = std::atoll(Flag.c_str() + std::strlen("--stats-window="));
-        if (N <= 0) {
-          std::fprintf(stderr,
-                       "jvolve-run: --stats-window needs a positive tick "
-                       "count\n");
-          return 2;
-        }
-        StatsWindowTicks = static_cast<uint64_t>(N);
-      }
+      StatsWindowTicks =
+          Flag == "--stats-window"
+              ? 5000
+              : intArg("jvolve-run", "--stats-window=",
+                       Flag.c_str() + std::strlen("--stats-window="), 1);
     } else if (Flag == "--inject") {
       if (argc < 3) {
         std::fprintf(stderr, "jvolve-run: --inject requires a spec list\n");
@@ -156,7 +150,9 @@ int main(int argc, char **argv) {
   }
   std::vector<Slot> Args;
   for (int I = 3; I < argc; ++I)
-    Args.push_back(Slot::ofInt(std::atoll(argv[I])));
+    Args.push_back(
+        Slot::ofInt(intArg("jvolve-run", "an entry argument", argv[I],
+                           LLONG_MIN)));
 
   VM TheVM((VM::Config()));
   if (!InjectSpecs.empty())

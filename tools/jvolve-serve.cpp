@@ -71,11 +71,12 @@
 /// every update: a probe connection travels the same simulated network
 /// path as client traffic, and when the server's response comes back the
 /// per-window rate/p50/p99 table prints (support/TelemetryStream.h
-/// WindowAggregator) together with the trace session's event ledger.
-/// The canary latency monitor does not read these windows; it judges the
-/// responses of its own window. --trace-out streams JSONL trace events
-/// (update phase spans and lifecycle events) to <file>; the tool exits 2
-/// when the file cannot be created or did not get every event. --metrics-out
+/// WindowAggregator), and with --trace-out the events streamed to the
+/// trace and the ones its sink dropped. The canary latency monitor does
+/// not read these windows; it judges the responses of its own window.
+/// --trace-out streams JSONL trace events (update phase spans and
+/// lifecycle events) to <file>; the tool exits 2 when the file cannot be
+/// created or did not get every event. --metrics-out
 /// enables telemetry and writes the final registry snapshot as JSON to
 /// <file> at exit, the format scripts/metrics-diff.py consumes — so an
 /// eager and a --lazy run of the same release history can be diffed and
@@ -145,9 +146,9 @@ void addOperatorMappings(UpdateBundle &B, const AppModel &App,
 /// same simulated network path as client traffic, and the VM runs until
 /// the server's response to it comes back — so the view reflects a
 /// server that has caught up with everything ahead of the probe. Prints
-/// the windowed rate/p50/p99 table over recent windows plus the trace
-/// session's event ledger. \returns false when the server never answered
-/// (e.g. every worker trapped).
+/// the windowed rate/p50/p99 table over recent windows plus the trace's
+/// event counts. \returns false when the server never answered (e.g.
+/// every worker trapped).
 bool serveStatsRequest(VM &TheVM, int Port) {
   int Conn = TheVM.injectConnection(Port, {1});
   for (int Round = 0; Round < 500; ++Round) {
@@ -168,11 +169,10 @@ bool serveStatsRequest(VM &TheVM, int Port) {
           auto Read = [&Tel](const char *Name) {
             return static_cast<long long>(Tel.findGauge(Name)->value());
           };
-          std::printf("  telemetry: %lld event(s) attempted, %lld streamed, "
-                      "%lld dropped\n",
-                      Read(metrics::TelemetryEventsAttempted),
+          std::printf("  telemetry: %lld event(s) streamed, %lld dropped by "
+                      "the trace file\n",
                       Read(metrics::TelemetryEventsStreamed),
-                      Read(metrics::TelemetryDroppedTotal));
+                      Read(metrics::TelemetryTraceDropped));
         }
         return true;
       }
@@ -186,7 +186,10 @@ bool serveStatsRequest(VM &TheVM, int Port) {
 } // namespace
 
 int main(int argc, char **argv) {
-  if (argc < 2) {
+  const std::string AppName = argc < 2 ? "" : argv[1];
+  if (AppName != "jetty" && AppName != "email" && AppName != "crossftp") {
+    if (argc >= 2)
+      std::fprintf(stderr, "jvolve-serve: unknown app '%s'\n", argv[1]);
     std::fprintf(stderr,
                  "usage: jvolve-serve jetty|email|crossftp [--trace] "
                  "[--stats] [--analyze] [--lazy] [--codeversion] "
@@ -216,8 +219,6 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--stats") == 0) {
       ShowStats = true;
       Telemetry::global().setEnabled(true);
-      // Windowed aggregation feeds both the live table and the canary
-      // latency monitor's per-window mean (dsu/Revert.cpp take()).
       Telemetry::global().windows().configure(5'000);
     } else if (std::strcmp(argv[I], "--analyze") == 0) {
       AnalyzeFirst = true;
@@ -228,13 +229,8 @@ int main(int argc, char **argv) {
     } else if (std::strncmp(argv[I], "--canary", 8) == 0 &&
                (argv[I][8] == '\0' || argv[I][8] == '=')) {
       CanaryTicks = argv[I][8] == '='
-                        ? std::strtoull(argv[I] + 9, nullptr, 10)
+                        ? intArg("jvolve-serve", "--canary=", argv[I] + 9, 1)
                         : 20'000;
-      if (CanaryTicks == 0) {
-        std::fprintf(stderr, "jvolve-serve: --canary needs a nonzero tick "
-                             "window\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[I], "--revert") == 0) {
       WantRevert = true;
     } else if (std::strcmp(argv[I], "--metrics-out") == 0 && I + 1 < argc) {
@@ -254,7 +250,7 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (std::strcmp(argv[I], "--admit") == 0 && I + 1 < argc) {
-      AdmitLimit = std::strtoull(argv[++I], nullptr, 10);
+      AdmitLimit = intArg("jvolve-serve", "--admit", argv[++I], 0);
     } else {
       std::fprintf(stderr, "jvolve-serve: unknown argument '%s'\n", argv[I]);
       return 2;
@@ -264,13 +260,12 @@ int main(int argc, char **argv) {
   if (WantRevert && CanaryTicks == 0)
     CanaryTicks = 20'000; // --revert needs a window to revert out of
 
-  AppModel App = std::strcmp(argv[1], "jetty") == 0 ? makeJettyApp()
-                 : std::strcmp(argv[1], "email") == 0
-                     ? makeEmailApp()
-                     : makeCrossFtpApp();
-  int Port = std::strcmp(argv[1], "jetty") == 0 ? JettyPort
-             : std::strcmp(argv[1], "email") == 0 ? Pop3Port
-                                                  : FtpPort;
+  AppModel App = AppName == "jetty"   ? makeJettyApp()
+                 : AppName == "email" ? makeEmailApp()
+                                      : makeCrossFtpApp();
+  int Port = AppName == "jetty"   ? JettyPort
+             : AppName == "email" ? Pop3Port
+                                  : FtpPort;
 
   VM::Config Cfg;
   Cfg.HeapSpaceBytes = 16u << 20;
